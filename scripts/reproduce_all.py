@@ -11,10 +11,8 @@ records them as plain match cells so the disagreement stays visible.
 import argparse
 import sys
 
+from fracpast.cli import _EXAMPLES, _TABLES
 from fracpast.cli import main as cli_main
-
-TABLES = ("1", "2", "3", "4", "5", "6")
-EXAMPLES = ("2.1", "2.2", "2.4", "4.3")
 
 
 def main() -> int:
@@ -23,12 +21,12 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = []
-    for table in TABLES:
+    for table in _TABLES:
         print(f"--- table {table} ---")
         code = cli_main(["reproduce", "--table", table, "--format", args.format])
         if code != 0:
             failures.append(f"table {table}")
-    for example in EXAMPLES:
+    for example in _EXAMPLES:
         print(f"--- example {example} ---")
         code = cli_main(["reproduce", "--example", example, "--format", args.format])
         if code != 0:

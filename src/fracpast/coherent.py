@@ -19,16 +19,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .distributions import Distribution
-from .entropy import EntropyResult, MeasureTag
+from .entropy import EntropyResult, MeasureTag, _integral, _phi, _result
 from .errors import DomainError
 from .fraclog import LogMode, as_order, log_kernel
-from .quadrature import QuadConfig, QuadResult, integrate
+from .quadrature import QuadConfig, integrate
 
 __all__ = [
     "ComponentReport",
     "CrossSystemReport",
     "DistortionFunction",
-    "PhiAlpha",
     "SandwichReport",
     "compare_systems",
     "component_comparison",
@@ -131,25 +130,12 @@ def distortion(kind: str, **kw) -> DistortionFunction:
     raise DomainError(f"unknown distortion kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class PhiAlpha:
-    """The kernel u -> u * [-Ln_a u]**(1/a) at a fixed order and mode."""
-
-    alpha: float
-    mode: LogMode = LogMode.APPROX
-
-    def __call__(self, u: float) -> float:
-        return phi_alpha(u, self.alpha, self.mode)
-
-
 def phi_alpha(u: float, alpha, mode: LogMode = LogMode.APPROX) -> float:
     """Kernel value; zero at both endpoints, positive and unimodal between."""
     a = as_order(alpha)
     if not (math.isfinite(u) and 0.0 <= u <= 1.0):
         raise DomainError(f"kernel argument must lie in [0, 1], got {u}")
-    if u == 0.0 or u == 1.0:
-        return 0.0
-    return u * log_kernel(a, u, mode)
+    return _phi(a, mode)(u)
 
 
 def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult:
@@ -177,13 +163,7 @@ def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult
         return quv * log_kernel(a, quv) / fv
 
     res = integrate(integrand, 0.0, 1.0, _CFG)
-    return EntropyResult(
-        math.nan if res.diverged else res.value,
-        res,
-        LogMode.APPROX,
-        MeasureTag.SYSTEM_EFCPE,
-        a.alpha,
-    )
+    return _result(res, MeasureTag.SYSTEM_EFCPE, a.alpha)
 
 
 def parallel_uniform_closed_form(n: int, alpha) -> float:
@@ -239,13 +219,13 @@ def omega_bounds(q: DistortionFunction, alpha, grid: int = 512) -> Tuple[float, 
     a = as_order(alpha)
     if grid < 100:
         raise DomainError(f"grid must have at least 100 points, got {grid}")
-    phi = PhiAlpha(a.alpha)
+    phi = _phi(a)
 
     def ratio(u: float) -> float:
         den = phi(u)
         if den <= 0.0:
             return math.nan
-        return phi(min(max(q(u), 0.0), 1.0)) / den
+        return phi(q(u)) / den
 
     pts = _ratio_grid(grid)
     vals = [(ratio(u), u) for u in pts]
@@ -320,8 +300,7 @@ def density_bounds(
             raise DomainError(f"M={M} is below the density value {fv} at level {probe}")
         if L is not None and 0.0 < fv < L * (1.0 - 1e-9):
             raise DomainError(f"L={L} exceeds the density value {fv} at level {probe}")
-    phi = PhiAlpha(a.alpha)
-    I = integrate(lambda u: phi(min(max(q(u), 0.0), 1.0)), 0.0, 1.0, _CFG).value
+    I = _integral(_phi(a), q, 0.0, 1.0).value
     lower = I / M if M is not None else None
     upper = I / L if L is not None else None
     return lower, upper
@@ -345,13 +324,13 @@ def compare_systems(
     phi_a(q2(u)) / phi_a(q1(u)): inf * E*(T1) <= E*(T2) <= sup * E*(T1).
     """
     a = as_order(alpha)
-    phi = PhiAlpha(a.alpha)
+    phi = _phi(a)
 
     def ratio(u: float) -> float:
-        den = phi(min(max(q1(u), 0.0), 1.0))
+        den = phi(q1(u))
         if den <= 0.0:
             return math.nan
-        return phi(min(max(q2(u), 0.0), 1.0)) / den
+        return phi(q2(u)) / den
 
     pts = _ratio_grid(512)
     vals = [(ratio(u), u) for u in pts]
@@ -391,10 +370,10 @@ def component_comparison(q: DistortionFunction, X: Distribution, alpha) -> Compo
     a = as_order(alpha)
     from .entropy import efcpe
 
-    phi = PhiAlpha(a.alpha)
+    phi = _phi(a)
     diffs = []
     for u in _ratio_grid(512):
-        diffs.append(phi(min(max(q(u), 0.0), 1.0)) - phi(u))
+        diffs.append(phi(q(u)) - phi(u))
     tol = 1e-12
     all_ge = all(d >= -tol for d in diffs)
     all_le = all(d <= tol for d in diffs)

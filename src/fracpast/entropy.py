@@ -10,20 +10,22 @@ dynamic (truncated past) versions, the tau/W integral representations, and
 the Gini-index lower bound. All default to the APPROX fractional logarithm;
 the past and residual measures also accept EXACT mode as a cross-check.
 
-Divergence on unbounded supports is detected and reported through the result
-diagnostics rather than reproduced as a large truncation artifact.
+Every measure here is int g(p(x)) dx, with p the CDF or the survival function
+and g a kernel on [0, 1], evaluated through one integrand path. Divergence on
+unbounded supports is detected and reported through the result diagnostics
+rather than reproduced as a large truncation artifact.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Tuple
 
 from .distributions import Distribution, Frechet, Uniform
 from .errors import DivergedError, DomainError
-from .fraclog import LogMode, as_order, log_kernel
+from .fraclog import FracOrder, LogMode, as_order, log_kernel
 from .quadrature import QuadConfig, QuadResult, integrate
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
 
 _DEGENERATE_WIDTH = 1e-12
 _CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-9)
+_ZERO = QuadResult(0.0, 0.0, False, 0)
 
 
 class MeasureTag(enum.Enum):
@@ -104,17 +107,66 @@ class EntropyResult:
         return rec
 
 
-def _wrap(res: QuadResult, mode: LogMode, tag: MeasureTag, alpha: float) -> EntropyResult:
-    value = math.nan if res.diverged else res.value
-    return EntropyResult(value, res, mode, tag, alpha)
+def _result(
+    res: QuadResult, tag: MeasureTag, alpha: float, mode: LogMode = LogMode.APPROX
+) -> EntropyResult:
+    """Wrap a quadrature result; a diverged integral reads NaN."""
+    return EntropyResult(math.nan if res.diverged else res.value, res, mode, tag, alpha)
 
 
-def _zero_result(mode: LogMode, tag: MeasureTag, alpha: float) -> EntropyResult:
-    return EntropyResult(0.0, QuadResult(0.0, 0.0, False, 0), mode, tag, alpha)
+def _scaled(res: QuadResult, factor: float) -> QuadResult:
+    """Multiply value and error estimate by a constant, keeping every diagnostic."""
+    return replace(res, value=factor * res.value, error_estimate=factor * res.error_estimate)
 
 
-def _is_degenerate(X: Distribution) -> bool:
-    return X.upper - X.lower < _DEGENERATE_WIDTH
+def _phi(a: FracOrder, mode: LogMode = LogMode.APPROX) -> Callable[[float], float]:
+    """The kernel p -> p * [-Ln_a p]**(1/a) at a fixed order, zero off (0, 1)."""
+
+    def phi(p: float) -> float:
+        if p <= 0.0 or p >= 1.0:
+            return 0.0
+        return p * log_kernel(a, p, mode)
+
+    return phi
+
+
+def _first_power(p: float) -> float:
+    """The first-power kernel -p * log p, zero off (0, 1)."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -p * math.log(p)
+
+
+def _integral(
+    g: Callable[[float], float],
+    side: Callable[[float], float],
+    lo: float,
+    hi: float,
+    factor: Optional[float] = None,
+    cfg: Optional[QuadConfig] = None,
+) -> QuadResult:
+    """int_lo^hi g(side(x)) dx, where side is a CDF, survival or distortion."""
+    res = integrate(lambda x: g(side(x)), lo, hi, cfg or _CFG)
+    return res if factor is None else _scaled(res, factor)
+
+
+def _measure(
+    X: Distribution,
+    g: Callable[[float], float],
+    side: Callable[[float], float],
+    tag: MeasureTag,
+    alpha: float,
+    mode: LogMode = LogMode.APPROX,
+    hi: Optional[float] = None,
+    factor: Optional[float] = None,
+    cfg: Optional[QuadConfig] = None,
+) -> EntropyResult:
+    """Cumulative measure int g(side(x)) dx from the lower support bound to hi
+    (default the upper bound); exactly zero on a degenerate support."""
+    if X.upper - X.lower < _DEGENERATE_WIDTH:
+        return _result(_ZERO, tag, alpha, mode)
+    res = _integral(g, side, X.lower, X.upper if hi is None else hi, factor, cfg)
+    return _result(res, tag, alpha, mode)
 
 
 def efcpe(
@@ -129,17 +181,7 @@ def efcpe(
     divergence screen; a diverged tail is reported, not integrated.
     """
     a = as_order(alpha)
-    if _is_degenerate(X):
-        return _zero_result(mode, MeasureTag.EFCPE, a.alpha)
-
-    def integrand(x: float) -> float:
-        F = X.cdf(x)
-        if F <= 0.0 or F >= 1.0:
-            return 0.0
-        return F * log_kernel(a, F, mode)
-
-    res = integrate(integrand, X.lower, X.upper, cfg or _CFG)
-    return _wrap(res, mode, MeasureTag.EFCPE, a.alpha)
+    return _measure(X, _phi(a, mode), X.cdf, MeasureTag.EFCPE, a.alpha, mode, cfg=cfg)
 
 
 def efcpe_closed_form(X: Distribution, alpha) -> float:
@@ -175,26 +217,8 @@ def modified_efcpe(
     where CE is the cumulative entropy -int F log F dx.
     """
     a = as_order(alpha)
-    if _is_degenerate(X):
-        return _zero_result(LogMode.APPROX, MeasureTag.MODIFIED_EFCPE, a.alpha)
-    ga = math.gamma(1.0 + a.alpha)
-
-    def integrand(x: float) -> float:
-        F = X.cdf(x)
-        if F <= 0.0 or F >= 1.0:
-            return 0.0
-        return -F * math.log(F)
-
-    res = integrate(integrand, X.lower, X.upper, cfg or _CFG)
-    scaled = QuadResult(
-        ga * res.value,
-        ga * res.error_estimate,
-        res.diverged,
-        res.subdivisions_used,
-        res.low_confidence,
-        res.tail_exponent,
-    )
-    return _wrap(scaled, LogMode.APPROX, MeasureTag.MODIFIED_EFCPE, a.alpha)
+    return _measure(X, _first_power, X.cdf, MeasureTag.MODIFIED_EFCPE, a.alpha,
+                    factor=math.gamma(1.0 + a.alpha), cfg=cfg)
 
 
 def efcre(
@@ -205,17 +229,7 @@ def efcre(
 ) -> EntropyResult:
     """Survival-side dual int S * [-Ln_a S]**(1/a) dx."""
     a = as_order(alpha)
-    if _is_degenerate(X):
-        return _zero_result(mode, MeasureTag.EFCRE, a.alpha)
-
-    def integrand(x: float) -> float:
-        S = X.survival(x)
-        if S <= 0.0 or S >= 1.0:
-            return 0.0
-        return S * log_kernel(a, S, mode)
-
-    res = integrate(integrand, X.lower, X.upper, cfg or _CFG)
-    return _wrap(res, mode, MeasureTag.EFCRE, a.alpha)
+    return _measure(X, _phi(a, mode), X.survival, MeasureTag.EFCRE, a.alpha, mode, cfg=cfg)
 
 
 def classic_fractional(
@@ -229,21 +243,17 @@ def classic_fractional(
     """
     if not (math.isfinite(q) and 0.0 <= q <= 1.0):
         raise DomainError(f"exponent q must lie in [0, 1], got {q}")
-    if _is_degenerate(X):
-        return _zero_result(LogMode.APPROX, MeasureTag.CLASSIC_FRACTIONAL, q)
+    at_one = 1.0 if q == 0.0 else 0.0
 
-    side = (lambda x: X.cdf(x)) if past else (lambda x: X.survival(x))
-
-    def integrand(x: float) -> float:
-        p = side(x)
+    def kernel(p: float) -> float:
         if p <= 0.0:
             return 0.0
         if p >= 1.0:
-            return 1.0 if q == 0.0 else 0.0
+            return at_one
         return p * (-math.log(p)) ** q
 
-    res = integrate(integrand, X.lower, X.upper, cfg or _CFG)
-    return _wrap(res, LogMode.APPROX, MeasureTag.CLASSIC_FRACTIONAL, q)
+    side = X.cdf if past else X.survival
+    return _measure(X, kernel, side, MeasureTag.CLASSIC_FRACTIONAL, q, cfg=cfg)
 
 
 def paired_phi_entropy(
@@ -264,7 +274,7 @@ def paired_phi_entropy(
         past.diagnostics.low_confidence or residual.diagnostics.low_confidence,
         residual.diagnostics.tail_exponent,
     )
-    return _wrap(combined, mode, MeasureTag.PAIRED_PHI, a.alpha)
+    return _result(combined, MeasureTag.PAIRED_PHI, a.alpha, mode)
 
 
 def dynamic_efcpe(
@@ -280,21 +290,12 @@ def dynamic_efcpe(
     to t. As t reaches the upper bound this is the full past measure.
     """
     a = as_order(alpha)
-    if _is_degenerate(X):
-        return _zero_result(mode, MeasureTag.DYNAMIC_EFCPE, a.alpha)
     Ft = X.cdf(t)
-    if Ft <= 0.0:
+    # A degenerate support is measured as zero whatever t is.
+    if Ft <= 0.0 and X.upper - X.lower >= _DEGENERATE_WIDTH:
         raise DomainError(f"dynamic measure needs F(t) > 0; F({t}) = {Ft}")
-    t_eff = min(t, X.upper)
-
-    def integrand(x: float) -> float:
-        r = X.cdf(x) / Ft
-        if r <= 0.0 or r >= 1.0:
-            return 0.0
-        return r * log_kernel(a, r, mode)
-
-    res = integrate(integrand, X.lower, t_eff, cfg or _CFG)
-    return _wrap(res, mode, MeasureTag.DYNAMIC_EFCPE, a.alpha)
+    return _measure(X, _phi(a, mode), lambda x: X.cdf(x) / Ft, MeasureTag.DYNAMIC_EFCPE,
+                    a.alpha, mode, hi=min(t, X.upper), cfg=cfg)
 
 
 def mean_inactivity_time(X: Distribution, t: float) -> float:
@@ -302,9 +303,7 @@ def mean_inactivity_time(X: Distribution, t: float) -> float:
     Ft = X.cdf(t)
     if Ft <= 0.0:
         raise DomainError(f"mean inactivity time needs F(t) > 0; F({t}) = {Ft}")
-    t_eff = min(t, X.upper)
-    res = integrate(X.cdf, X.lower, t_eff, _CFG)
-    return res.value / Ft
+    return _integral(lambda p: p, X.cdf, X.lower, min(t, X.upper)).value / Ft
 
 
 def dynamic_decomposition(X: Distribution, alpha, t: float,
@@ -337,17 +336,8 @@ def tau_alpha(X: Distribution, alpha, t: float, mode: LogMode = LogMode.APPROX) 
     a = as_order(alpha)
     if t >= X.upper:
         return 0.0
-    t_eff = max(t, X.lower)
-
-    def integrand(x: float) -> float:
-        F = X.cdf(x)
-        if F <= 0.0:
-            return 0.0
-        if F >= 1.0:
-            return 0.0
-        return log_kernel(a, F, mode)
-
-    res = integrate(integrand, t_eff, X.upper, _CFG)
+    res = _integral(lambda p: 0.0 if p <= 0.0 or p >= 1.0 else log_kernel(a, p, mode),
+                    X.cdf, max(t, X.lower), X.upper)
     if res.diverged:
         raise DivergedError(
             f"tau integral diverges (tail exponent {res.tail_exponent:.3f})"
@@ -364,31 +354,23 @@ def W_alpha(X: Distribution, alpha, t: float) -> float:
     a = as_order(alpha).alpha
     if t >= X.upper:
         return 0.0
-    t_eff = max(t, X.lower)
-    ga = math.gamma(1.0 + a)
-
-    def integrand(x: float) -> float:
-        F = X.cdf(x)
-        if F <= 0.0 or F >= 1.0:
-            return 0.0
-        return -math.log(F)
-
-    res = integrate(integrand, t_eff, X.upper, _CFG)
+    res = _integral(lambda p: 0.0 if p <= 0.0 or p >= 1.0 else -math.log(p),
+                    X.cdf, max(t, X.lower), X.upper, factor=math.gamma(1.0 + a))
     if res.diverged:
         raise DivergedError(
             f"W integral diverges (tail exponent {res.tail_exponent:.3f})"
         )
-    return ga * res.value
+    return res.value
 
 
 def gini(X: Distribution) -> float:
     """Gini concentration index 1 - E[min(X1, X2)] / E[X] in [0, 1]."""
-    if _is_degenerate(X):
+    if X.upper - X.lower < _DEGENERATE_WIDTH:
         return 0.0
     mu = X.mean()
     if not math.isfinite(mu) or mu <= 0.0:
         raise DomainError("Gini index requires a finite positive mean")
-    res = integrate(lambda x: X.survival(x) ** 2, X.lower, X.upper, _CFG)
+    res = _integral(lambda p: p ** 2, X.survival, X.lower, X.upper)
     if res.diverged:
         raise DomainError("Gini index integral diverged")
     return 1.0 - (X.lower + res.value) / mu

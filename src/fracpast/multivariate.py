@@ -25,11 +25,22 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .distributions import Distribution, Uniform
-from .entropy import EntropyResult, MeasureTag, efcpe
+from .distributions import Distribution, Uniform, prhr
+from .entropy import (
+    _DEGENERATE_WIDTH,
+    _ZERO,
+    EntropyResult,
+    MeasureTag,
+    _first_power,
+    _integral,
+    _phi,
+    _result,
+    _scaled,
+    efcpe,
+)
 from .errors import DomainError
-from .fraclog import LogMode, as_order, log_kernel
-from .quadrature import QuadConfig, QuadResult, integrate, integrate_2d
+from .fraclog import as_order, log_kernel
+from .quadrature import QuadConfig, integrate_2d
 
 __all__ = [
     "BivariateLaw",
@@ -46,7 +57,6 @@ __all__ = [
     "triangle_law",
 ]
 
-_DEGENERATE_WIDTH = 1e-12
 _RATIO_SLACK = 1e-9
 
 
@@ -85,33 +95,6 @@ def independent_law(X: Distribution, Y: Distribution) -> BivariateLaw:
         supports=((X.lower, X.upper), (Y.lower, Y.upper)),
         label=f"indep({X!r},{Y!r})",
     )
-
-
-class _SquaredUniform(Distribution):
-    """Law with CDF x**2 on [0, 1] (first coordinate of the wedge density)."""
-
-    family = "squared_uniform"
-
-    def __init__(self):
-        super().__init__()
-        self.params = {}
-        self.lower, self.upper = 0.0, 1.0
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return min(1.0, x * x)
-
-    def pdf(self, x):
-        return 2.0 * x if 0.0 <= x <= 1.0 else 0.0
-
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
-        return math.sqrt(p)
-
-    def mean(self):
-        return 2.0 / 3.0
 
 
 class _WedgeSecond(Distribution):
@@ -166,7 +149,7 @@ def triangle_law() -> BivariateLaw:
 
     return BivariateLaw(
         joint_cdf=joint,
-        marginal_x=_SquaredUniform(),
+        marginal_x=prhr(Uniform(1.0), 2.0),
         marginal_y=_WedgeSecond(),
         conditional_cdf_y_given_x=conditional,
         supports=((0.0, 1.0), (0.0, 1.0)),
@@ -303,11 +286,6 @@ def _require_bounded(J: BivariateLaw, what: str):
         raise DomainError(f"{what} requires bounded supports, got {J.supports}")
 
 
-def _wrap(res: QuadResult, tag: MeasureTag, alpha: float) -> EntropyResult:
-    value = math.nan if res.diverged else res.value
-    return EntropyResult(value, res, LogMode.APPROX, tag, alpha)
-
-
 def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
     """Bivariate past measure in the factorized-kernel form.
 
@@ -319,8 +297,7 @@ def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
     a = as_order(alpha)
     _require_bounded(J, "bivariate past measure")
     if J._degenerate():
-        return EntropyResult(0.0, QuadResult(0.0, 0.0, False, 0), LogMode.APPROX,
-                             MeasureTag.BIVARIATE_EFCPE, a.alpha)
+        return _result(_ZERO, MeasureTag.BIVARIATE_EFCPE, a.alpha)
     (x_lo, x_hi), (y_lo, y_hi) = J.supports
 
     def integrand(x: float, y: float) -> float:
@@ -335,7 +312,7 @@ def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
         return Fx * Fyx * (kx + ky)
 
     res = integrate_2d(integrand, x_lo, x_hi, y_lo, y_hi)
-    return _wrap(res, MeasureTag.BIVARIATE_EFCPE, a.alpha)
+    return _result(res, MeasureTag.BIVARIATE_EFCPE, a.alpha)
 
 
 def modified_bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
@@ -346,21 +323,11 @@ def modified_bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
     a = as_order(alpha)
     _require_bounded(J, "modified bivariate past measure")
     if J._degenerate():
-        return EntropyResult(0.0, QuadResult(0.0, 0.0, False, 0), LogMode.APPROX,
-                             MeasureTag.MODIFIED_BIVARIATE_EFCPE, a.alpha)
+        return _result(_ZERO, MeasureTag.MODIFIED_BIVARIATE_EFCPE, a.alpha)
     (x_lo, x_hi), (y_lo, y_hi) = J.supports
-    ga = math.gamma(1.0 + a.alpha)
-
-    def integrand(x: float, y: float) -> float:
-        F = J.joint_cdf(x, y)
-        if F <= 0.0 or F >= 1.0:
-            return 0.0
-        return -F * math.log(F)
-
-    res = integrate_2d(integrand, x_lo, x_hi, y_lo, y_hi)
-    scaled = QuadResult(ga * res.value, ga * res.error_estimate, res.diverged,
-                        res.subdivisions_used, res.low_confidence, res.tail_exponent)
-    return _wrap(scaled, MeasureTag.MODIFIED_BIVARIATE_EFCPE, a.alpha)
+    res = integrate_2d(lambda x, y: _first_power(J.joint_cdf(x, y)), x_lo, x_hi, y_lo, y_hi)
+    return _result(_scaled(res, math.gamma(1.0 + a.alpha)),
+                   MeasureTag.MODIFIED_BIVARIATE_EFCPE, a.alpha)
 
 
 def independence_decomposition(X: Distribution, Y: Distribution, alpha) -> float:
@@ -453,14 +420,8 @@ def conditional_efcpe(J: BivariateLaw, alpha, x: float) -> float:
     (x_lo, x_hi), (y_lo, y_hi) = J.supports
     if not x_lo < x <= x_hi:
         raise DomainError(f"conditioning point {x} outside ({x_lo}, {x_hi}]")
-
-    def integrand(y: float) -> float:
-        C = J.conditional_cdf_y_given_x(y, x)
-        if C <= 0.0 or C >= 1.0:
-            return 0.0
-        return C * log_kernel(a, C)
-
-    res = integrate(integrand, y_lo, y_hi, QuadConfig(abs_tol=1e-9, rel_tol=1e-8))
+    res = _integral(_phi(a), lambda y: J.conditional_cdf_y_given_x(y, x), y_lo, y_hi,
+                    cfg=QuadConfig(abs_tol=1e-9, rel_tol=1e-8))
     return res.value
 
 

@@ -61,6 +61,7 @@ _WG = (
 _WIDTH_CLAMP = 1e-12
 _DIVERGENCE_EXPONENT = -1.05
 _PROBE_BASE = 4.0
+_PROBE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class QuadConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    probe_points: int = 8
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig):
     return total, total_err, splits
 
 
-def detect_divergence(f, a: float, cfg: Optional[QuadConfig] = None) -> TailProbe:
+def detect_divergence(f, a: float) -> TailProbe:
     """Screen f on [a, inf) for a non-integrable power-law tail.
 
     The integrand is sampled at a geometric ladder of offsets 4**k. A
@@ -191,8 +191,7 @@ def detect_divergence(f, a: float, cfg: Optional[QuadConfig] = None) -> TailProb
     exponent; exponents at or above -1.05 flag divergence. Ladders with too
     few usable samples or sign changes yield "inconclusive".
     """
-    cfg = cfg or _DEFAULT
-    offsets = [_PROBE_BASE**k for k in range(cfg.probe_points)]
+    offsets = [_PROBE_BASE**k for k in range(_PROBE_POINTS)]
     xs = [a + d for d in offsets]
     fs = [f(x) for x in xs]
     if any(not math.isfinite(v) for v in fs):
@@ -269,7 +268,7 @@ def integrate(
 
 
 def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
-    probe = detect_divergence(f, a, cfg)
+    probe = detect_divergence(f, a)
     if probe.verdict == "diverged":
         return QuadResult(math.inf, math.inf, True, 0, tail_exponent=probe.slope)
 

@@ -4,7 +4,6 @@ import pytest
 
 from fracpast.coherent import (
     DistortionFunction,
-    PhiAlpha,
     compare_systems,
     component_comparison,
     custom,
@@ -142,10 +141,6 @@ class TestKernel:
         with pytest.raises(DomainError):
             phi_alpha(math.nan, 0.5)
 
-    def test_callable_wrapper(self):
-        phi = PhiAlpha(0.5)
-        assert phi(0.3) == phi_alpha(0.3, 0.5)
-
 
 class TestSystemMeasure:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -194,11 +189,10 @@ class TestOmegaBounds:
 
     @pytest.mark.parametrize("q", [parallel(2), series_system(3)], ids=["p2", "s3"])
     def test_supremum_bounds_kernel_pointwise(self, q):
-        phi = PhiAlpha(0.5)
         _, w2 = omega_bounds(q, 0.5)
         for i in range(1, 400):
             u = i / 400.0
-            assert phi(q(u)) <= w2 * phi(u) + 1e-9
+            assert phi_alpha(q(u), 0.5) <= w2 * phi_alpha(u, 0.5) + 1e-9
 
 
 class TestSandwich:

@@ -443,3 +443,32 @@ class TestResultRecord:
         assert rec["diverged"] is True
         assert rec["tail_exponent"] == pytest.approx(-0.938, abs=0.05)
         assert "family" not in rec
+
+
+# Every univariate measure shares one integrand path; each case is
+# (measure, tag, fitted tail exponent on ParetoType(0.5)).
+SHARED_CONTRACT_CASES = {
+    "efcpe": (lambda X: efcpe(X, 0.6), "efcpe", -0.764),
+    "efcre": (lambda X: efcre(X, 0.6), "efcre", -0.049),
+    "modified_efcpe": (lambda X: modified_efcpe(X, 0.6), "modified_efcpe", -0.417),
+    "classic_past": (lambda X: classic_fractional(X, 0.5, past=True), "classic_fractional", -0.156),
+    "classic_residual": (lambda X: classic_fractional(X, 0.5), "classic_fractional", -0.346),
+    "paired_phi_entropy": (lambda X: paired_phi_entropy(X, 0.6), "paired_phi", -0.049),
+}
+
+
+class TestSharedResultContract:
+    @pytest.mark.parametrize("name", sorted(SHARED_CONTRACT_CASES))
+    def test_degenerate_zero_and_diverged_nan(self, name):
+        measure, tag, exponent = SHARED_CONTRACT_CASES[name]
+        zero = measure(Degenerate(2.0))
+        assert zero.value == 0.0
+        assert not zero.diverged
+        assert zero.diagnostics.subdivisions_used == 0
+
+        res = measure(ParetoType(0.5))
+        assert res.diverged
+        assert math.isnan(res.value)
+        assert res.measure_tag.value == tag
+        assert math.isfinite(res.diagnostics.tail_exponent)
+        assert res.diagnostics.tail_exponent == pytest.approx(exponent, abs=0.01)
