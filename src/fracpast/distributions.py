@@ -16,7 +16,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .errors import DomainError, UnsupportedError
 from .quadrature import QuadConfig, integrate
@@ -194,7 +193,10 @@ class Frechet(Distribution):
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
-        return math.exp(-self.scale * x ** (-self.shape))
+        try:
+            return math.exp(-self.scale * x ** (-self.shape))
+        except OverflowError:  # x**(-shape) beyond the float range: F underflows
+            return 0.0
 
     def pdf(self, x):
         if x <= 0.0:
@@ -265,12 +267,18 @@ class Weibull(Distribution):
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
-        return -math.expm1(-((x / self.scale) ** self.shape))
+        try:
+            return -math.expm1(-((x / self.scale) ** self.shape))
+        except OverflowError:  # (x/scale)**shape beyond the float range: F rounds to 1
+            return 1.0
 
     def survival(self, x):
         if x <= 0.0:
             return 1.0
-        return math.exp(-((x / self.scale) ** self.shape))
+        try:
+            return math.exp(-((x / self.scale) ** self.shape))
+        except OverflowError:  # (x/scale)**shape beyond the float range: S underflows
+            return 0.0
 
     def pdf(self, x):
         if x <= 0.0:
@@ -337,13 +345,19 @@ class Beta(Distribution):
         self.params = {"p": self.p, "q": self.q}
         self.lower, self.upper = 0.0, 1.0
         self._log_beta = math.lgamma(self.p) + math.lgamma(self.q) - math.lgamma(self.p + self.q)
+        # scipy costs about 0.3 s to import, and only this law and EXACT mode
+        # use it, so it loads with the first Beta, not with the package.
+        # Bound once per law, so cdf and quantile pay no import per call.
+        from scipy.special import betainc, betaincinv
+
+        self._betainc, self._betaincinv = betainc, betaincinv
 
     def cdf(self, x):
         if x <= 0.0:
             return 0.0
         if x >= 1.0:
             return 1.0
-        return float(betainc(self.p, self.q, x))
+        return float(self._betainc(self.p, self.q, x))
 
     def pdf(self, x):
         if not 0.0 < x < 1.0:
@@ -357,7 +371,7 @@ class Beta(Distribution):
     def quantile(self, p):
         if not 0.0 <= p <= 1.0 or math.isnan(p):
             raise DomainError(f"quantile requires p in [0, 1], got {p}")
-        return float(betaincinv(self.p, self.q, p))
+        return float(self._betaincinv(self.p, self.q, p))
 
     def mean(self):
         return self.p / (self.p + self.q)

@@ -334,10 +334,12 @@ def tau_alpha(X: Distribution, alpha, t: float, mode: LogMode = LogMode.APPROX) 
     when the tail is not integrable.
     """
     a = as_order(alpha)
-    if t >= X.upper:
+    lo = max(t, X.lower)
+    if t >= X.upper or X.cdf(lo) == 1.0:
+        # F is nondecreasing, so F = 1 and the integrand is 0 on [lo, upper].
         return 0.0
     res = _integral(lambda p: 0.0 if p <= 0.0 or p >= 1.0 else log_kernel(a, p, mode),
-                    X.cdf, max(t, X.lower), X.upper)
+                    X.cdf, lo, X.upper)
     if res.diverged:
         raise DivergedError(
             f"tau integral diverges (tail exponent {res.tail_exponent:.3f})"
@@ -352,10 +354,12 @@ def W_alpha(X: Distribution, alpha, t: float) -> float:
     modified past measure. Raises DivergedError on non-integrable tails.
     """
     a = as_order(alpha).alpha
-    if t >= X.upper:
+    lo = max(t, X.lower)
+    if t >= X.upper or X.cdf(lo) == 1.0:
+        # F is nondecreasing, so F = 1 and the integrand is 0 on [lo, upper].
         return 0.0
     res = _integral(lambda p: 0.0 if p <= 0.0 or p >= 1.0 else -math.log(p),
-                    X.cdf, max(t, X.lower), X.upper, factor=math.gamma(1.0 + a))
+                    X.cdf, lo, X.upper, factor=math.gamma(1.0 + a))
     if res.diverged:
         raise DivergedError(
             f"W integral diverges (tail exponent {res.tail_exponent:.3f})"

@@ -273,6 +273,11 @@ def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
         return QuadResult(math.inf, math.inf, True, 0, tail_exponent=probe.slope)
 
     x_cut = probe.probe_x[-1]
+    if x_cut == a:
+        raise UnsupportedError(
+            f"lower limit {a:g} is too large for the semi-infinite map: "
+            f"a + {_PROBE_BASE ** (_PROBE_POINTS - 1):g} rounds to a"
+        )
     t_cut = (x_cut - a) / (1.0 + x_cut - a)
 
     def transformed(t: float) -> float:

@@ -18,6 +18,7 @@ from fracpast.distributions import (
     Uniform,
     UniformSum,
     Weibull,
+    _FACTORIES,
     affine,
     independent_sum,
     make,
@@ -91,6 +92,30 @@ class TestSharedContract:
         a = dist.sample(50, np.random.default_rng(123))
         b = dist.sample(50, np.random.default_rng(123))
         assert np.array_equal(a, b)
+
+
+# One law per catalog family; shapes above 1 make the Weibull and Frechet
+# powers overflow at the extremes.
+EXTREME_PARAMS = {
+    "uniform": {"scale": 1.0},
+    "exponential": {"rate": 1.0},
+    "frechet": {"shape": 2.0, "scale": 1.0},
+    "pareto": {"k": 0.5},
+    "weibull": {"scale": 1.0, "shape": 2.0},
+    "loguniform": {"a": 1.0, "b": 2.0},
+    "beta": {"p": 2.0, "q": 3.0},
+    "triangularsum": {},
+    "degenerate": {"c": 1.0},
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FACTORIES))
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e300, 1.7e308])
+def test_cdf_and_survival_at_extreme_arguments(family, x):
+    dist = make(family, **EXTREME_PARAMS[family])
+    for value in (dist.cdf(x), dist.survival(x)):
+        assert math.isfinite(value)
+        assert 0.0 <= value <= 1.0
 
 
 class TestSpecificValues:

@@ -316,6 +316,15 @@ class TestTailFunctionals:
         got = W_alpha(Uniform(1.0), 0.5, 0.5)
         assert got == pytest.approx(0.135970615369435, rel=1e-9)
 
+    @pytest.mark.parametrize("X", [Exponential(1.0), Weibull(1.0, 2.0)], ids=repr)
+    @pytest.mark.parametrize("t", [40.0, 1e19, 1e21, 1e22, 1e300])
+    def test_tail_integrals_zero_where_cdf_is_one(self, X, t):
+        # F(t) rounds to 1, so the integrand is 0 from t on: exactly 0, not
+        # a quadrature of a lower limit too large to map.
+        assert X.cdf(t) == 1.0
+        assert W_alpha(X, 0.5, t) == 0.0
+        assert tau_alpha(X, 0.5, t) == 0.0
+
     def test_w_nonincreasing(self):
         values = [W_alpha(Exponential(1.0), 0.5, t) for t in (0.2, 0.6, 1.2, 2.5)]
         assert all(a >= b for a, b in zip(values, values[1:]))

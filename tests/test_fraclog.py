@@ -95,6 +95,21 @@ class TestMittagLeffler:
                 above = mlf(alpha, seam + 1e-7)
                 assert below == pytest.approx(above, rel=1e-5)
 
+    @pytest.mark.parametrize("alpha", [0.5001, 0.6667, 0.7501, 0.4, 0.9])
+    @pytest.mark.parametrize("x", [-60.0, -100.0, -1000.0])
+    def test_asymptotic_branch_near_poles(self, alpha, x):
+        # At a = 1/2, 2/3, 3/4 one coefficient 1/Gamma(1 - a*k) nearly
+        # vanishes; the expansion must run past it. The reference is Pollard's
+        # integral E_a(-t) = sin(a pi)/(a pi t) int_0^inf exp(-w^(1/a))
+        # / ((w/t)^2 + 2 (w/t) cos(a pi) + 1) dw at 40 digits.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a, t = mp.mpf(alpha), -mp.mpf(x)
+            c = mp.cos(a * mp.pi)
+            f = lambda w: mp.exp(-w ** (1 / a)) / ((w / t) ** 2 + 2 * (w / t) * c + 1)
+            ref = float(mp.sin(a * mp.pi) / (a * mp.pi * t) * mp.quad(f, [0, 1, 4, 16, 64, mp.inf]))
+        assert mlf(alpha, x) == pytest.approx(ref, rel=1e-12)
+
     def test_positive_overflow_raises(self):
         with pytest.raises(NonConvergentError):
             mlf(0.5, 900.0)

@@ -94,6 +94,12 @@ class TestSemiInfinite:
         res = integrate(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
         assert res.diverged
 
+    @pytest.mark.parametrize("a", [1e21, 1e22, 1e300])
+    def test_lower_limit_beyond_probe_resolution_refused(self, a):
+        # a + 4**7 rounds to a, so the map x = a + t/(1-t) has no width.
+        with pytest.raises(UnsupportedError, match="too large"):
+            integrate(lambda x: math.exp(-x), a, math.inf)
+
 
 class TestDivergenceScreen:
     def test_power_law_slope_recovered(self):
