@@ -24,7 +24,23 @@ from .coherent import (
     sandwich_check,
     system_efcpe,
 )
-from .distributions import Distribution, affine, independent_sum, make, parse_spec, prhr
+from .distributions import (
+    Beta,
+    Degenerate,
+    Distribution,
+    Exponential,
+    Frechet,
+    LogUniform,
+    ParetoType,
+    TriangularSum,
+    Uniform,
+    Weibull,
+    affine,
+    independent_sum,
+    make,
+    parse_spec,
+    prhr,
+)
 from .empirical import (
     Sample,
     confidence_interval,
@@ -79,23 +95,32 @@ from .quadrature import QuadConfig, QuadResult, detect_divergence, integrate
 __version__ = "0.1.0"
 
 __all__ = [
+    "Beta",
     "BivariateLaw",
+    "Degenerate",
     "DistortionFunction",
     "Distribution",
     "DivergedError",
     "DomainError",
     "EntropyResult",
+    "Exponential",
     "FracOrder",
     "FracpastError",
+    "Frechet",
     "LogMode",
+    "LogUniform",
     "LogisticConfig",
     "MaxSubdivisionsError",
     "NonConvergentError",
     "OrderReport",
+    "ParetoType",
     "QuadConfig",
     "QuadResult",
     "Sample",
+    "TriangularSum",
+    "Uniform",
     "UnsupportedError",
+    "Weibull",
     "affine",
     "bifurcation_sweep",
     "bivariate_efcpe",

@@ -569,7 +569,6 @@ def _cmd_reproduce(args) -> int:
 def _add_common(sub, alphas=True, dist=False, quad=True):
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampling paths (reserved)")
     if alphas:
         sub.add_argument("--alpha", type=float, default=None)
         sub.add_argument("--alphas", default=None, help="comma-separated fractional orders")

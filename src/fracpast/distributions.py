@@ -2,8 +2,9 @@
 
 Every distribution exposes cdf, pdf, survival, quantile, mean, and sampling,
 plus finite-or-infinite support endpoints that integration routines rely on.
-Closed forms are used wherever the family admits them; the base class fills
-in bisection quantiles and survival-function means for the rest.
+The base quantile checks p and returns the support ends at p = 0 and 1; a
+family gives only its interior closed form, and the base class fills in
+bisection quantiles and survival-function means for the rest.
 
 Transforms (affine rescaling, proportional reversed hazard, independent sum)
 wrap an existing distribution and preserve the same contract, so measure code
@@ -13,7 +14,6 @@ never needs to distinguish primitive from derived families.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -44,6 +44,13 @@ __all__ = [
 _QUANTILE_TOL = 1e-10
 
 
+def _positive(what: str, *values) -> None:
+    """Raise DomainError unless every value is finite and > 0."""
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        got = values[0] if len(values) == 1 else f"({', '.join(map(str, values))})"
+        raise DomainError(f"{what} must be positive, got {got}")
+
+
 class Distribution:
     """Base class: subclasses set family, params, lower, upper, cdf, pdf."""
 
@@ -64,14 +71,18 @@ class Distribution:
         return 1.0 - self.cdf(x)
 
     def quantile(self, p: float) -> float:
-        """Inverse CDF by bracketed bisection (subclasses override with
-        closed forms where available)."""
+        """Inverse CDF: the support ends at p = 0 and 1, else ``_quantile(p)``."""
         if not 0.0 <= p <= 1.0 or math.isnan(p):
             raise DomainError(f"quantile requires p in [0, 1], got {p}")
         if p == 0.0:
             return self.lower
         if p == 1.0:
             return self.upper
+        return self._quantile(p)
+
+    def _quantile(self, p: float) -> float:
+        """Inverse CDF for 0 < p < 1 by bracketed bisection (subclasses
+        override with closed forms where available)."""
         lo = self.lower
         if math.isinf(self.upper):
             hi = max(lo + 1.0, 1.0)
@@ -116,8 +127,7 @@ class Uniform(Distribution):
 
     def __init__(self, scale: float = 1.0):
         super().__init__()
-        if not (math.isfinite(scale) and scale > 0):
-            raise DomainError(f"uniform scale must be positive, got {scale}")
+        _positive("uniform scale", scale)
         self.scale = float(scale)
         self.params = {"scale": self.scale}
         self.lower, self.upper = 0.0, self.scale
@@ -132,9 +142,7 @@ class Uniform(Distribution):
     def pdf(self, x):
         return 1.0 / self.scale if 0.0 <= x <= self.scale else 0.0
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
+    def _quantile(self, p):
         return p * self.scale
 
     def mean(self):
@@ -148,8 +156,7 @@ class Exponential(Distribution):
 
     def __init__(self, rate: float = 1.0):
         super().__init__()
-        if not (math.isfinite(rate) and rate > 0):
-            raise DomainError(f"exponential rate must be positive, got {rate}")
+        _positive("exponential rate", rate)
         self.rate = float(rate)
         self.params = {"rate": self.rate}
 
@@ -162,11 +169,7 @@ class Exponential(Distribution):
     def pdf(self, x):
         return self.rate * math.exp(-self.rate * x) if x >= 0.0 else 0.0
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
-        if p == 1.0:
-            return math.inf
+    def _quantile(self, p):
         return -math.log1p(-p) / self.rate
 
     def mean(self):
@@ -183,10 +186,8 @@ class Frechet(Distribution):
 
     def __init__(self, shape: float, scale: float = 1.0):
         super().__init__()
-        if not (math.isfinite(shape) and shape > 0):
-            raise DomainError(f"frechet shape must be positive, got {shape}")
-        if not (math.isfinite(scale) and scale > 0):
-            raise DomainError(f"frechet scale must be positive, got {scale}")
+        _positive("frechet shape", shape)
+        _positive("frechet scale", scale)
         self.shape, self.scale = float(shape), float(scale)
         self.params = {"shape": self.shape, "scale": self.scale}
 
@@ -201,15 +202,15 @@ class Frechet(Distribution):
     def pdf(self, x):
         if x <= 0.0:
             return 0.0
-        return self.scale * self.shape * x ** (-self.shape - 1.0) * self.cdf(x)
-
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
-        if p == 0.0:
+        F = self.cdf(x)
+        if F == 0.0:  # the power below may overflow, but the limit is 0
             return 0.0
-        if p == 1.0:
-            return math.inf
+        try:
+            return self.scale * self.shape * x ** (-self.shape - 1.0) * F
+        except OverflowError:  # F > 0 means x**(-shape) is in range; divide by x last
+            return self.scale * self.shape * (x ** (-self.shape) * F) / x
+
+    def _quantile(self, p):
         return (self.scale / (-math.log(p))) ** (1.0 / self.shape)
 
     def mean(self):
@@ -225,8 +226,7 @@ class ParetoType(Distribution):
 
     def __init__(self, k: float):
         super().__init__()
-        if not (math.isfinite(k) and k > 0):
-            raise DomainError(f"pareto index must be positive, got {k}")
+        _positive("pareto index", k)
         self.k = float(k)
         self.params = {"k": self.k}
 
@@ -239,11 +239,7 @@ class ParetoType(Distribution):
     def pdf(self, x):
         return self.k * (1.0 + x) ** (-self.k - 1.0) if x >= 0.0 else 0.0
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
-        if p == 1.0:
-            return math.inf
+    def _quantile(self, p):
         return (1.0 - p) ** (-1.0 / self.k) - 1.0
 
     def mean(self):
@@ -257,10 +253,8 @@ class Weibull(Distribution):
 
     def __init__(self, scale: float = 1.0, shape: float = 1.0):
         super().__init__()
-        if not (math.isfinite(scale) and scale > 0):
-            raise DomainError(f"weibull scale must be positive, got {scale}")
-        if not (math.isfinite(shape) and shape > 0):
-            raise DomainError(f"weibull shape must be positive, got {shape}")
+        _positive("weibull scale", scale)
+        _positive("weibull shape", shape)
         self.scale, self.shape = float(scale), float(shape)
         self.params = {"scale": self.scale, "shape": self.shape}
 
@@ -283,14 +277,15 @@ class Weibull(Distribution):
     def pdf(self, x):
         if x <= 0.0:
             return 0.0
-        z = (x / self.scale) ** self.shape
+        try:
+            z = (x / self.scale) ** self.shape
+        except OverflowError:  # z beyond the float range, so exp(-z) is 0
+            return 0.0
+        if z == 0.0 or z > 746.0:  # z or exp(-z) is exactly 0; shape / x * z may be inf
+            return 0.0
         return self.shape / x * z * math.exp(-z)
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
-        if p == 1.0:
-            return math.inf
+    def _quantile(self, p):
         return self.scale * (-math.log1p(-p)) ** (1.0 / self.shape)
 
     def mean(self):
@@ -323,9 +318,7 @@ class LogUniform(Distribution):
             return 1.0 / (x * self._log_ratio)
         return 0.0
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
+    def _quantile(self, p):
         return self.a * (self.b / self.a) ** p
 
     def mean(self):
@@ -339,8 +332,7 @@ class Beta(Distribution):
 
     def __init__(self, p: float, q: float):
         super().__init__()
-        if not (math.isfinite(p) and p > 0 and math.isfinite(q) and q > 0):
-            raise DomainError(f"beta shapes must be positive, got ({p}, {q})")
+        _positive("beta shapes", p, q)
         self.p, self.q = float(p), float(q)
         self.params = {"p": self.p, "q": self.q}
         self.lower, self.upper = 0.0, 1.0
@@ -368,50 +360,11 @@ class Beta(Distribution):
             - self._log_beta
         )
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
+    def _quantile(self, p):
         return float(self._betaincinv(self.p, self.q, p))
 
     def mean(self):
         return self.p / (self.p + self.q)
-
-
-class TriangularSum(Distribution):
-    """Sum of two independent standard uniforms: triangular on [0, 2]."""
-
-    family = "triangularsum"
-
-    def __init__(self):
-        super().__init__()
-        self.params = {}
-        self.lower, self.upper = 0.0, 2.0
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        if x >= 2.0:
-            return 1.0
-        if x <= 1.0:
-            return 0.5 * x * x
-        return 1.0 - 0.5 * (2.0 - x) ** 2
-
-    def pdf(self, x):
-        if 0.0 <= x <= 1.0:
-            return x
-        if 1.0 < x <= 2.0:
-            return 2.0 - x
-        return 0.0
-
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
-        if p <= 0.5:
-            return math.sqrt(2.0 * p)
-        return 2.0 - math.sqrt(2.0 * (1.0 - p))
-
-    def mean(self):
-        return 1.0
 
 
 class Degenerate(Distribution):
@@ -433,16 +386,11 @@ class Degenerate(Distribution):
     def pdf(self, x):
         return 0.0
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
+    def _quantile(self, p):
         return self.c
 
     def mean(self):
         return self.c
-
-    def sample(self, n, rng):
-        return np.full(n, self.c)
 
 
 class AffineTransformed(Distribution):
@@ -452,8 +400,7 @@ class AffineTransformed(Distribution):
 
     def __init__(self, base: Distribution, scale: float, shift: float = 0.0):
         super().__init__()
-        if not (math.isfinite(scale) and scale > 0):
-            raise DomainError(f"affine scale must be positive, got {scale}")
+        _positive("affine scale", scale)
         if not (math.isfinite(shift) and shift >= 0):
             raise DomainError(f"affine shift must be >= 0, got {shift}")
         self.base = base
@@ -471,14 +418,11 @@ class AffineTransformed(Distribution):
     def pdf(self, x):
         return self.base.pdf((x - self.shift) / self.scale) / self.scale
 
-    def quantile(self, p):
+    def _quantile(self, p):
         return self.scale * self.base.quantile(p) + self.shift
 
     def mean(self):
         return self.scale * self.base.mean() + self.shift
-
-    def sample(self, n, rng):
-        return self.scale * self.base.sample(n, rng) + self.shift
 
 
 class PrhrTransformed(Distribution):
@@ -491,8 +435,7 @@ class PrhrTransformed(Distribution):
 
     def __init__(self, base: Distribution, delta: float):
         super().__init__()
-        if not (math.isfinite(delta) and delta > 0):
-            raise DomainError(f"prhr exponent must be positive, got {delta}")
+        _positive("prhr exponent", delta)
         self.base = base
         self.delta = float(delta)
         self.params = {"base": base, "delta": self.delta}
@@ -507,9 +450,7 @@ class PrhrTransformed(Distribution):
             return 0.0
         return self.delta * F ** (self.delta - 1.0) * self.base.pdf(x)
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
+    def _quantile(self, p):
         return self.base.quantile(p ** (1.0 / self.delta))
 
 
@@ -520,8 +461,7 @@ class UniformSum(Distribution):
 
     def __init__(self, a: float, b: float):
         super().__init__()
-        if not (math.isfinite(a) and a > 0 and math.isfinite(b) and b > 0):
-            raise DomainError(f"uniformsum widths must be positive, got ({a}, {b})")
+        _positive("uniformsum widths", a, b)
         self.a, self.b = (float(min(a, b)), float(max(a, b)))
         self.params = {"a": self.a, "b": self.b}
         self.lower, self.upper = 0.0, self.a + self.b
@@ -548,8 +488,26 @@ class UniformSum(Distribution):
             return 1.0 / b
         return (a + b - x) / (a * b)
 
+    def _quantile(self, p):
+        r = self.a / self.b  # in (0, 1]: no product a * b to overflow or underflow
+        if p <= 0.5 * r:
+            return self.b * math.sqrt(2.0 * p * r)
+        if p < 1.0 - 0.5 * r:
+            return self.b * p + 0.5 * self.a
+        return self.a + self.b - self.b * math.sqrt(2.0 * (1.0 - p) * r)
+
     def mean(self):
         return 0.5 * (self.a + self.b)
+
+
+class TriangularSum(UniformSum):
+    """Sum of two independent standard uniforms: triangular on [0, 2]."""
+
+    family = "triangularsum"
+
+    def __init__(self):
+        super().__init__(1.0, 1.0)
+        self.params = {}
 
 
 class _ConvolutionSum(Distribution):

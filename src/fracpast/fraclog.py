@@ -160,12 +160,18 @@ def _mlf_asymptotic(alpha: float, x: float) -> float:
     falls over k <= 12 for every t >= 12, so on this branch (t >= 50) the
     expansion has not begun to diverge. A term can still be tiny where
     a*k is near an integer and the sine nearly vanishes; that says nothing
-    about the terms after it, so no term ends the sum early.
+    about the terms after it, so no small term ends the sum early. Only
+    t^k leaving the float range does: from there on every term is below
+    1e-154 of the first, so the partial sum is already exact.
     """
     t = -x
     total = 0.0
     for k in range(1, 13):
-        total += ((-1.0) ** (k + 1)) * _rgamma(1.0 - alpha * k) / t**k
+        try:
+            t_k = t**k
+        except OverflowError:
+            break
+        total += ((-1.0) ** (k + 1)) * _rgamma(1.0 - alpha * k) / t_k
     return total
 
 

@@ -20,7 +20,7 @@ joint CDF directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -104,7 +104,6 @@ class _WedgeSecond(Distribution):
 
     def __init__(self):
         super().__init__()
-        self.params = {}
         self.lower, self.upper = 0.0, 1.0
 
     def cdf(self, y):
@@ -117,9 +116,7 @@ class _WedgeSecond(Distribution):
     def pdf(self, y):
         return 2.0 * (1.0 - y) if 0.0 <= y <= 1.0 else 0.0
 
-    def quantile(self, p):
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
+    def _quantile(self, p):
         return 1.0 - math.sqrt(1.0 - p)
 
     def mean(self):

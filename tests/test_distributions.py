@@ -9,6 +9,7 @@ from fracpast.distributions import (
     AffineTransformed,
     Beta,
     Degenerate,
+    Distribution,
     Exponential,
     Frechet,
     LogUniform,
@@ -26,6 +27,7 @@ from fracpast.distributions import (
     prhr,
 )
 from fracpast.errors import DomainError, UnsupportedError
+from fracpast.multivariate import from_density, triangle_law
 from fracpast.quadrature import integrate
 
 BOUNDED_FAMILIES = [
@@ -116,6 +118,9 @@ def test_cdf_and_survival_at_extreme_arguments(family, x):
     for value in (dist.cdf(x), dist.survival(x)):
         assert math.isfinite(value)
         assert 0.0 <= value <= 1.0
+    density = dist.pdf(x)
+    assert math.isfinite(density)
+    assert density >= 0.0
 
 
 class TestSpecificValues:
@@ -302,19 +307,39 @@ class TestParseSpec:
 
 class TestQuantileFallback:
     def test_bisection_agrees_with_closed_form(self):
-        # The trapezoid sum defines no quantile of its own, so this walks
-        # the generic bisection path and validates it against the CDF.
+        # The base bisection, called directly, must match the trapezoid's
+        # closed-form inverse on all three pieces. The convolution sum has
+        # no quantile of its own, so quantile() walks the bisection path.
         s = independent_sum(Uniform(1.0), Uniform(2.0))
+        conv = independent_sum(Uniform(1.0), Beta(2.0, 2.0))
         for p in (0.1, 0.5, 0.9):
             x = s.quantile(p)
             assert s.cdf(x) == pytest.approx(p, abs=1e-8)
+            assert Distribution._quantile(s, p) == pytest.approx(x, abs=1e-9)
+            assert conv.cdf(conv.quantile(p)) == pytest.approx(p, abs=1e-8)
 
     def test_quantile_rejects_bad_probability(self):
-        for dist in (Uniform(1.0), Exponential(1.0), TriangularSum()):
-            with pytest.raises(DomainError):
-                dist.quantile(1.5)
-            with pytest.raises(DomainError):
-                dist.quantile(math.nan)
+        # The contract on every family and wrapper: p = 0 and p = 1 give the
+        # support ends, and p outside [0, 1] or NaN raises DomainError.
+        # LogUniform(0.3, 0.7) is a law where a * (b / a) is not b.
+        tri = triangle_law()
+        grid = from_density(lambda x, y: x + y, (0.0, 1.0), (0.0, 2.0), grid=16)
+        laws = [make(family, **EXTREME_PARAMS[family]) for family in sorted(_FACTORIES)] + [
+            LogUniform(0.3, 0.7),
+            affine(Exponential(1.0), 2.0, 3.0),
+            prhr(Weibull(1.0, 2.0), 0.5),
+            UniformSum(1.0, 2.0),
+            independent_sum(Uniform(1.0), Beta(2.0, 2.0)),
+            tri.marginal_x,
+            tri.marginal_y,
+            grid.marginal_x,
+        ]
+        for dist in laws:
+            assert dist.quantile(0.0) == dist.lower, dist
+            assert dist.quantile(1.0) == dist.upper, dist
+            for p in (-0.5, 1.5, math.nan):
+                with pytest.raises(DomainError):
+                    dist.quantile(p)
 
 
 @given(

@@ -143,6 +143,17 @@ class TestExactMode:
             efcpe(Uniform(1.0), 0.4, LogMode.EXACT, cfg)
 
 
+    @pytest.mark.parametrize("alpha", [0.87, 0.9, 0.93])
+    def test_exact_residual_runaway_is_reported(self, alpha):
+        # Exact Ln_a(p) ~ -1 / (p Gamma(1 - a)) as p -> 0, so the residual
+        # integrand S (-Ln_a S)**(1/a) grows like S**(1 - 1/a) in the tail.
+        # The root search for tiny S reaches mlf far beyond t ~ 1e154;
+        # the measure must come back diverged, not as an OverflowError.
+        res = efcre(Exponential(1.0), alpha, LogMode.EXACT)
+        assert res.diverged
+        assert math.isnan(res.value)
+
+
 class TestModifiedMeasure:
     @pytest.mark.parametrize("alpha", [0.2, 0.4, 0.5, 0.7, 0.9, 1.0])
     def test_uniform_value(self, alpha):

@@ -110,6 +110,14 @@ class TestMittagLeffler:
             ref = float(mp.sin(a * mp.pi) / (a * mp.pi * t) * mp.quad(f, [0, 1, 4, 16, 64, mp.inf]))
         assert mlf(alpha, x) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    @pytest.mark.parametrize("x", [-1e160, -1e300])
+    def test_asymptotic_branch_where_powers_overflow(self, alpha, x):
+        # t**k leaves the float range from t ~ 1.3e154 at k = 2; every term
+        # after the first is then below 1e-154 of it, so E_a(-t) is the
+        # first term 1 / (t Gamma(1 - a)) to the last bit.
+        assert mlf(alpha, x) == pytest.approx(1.0 / (-x * math.gamma(1.0 - alpha)), rel=1e-15)
+
     def test_positive_overflow_raises(self):
         with pytest.raises(NonConvergentError):
             mlf(0.5, 900.0)

@@ -1,0 +1,13 @@
+"""The README's Python API examples run as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
