@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _QUANTILE_TOL = 1e-10
+_NORMAL_MIN = 2.2250738585072014e-308  # smallest positive normal float
 
 
 def _positive(what: str, *values) -> None:
@@ -283,7 +284,10 @@ class Weibull(Distribution):
             return 0.0
         if z == 0.0 or z > 746.0:  # z or exp(-z) is exactly 0; shape / x * z may be inf
             return 0.0
-        return self.shape / x * z * math.exp(-z)
+        density = self.shape / x * z
+        if density == math.inf:  # shape / x overflows at subnormal x: divide by x last
+            density = self.shape * z / x
+        return density * math.exp(-z)
 
     def _quantile(self, p):
         return self.scale * (-math.log1p(-p)) ** (1.0 / self.shape)
@@ -466,6 +470,26 @@ class UniformSum(Distribution):
         self.params = {"a": self.a, "b": self.b}
         self.lower, self.upper = 0.0, self.a + self.b
 
+    # The products y*y, 2ab and ab leave the normal float range at widths
+    # near 1e+-150; there the ratios y/a and y/b take their place. Where the
+    # products are normal floats the product form is kept, so its values do
+    # not move.
+
+    def _half_square(self, y):
+        """y^2 / (2ab)."""
+        a, b = self.a, self.b
+        num, den = y * y, 2.0 * a * b
+        if _NORMAL_MIN <= num < math.inf and _NORMAL_MIN <= den < math.inf:
+            return num / den
+        return 0.5 * (y / a) * (y / b)
+
+    def _over_ab(self, y):
+        """y / (ab)."""
+        ab = self.a * self.b
+        if _NORMAL_MIN <= ab < math.inf:
+            return y / ab
+        return y / self.a / self.b
+
     def cdf(self, x):
         a, b = self.a, self.b
         if x <= 0.0:
@@ -473,20 +497,20 @@ class UniformSum(Distribution):
         if x >= a + b:
             return 1.0
         if x <= a:
-            return x * x / (2.0 * a * b)
+            return self._half_square(x)
         if x <= b:
             return (x - 0.5 * a) / b
-        return 1.0 - (a + b - x) ** 2 / (2.0 * a * b)
+        return 1.0 - self._half_square(a + b - x)
 
     def pdf(self, x):
         a, b = self.a, self.b
         if x < 0.0 or x > a + b:
             return 0.0
         if x <= a:
-            return x / (a * b)
+            return self._over_ab(x)
         if x <= b:
             return 1.0 / b
-        return (a + b - x) / (a * b)
+        return self._over_ab(a + b - x)
 
     def _quantile(self, p):
         r = self.a / self.b  # in (0, 1]: no product a * b to overflow or underflow

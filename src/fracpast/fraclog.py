@@ -14,18 +14,35 @@ logarithm Ln_a. Three evaluation strategies are exposed:
   and the power rule ``Ln_a(x**b) = b**a * Ln_a(x)`` hold exactly. Both sides
   of the product rule reduce to Gamma(1+a)**(1/a) * (-log u - log v).
 
-Negative-argument evaluation of E_a switches between the power series, the
-Pollard spectral integral, and the large-argument asymptotic expansion.
+Negative-argument evaluation of E_a switches between three branches: the
+power series for -1 <= x < 0; for -50 < x < -1, the Bromwich integral
+E_a(-t) = 1/(2 pi i) int_C e^s s^(a-1) / (s^a + t) ds by the trapezoidal rule
+on the parabolic contour s(u) = mu (1 + iu)^2 (Weideman & Trefethen, Math.
+Comp. 2007; Garrappa, SIAM J. Numer. Anal. 2015), with N = 16, mu = pi N / 12
+and step h = 3 / N, so 17 nodes after conjugate symmetry; and the 12-term
+large-argument expansion for x <= -50. Against 40-digit references the
+contour branch is within 4e-13 relative for orders 0.1 to 0.99, and within
+5e-10 up to order 0.99999; larger N is less accurate, because the factor
+e^mu at the nodes cancels. That cancellation leaves an absolute error of
+about 2e-16, so where E_a(-t) falls below 1e-10 (orders within about 5e-9
+of 1) the branch returns e^(-t) plus the asymptotic expansion instead,
+within 4e-7 relative; at any order up to 1 the branch is within 2e-6.
+
+The contour nodes and weights, the powers s^a, Gamma(1 +- a) and the
+expansion's coefficients depend on the order only, so each ``FracOrder``
+computes them once, on first use, and every point of a public call shares
+them.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, NonConvergentError
-from .quadrature import QuadConfig, integrate
 
 __all__ = [
     "FracOrder",
@@ -42,6 +59,14 @@ __all__ = [
 # Branch boundaries for mlf on the negative axis.
 _SERIES_FLOOR = -1.0
 _ASYMPTOTIC_CEILING = -50.0
+
+# Trapezoidal rule on the parabolic contour s(u) = mu (1 + iu)^2, u = k h for
+# |k| <= N; see the module docstring.
+_CONTOUR_N = 16
+_CONTOUR_MU = math.pi * _CONTOUR_N / 12.0
+_CONTOUR_STEP = 3.0 / _CONTOUR_N
+_CONTOUR_FLOOR = 1e-10
+_ASYMPTOTIC_TERMS = 12
 
 _ROOT_XTOL = 1e-10
 _ROOT_MAXITER = 200
@@ -67,9 +92,62 @@ class FracOrder:
             raise DomainError(f"fractional order must lie in (0, 1], got {a}")
         object.__setattr__(self, "alpha", float(a))
 
+    # Per-order constants of the kernel, each computed on first use and then
+    # shared by every point evaluated at this order.
+
+    @cached_property
+    def _gamma_plus(self) -> float:
+        """Gamma(1 + alpha)."""
+        return math.gamma(1.0 + self.alpha)
+
+    @cached_property
+    def _gamma_minus(self) -> float:
+        """Gamma(1 - alpha), for alpha < 1."""
+        return math.gamma(1.0 - self.alpha)
+
+    @cached_property
+    def _asymptotic_coefficients(self) -> tuple:
+        """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1..12.
+
+        By reflection 1/Gamma(1 - a*k) = Gamma(a*k) sin(pi*a*k) / pi, and
+        sin(pi*a*k) = (-1)^n sin(pi*f) with n the integer nearest a*k and
+        f = k*(a - 1) + (k - n). As the order nears 1 every coefficient is
+        O(1 - a), and this f keeps 1 - a to the last bit, where 1 - a*k
+        rounded to a float loses it. At a pole (a*k an integer) f is 0.
+        """
+        a = self.alpha
+        coefficients = []
+        for k in range(1, _ASYMPTOTIC_TERMS + 1):
+            n = round(a * k)
+            sine = (-1.0) ** n * math.sin(math.pi * (k * (a - 1.0) + (k - n)))
+            coefficients.append((-1.0) ** (k + 1) * math.gamma(a * k) * sine / math.pi)
+        return tuple(coefficients)
+
+    @cached_property
+    def _contour(self) -> tuple:
+        """Pairs (weight, s^alpha) of the contour nodes u = k h, k = 0..N.
+
+        The weight is h/pi * e^s s^(alpha-1) * s'(u)/(2i), doubled for k > 0
+        to count the conjugate node -k, so E_alpha(-t) is the real part of
+        sum(weight / (s^alpha + t)).
+        """
+        a, mu, h = self.alpha, _CONTOUR_MU, _CONTOUR_STEP
+        nodes = []
+        for k in range(_CONTOUR_N + 1):
+            z = complex(1.0, k * h)
+            s = mu * z * z
+            s_a = s**a
+            weight = (h / math.pi) * mu * z * cmath.exp(s) * s_a / s
+            nodes.append((2.0 * weight if k else weight, s_a))
+        return tuple(nodes)
+
 
 def as_order(alpha) -> FracOrder:
-    """Coerce a float or FracOrder into a validated FracOrder."""
+    """Coerce a float or FracOrder into a validated FracOrder.
+
+    The per-point kernels (``mlf``, ``frac_log``, ``log_kernel``) test for a
+    FracOrder inline first, sparing this call at every point.
+    """
     if isinstance(alpha, FracOrder):
         return alpha
     return FracOrder(float(alpha))
@@ -87,13 +165,6 @@ def gamma_fn(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
     return math.gamma(x)
-
-
-def _rgamma(y: float) -> float:
-    """Reciprocal gamma 1/Gamma(y), zero at the poles y = 0, -1, -2, ..."""
-    if y <= 0.0 and abs(y - round(y)) < 1e-12:
-        return 0.0
-    return 1.0 / math.gamma(y)
 
 
 def _mlf_series(alpha: float, x: float) -> float:
@@ -119,40 +190,23 @@ def _mlf_series(alpha: float, x: float) -> float:
     return math.fsum(terms)
 
 
-def _mlf_spectral(alpha: float, x: float) -> float:
-    """Pollard's spectral integral for E_a(-t), valid for 0 < a < 1, t > 0.
+def _mlf_contour(order: FracOrder, x: float) -> float:
+    """E_a(-t) by the trapezoidal rule on the parabolic contour, 0 < a < 1.
 
-    E_a(-t) = sin(a*pi)/(a*pi) * int_0^inf exp(-(v*t)**(1/a))
-              / (v**2 + 2*v*cos(a*pi) + 1) dv.
+    The rule's error is absolute, about 2e-16, so below _CONTOUR_FLOOR its
+    relative error would pass 2e-6. E_a(-t) falls that low on (-50, -1)
+    only for orders within about 5e-9 of 1 and t > 20, and there it is
+    e^(-t) plus the asymptotic expansion's algebraic tail, to within 4e-7
+    relative against 140-digit series sums.
     """
     t = -x
-    inv_alpha = 1.0 / alpha
-    # The denominator is (v - v0)^2 + w^2 with v0 = -cos(a*pi), w = sin(a*pi),
-    # a Lorentzian spike that sharpens as a -> 1. Substituting
-    # v = v0 + w*tan(theta) absorbs it exactly: the integral becomes
-    # 1/(a*pi) * int exp(-((v0 + w*tan(theta)) * t)**(1/a)) d(theta)
-    # over [atan(-v0/w), pi/2), a bounded smooth integrand for every order.
-    v0 = -math.cos(alpha * math.pi)
-    width = math.sin(alpha * math.pi)
-
-    def integrand(theta: float) -> float:
-        tan_theta = math.tan(theta)
-        if not math.isfinite(tan_theta):
-            return 0.0
-        v = v0 + width * tan_theta
-        if v <= 0.0:
-            return 0.0
-        arg = (v * t) ** inv_alpha
-        if arg > 700.0:
-            return 0.0
-        return math.exp(-arg)
-
-    cfg = QuadConfig(abs_tol=1e-11, rel_tol=1e-10)
-    res = integrate(integrand, math.atan(-v0 / width), math.pi / 2.0, cfg)
-    return res.value / (alpha * math.pi)
+    value = sum((weight / (s_a + t)).real for weight, s_a in order._contour)
+    if value >= _CONTOUR_FLOOR:
+        return value
+    return math.exp(x) + _mlf_asymptotic(order, x)
 
 
-def _mlf_asymptotic(alpha: float, x: float) -> float:
+def _mlf_asymptotic(order: FracOrder, x: float) -> float:
     """Large-argument expansion E_a(-t) ~ sum_k (-1)^(k+1) t^(-k) / Gamma(1-a*k).
 
     All twelve terms are summed. By reflection the k-th term has size
@@ -166,12 +220,12 @@ def _mlf_asymptotic(alpha: float, x: float) -> float:
     """
     t = -x
     total = 0.0
-    for k in range(1, 13):
+    for k, coefficient in enumerate(order._asymptotic_coefficients, 1):
         try:
             t_k = t**k
         except OverflowError:
             break
-        total += ((-1.0) ** (k + 1)) * _rgamma(1.0 - alpha * k) / t_k
+        total += coefficient / t_k
     return total
 
 
@@ -179,9 +233,15 @@ def mlf(alpha, x: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(x).
 
     For x <= 0 the result lies in (0, 1] and is strictly increasing in x.
-    Raises NonConvergentError when no evaluation branch meets tolerance.
+    The negative axis is split into three branches: the power series on
+    [-1, 0), the 17-node parabolic-contour rule on (-50, -1), and the
+    12-term asymptotic expansion on (-inf, -50]. The contour rule is within
+    4e-13 relative of 40-digit references for orders 0.1 to 0.99 and within
+    2e-6 for any order up to 1; see the module docstring. Raises
+    NonConvergentError when the power series overflows or does not settle.
     """
-    a = as_order(alpha).alpha
+    order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
+    a = order.alpha
     if not math.isfinite(x):
         raise DomainError(f"mlf requires finite x, got {x}")
     if a == 1.0:
@@ -191,8 +251,8 @@ def mlf(alpha, x: float) -> float:
     if x >= _SERIES_FLOOR:
         return _mlf_series(a, x)
     if x > _ASYMPTOTIC_CEILING:
-        return _mlf_spectral(a, x)
-    return _mlf_asymptotic(a, x)
+        return _mlf_contour(order, x)
+    return _mlf_asymptotic(order, x)
 
 
 def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
@@ -201,35 +261,38 @@ def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     APPROX evaluates Gamma(1+alpha) * log(p). EXACT solves E_alpha(y) = p by
     bracketing plus Brent iteration (tolerance 1e-10 on y, at most 200
     iterations), seeding the bracket from the asymptotic inverse
-    y ~= -1 / (p * Gamma(1-alpha)) when p is small.
+    y ~= -1 / (p * Gamma(1-alpha)) when p is small. Each iteration is one
+    ``mlf`` call with this call's ``FracOrder``, so the order's constants
+    (see ``mlf``) are built once per public call, not once per iteration.
     """
-    a = as_order(alpha).alpha
+    order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
+    a = order.alpha
     if not math.isfinite(p) or p <= 0.0 or p > 1.0:
         raise DomainError(f"frac_log requires 0 < p <= 1, got {p}")
     if p == 1.0:
         return 0.0
     if mode is LogMode.APPROX:
-        return math.gamma(1.0 + a) * math.log(p)
+        return order._gamma_plus * math.log(p)
     if a == 1.0:
         return math.log(p)
 
-    lo = math.gamma(1.0 + a) * math.log(p)
+    lo = order._gamma_plus * math.log(p)
     if a < 1.0:
-        lo = min(lo, -2.0 / (p * math.gamma(1.0 - a)))
+        lo = min(lo, -2.0 / (p * order._gamma_minus))
     lo = min(lo, -1e-8)
     for _ in range(80):
-        if mlf(a, lo) < p:
+        if mlf(order, lo) < p:
             break
         lo *= 2.0
     else:
         raise NonConvergentError(f"no bracket for frac_log(alpha={a}, p={p})")
     # Imported here, not with the package: scipy.optimize costs about 0.3 s
-    # at import, against about 4 ms for one EXACT frac_log.
+    # at import, which no APPROX caller should pay.
     from scipy.optimize import brentq
 
     try:
         root = brentq(
-            lambda y: mlf(a, y) - p, lo, 0.0, xtol=_ROOT_XTOL, maxiter=_ROOT_MAXITER
+            lambda y: mlf(order, y) - p, lo, 0.0, xtol=_ROOT_XTOL, maxiter=_ROOT_MAXITER
         )
     except (ValueError, RuntimeError) as exc:
         raise NonConvergentError(f"frac_log root search failed: {exc}") from exc
@@ -256,12 +319,13 @@ def log_kernel(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     In APPROX mode this is (Gamma(1+alpha) * (-log p))**(1/alpha); every
     cumulative measure integrand is the CDF (or survival) times this kernel.
     """
-    a = as_order(alpha).alpha
+    order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
+    a = order.alpha
     if not math.isfinite(p) or p <= 0.0 or p > 1.0:
         raise DomainError(f"log_kernel requires 0 < p <= 1, got {p}")
     if p == 1.0:
         return 0.0
-    neg_ln = -frac_log(a, p, mode)
+    neg_ln = -frac_log(order, p, mode)
     if neg_ln <= 0.0:
         return 0.0
     return math.exp(math.log(neg_ln) / a)

@@ -157,6 +157,31 @@ class TestSpecificValues:
         assert ParetoType(0.5).mean() == math.inf
         assert Frechet(0.8, 1.0).mean() == math.inf
 
+    @pytest.mark.parametrize(
+        "shape,x,want",
+        # Density shape * x**(shape - 1) at scale 1; 5e-324 is 2**-1074.
+        [(1.0, 1e-310, 1.0), (0.5, 5e-324, 2.0**536)],
+    )
+    def test_weibull_pdf_at_subnormal_x(self, shape, x, want):
+        # shape / x overflows here; the density itself is a finite float.
+        assert Weibull(1.0, shape).pdf(x) == pytest.approx(want, rel=1e-15)
+
+    def test_uniform_sum_where_width_products_leave_the_float_range(self):
+        # 2ab underflows to 0 (was ZeroDivisionError), and x*x and ab
+        # overflow (were NaN and 0.0).
+        assert UniformSum(1e-200, 1e-200).cdf(5e-201) == pytest.approx(0.125, rel=1e-15)
+        assert UniformSum(1e-200, 1e-200).pdf(5e-201) == pytest.approx(5e199, rel=1e-15)
+        assert UniformSum(1e200, 1e200).cdf(1e200) == pytest.approx(0.5, rel=1e-15)
+        assert UniformSum(1e200, 1e200).pdf(1e200) == pytest.approx(1e-200, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e-8, 1e8, 1e150, 1e200])
+    def test_uniform_sum_scale_law(self, c):
+        # F_cX(cx) = F_X(x) and c * f_cX(cx) = f_X(x), on every piece.
+        ref, law = UniformSum(1.0, 3.0), UniformSum(c, 3.0 * c)
+        for x in (0.25, 0.5, 1.0, 2.0, 3.5, 3.9):
+            assert law.cdf(c * x) == pytest.approx(ref.cdf(x), rel=1e-14)
+            assert c * law.pdf(c * x) == pytest.approx(ref.pdf(x), rel=1e-14)
+
 
 class TestDegenerate:
     def test_step_cdf(self):

@@ -40,6 +40,39 @@ EXACT_LOG_REFERENCE = [
 ]
 
 
+def _pollard_reference(alpha, x):
+    """E_a(x), x < 0, from Pollard's integral at 40 digits.
+
+    E_a(-t) = sin(a pi)/(a pi t) int_0^inf exp(-w^(1/a))
+    / ((w/t)^2 + 2 (w/t) cos(a pi) + 1) dw. The quadrature loses digits as
+    the denominator's spike at w = t sharpens, from about a = 0.999 on.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, t = mp.mpf(alpha), -mp.mpf(x)
+        c = mp.cos(a * mp.pi)
+        f = lambda w: mp.exp(-w ** (1 / a)) / ((w / t) ** 2 + 2 * (w / t) * c + 1)
+        return float(mp.sin(a * mp.pi) / (a * mp.pi * t) * mp.quad(f, [0, 1, 4, 16, 64, mp.inf]))
+
+
+def _series_reference(alpha, x):
+    """E_a(x) from its power series at 100 digits, for |x| <= 60.
+
+    The terms grow to about e^60 before they fall, so 100 digits leave
+    more than 60 for the sum, however small it is.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(100):
+        a, z = mp.mpf(alpha), mp.mpf(x)
+        total, k = mp.mpf(0), 0
+        while True:
+            term = z**k / mp.gamma(a * k + 1)
+            total += term
+            if k > abs(x) and abs(term) < mp.mpf(10) ** -90:
+                return float(total)
+            k += 1
+
+
 class TestFracOrder:
     def test_accepts_interior_and_boundary(self):
         assert FracOrder(0.5).alpha == 0.5
@@ -87,28 +120,53 @@ class TestMittagLeffler:
         assert mlf(alpha, x) == pytest.approx(expected, rel=5e-11)
 
     def test_branch_seams_are_continuous(self):
-        # The evaluator switches methods at x = -1 and x = -50; values on
-        # either side of each seam must agree to quadrature accuracy.
-        for alpha in (0.4, 0.6, 0.8):
-            for seam in (-1.0, -50.0):
-                below = mlf(alpha, seam - 1e-7)
-                above = mlf(alpha, seam + 1e-7)
-                assert below == pytest.approx(above, rel=1e-5)
+        # The evaluator switches methods at x = -1 (series at -1, contour
+        # below) and x = -50 (asymptotic at -50, contour above). A seam and
+        # its neighbouring float lie on different branches, and E_a moves
+        # by far less than 1e-9 between them, so the branches must agree.
+        for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99):
+            for seam, other in ((-1.0, math.nextafter(-1.0, -math.inf)),
+                                (-50.0, math.nextafter(-50.0, 0.0))):
+                assert mlf(alpha, other) == pytest.approx(mlf(alpha, seam), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99])
+    def test_contour_branch_against_reference(self, alpha):
+        # The fixed-node contour rule covers -50 < x < -1.
+        for x in (-1.0001, -2.5, -7.0, -15.0, -30.0, -49.9):
+            assert mlf(alpha, x) == pytest.approx(_pollard_reference(alpha, x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.9999, 0.99999])
+    @pytest.mark.parametrize("x", [-35.0, -49.0])
+    def test_order_near_one(self, alpha, x):
+        # E_a(-t) is about 1 / (t Gamma(1 - a)) here, not e^(-t): at
+        # a = 0.9999, t = 35 it is 3.04e-6. The 12-term asymptotic expansion
+        # is within 1e-8 of it, since its next term is below 1e-15.
+        t = -x
+        expansion = math.fsum(
+            (-1.0) ** (k + 1) / (t**k * math.gamma(1.0 - alpha * k)) for k in range(1, 13)
+        )
+        assert mlf(alpha, x) == pytest.approx(expansion, rel=1e-6, abs=0.0)
+        y = frac_log(alpha, expansion, LogMode.EXACT)
+        assert y == pytest.approx(x, rel=1e-6, abs=0.0)
+        assert mlf(alpha, y) == pytest.approx(expansion, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0**-52])
+    @pytest.mark.parametrize("x", [-23.0, -35.0, -49.0, -60.0])
+    def test_order_within_rounding_of_one(self, alpha, x):
+        # Here E_a(-t) is e^(-t) plus a tail of order (1 - a)/t, down to
+        # 1e-17, below the contour rule's absolute error of 2e-16. Every
+        # asymptotic coefficient is of order 1 - a, which 1 - a*k in floats
+        # does not keep.
+        value = mlf(alpha, x)
+        assert value > 0.0
+        assert value == pytest.approx(_series_reference(alpha, x), rel=5e-6, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5001, 0.6667, 0.7501, 0.4, 0.9])
     @pytest.mark.parametrize("x", [-60.0, -100.0, -1000.0])
     def test_asymptotic_branch_near_poles(self, alpha, x):
         # At a = 1/2, 2/3, 3/4 one coefficient 1/Gamma(1 - a*k) nearly
-        # vanishes; the expansion must run past it. The reference is Pollard's
-        # integral E_a(-t) = sin(a pi)/(a pi t) int_0^inf exp(-w^(1/a))
-        # / ((w/t)^2 + 2 (w/t) cos(a pi) + 1) dw at 40 digits.
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            a, t = mp.mpf(alpha), -mp.mpf(x)
-            c = mp.cos(a * mp.pi)
-            f = lambda w: mp.exp(-w ** (1 / a)) / ((w / t) ** 2 + 2 * (w / t) * c + 1)
-            ref = float(mp.sin(a * mp.pi) / (a * mp.pi * t) * mp.quad(f, [0, 1, 4, 16, 64, mp.inf]))
-        assert mlf(alpha, x) == pytest.approx(ref, rel=1e-12)
+        # vanishes; the expansion must run past it.
+        assert mlf(alpha, x) == pytest.approx(_pollard_reference(alpha, x), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.9])
     @pytest.mark.parametrize("x", [-1e160, -1e300])
