@@ -27,6 +27,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from importlib import resources
 from typing import List, Optional, Sequence
 
@@ -42,6 +43,7 @@ from .coherent import (
 from .distributions import Uniform, independent_sum, parse_spec
 from .empirical import Sample, empirical_efcpe, exp_spacing_moments, load_sample_csv, unif_spacing_moments
 from .entropy import (
+    _CFG,
     classic_fractional,
     dynamic_decomposition,
     dynamic_efcpe,
@@ -112,16 +114,10 @@ def _parse_alphas(args) -> List[float]:
 
 
 def _quad_config(args) -> Optional[QuadConfig]:
-    if args.abs_tol is None and args.rel_tol is None and args.max_subdiv is None:
-        return None
-    base = QuadConfig()
-    return QuadConfig(
-        abs_tol=args.abs_tol if args.abs_tol is not None else base.abs_tol,
-        rel_tol=args.rel_tol if args.rel_tol is not None else base.rel_tol,
-        max_subdivisions=args.max_subdiv
-        if args.max_subdiv is not None
-        else base.max_subdivisions,
-    )
+    """The measures' default tolerances, with each flag given in its place."""
+    flags = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol, "max_subdivisions": args.max_subdiv}
+    given = {field: value for field, value in flags.items() if value is not None}
+    return replace(_CFG, **given) if given else None
 
 
 def _log_mode(args) -> LogMode:
@@ -210,7 +206,7 @@ def _parse_system(spec: str) -> DistortionFunction:
         params = {}
         pieces = [p for p in body.split(",") if p.strip()]
         if len(pieces) == 1 and "=" not in pieces[0]:
-            key = {"parallel": "n", "series": "n", "prhr": "delta"}.get(kind)
+            key = {"parallel": "n", "series": "n"}.get(kind)
             if key is None:
                 raise DomainError(f"system kind {kind!r} needs named parameters")
             params[key] = pieces[0]
@@ -220,10 +216,7 @@ def _parse_system(spec: str) -> DistortionFunction:
                     raise DomainError(f"expected param=value in system spec, got {piece!r}")
                 key, val = piece.split("=", 1)
                 params[key.strip()] = val
-        converted = {}
-        for key, val in params.items():
-            converted[key] = float(val) if kind == "prhr" else int(val)
-        return distortion(kind, **converted)
+        return distortion(kind, **{key: int(val) for key, val in params.items()})
     return distortion(s)
 
 
@@ -450,9 +443,6 @@ def _compute_cell(op: dict, fixture: dict):
         return parallel_uniform_closed_form(op["n"], alpha), False
     if kind == "system_quad":
         res = system_efcpe(_parse_system(op["system"]), parse_spec(op["dist"]), alpha)
-        return res.value, res.diverged
-    if kind == "bivariate":
-        res = bivariate_efcpe(_parse_law(op["law"]), alpha)
         return res.value, res.diverged
     if kind == "modified_bivariate":
         res = modified_bivariate_efcpe(_parse_law(op["law"]), alpha)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .distributions import Distribution
-from .entropy import EntropyResult, MeasureTag, _integral, _phi, _result
+from .entropy import _CFG, EntropyResult, MeasureTag, _integral, _phi, _result, efcpe
 from .errors import DomainError
-from .fraclog import LogMode, as_order, log_kernel
-from .quadrature import QuadConfig, integrate
+from .fraclog import FracOrder, LogMode, as_order, log_kernel
+from .quadrature import integrate
 
 __all__ = [
     "ComponentReport",
@@ -42,9 +42,6 @@ __all__ = [
     "system_efcpe",
     "two_out_of_four",
 ]
-
-_CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-9)
-
 
 @dataclass(frozen=True)
 class DistortionFunction:
@@ -210,28 +207,27 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, iters: int = 80):
     return u, fn(u)
 
 
-def omega_bounds(q: DistortionFunction, alpha, grid: int = 512) -> Tuple[float, float]:
-    """Grid infimum and supremum of phi_a(q(u)) / phi_a(u) on (0, 1).
+def _ratio_bounds(num: Callable[[float], float], den: Callable[[float], float], a: FracOrder,
+                  what: str = "ratio") -> Tuple[float, float]:
+    """Infimum and supremum of phi_a(num(u)) / phi_a(den(u)) on (0, 1).
 
-    A golden-section pass refines around the best grid points; endpoint
+    The ratio is scanned on the 512-point grid with geometric end tails; a
+    golden-section pass then refines around the best grid points. Endpoint
     degeneracies (0/0) are approached but never evaluated at 0 or 1.
     """
-    a = as_order(alpha)
-    if grid < 100:
-        raise DomainError(f"grid must have at least 100 points, got {grid}")
     phi = _phi(a)
 
     def ratio(u: float) -> float:
-        den = phi(u)
-        if den <= 0.0:
+        d = phi(den(u))
+        if d <= 0.0:
             return math.nan
-        return phi(q(u)) / den
+        return phi(num(u)) / d
 
-    pts = _ratio_grid(grid)
+    pts = _ratio_grid(512)
     vals = [(ratio(u), u) for u in pts]
     vals = [(r, u) for r, u in vals if math.isfinite(r)]
     if not vals:
-        raise DomainError("ratio undefined on the whole grid")
+        raise DomainError(f"{what} undefined on the whole grid")
 
     lo_r, lo_u = min(vals)
     hi_r, hi_u = max(vals)
@@ -246,9 +242,19 @@ def omega_bounds(q: DistortionFunction, alpha, grid: int = 512) -> Tuple[float, 
     _, refined_lo = _golden_refine(ratio, l, r, maximize=False)
     l, r = neighbors(hi_u)
     _, refined_hi = _golden_refine(ratio, l, r, maximize=True)
-    omega1 = min(lo_r, refined_lo if math.isfinite(refined_lo) else lo_r)
-    omega2 = max(hi_r, refined_hi if math.isfinite(refined_hi) else hi_r)
-    return omega1, omega2
+    lower = min(lo_r, refined_lo if math.isfinite(refined_lo) else lo_r)
+    upper = max(hi_r, refined_hi if math.isfinite(refined_hi) else hi_r)
+    return lower, upper
+
+
+def _slack(*values: float) -> float:
+    """Tolerance for comparing measures: 1e-9 absolute plus 1e-5 of the largest."""
+    return 1e-9 + 1e-5 * max(abs(v) for v in values)
+
+
+def omega_bounds(q: DistortionFunction, alpha) -> Tuple[float, float]:
+    """Infimum and supremum of phi_a(q(u)) / phi_a(u) on (0, 1)."""
+    return _ratio_bounds(q, lambda u: u, as_order(alpha))
 
 
 @dataclass(frozen=True)
@@ -264,15 +270,13 @@ class SandwichReport:
 def sandwich_check(q: DistortionFunction, X: Distribution, alpha) -> SandwichReport:
     """Check omega1 * E*(X) <= E*(T) <= omega2 * E*(X)."""
     a = as_order(alpha)
-    from .entropy import efcpe
-
     component = efcpe(X, a).value
     if not math.isfinite(component):
         raise DomainError("sandwich check requires a finite component measure")
     system = system_efcpe(q, X, a).value
     w1, w2 = omega_bounds(q, a)
     lower, upper = w1 * component, w2 * component
-    slack = 1e-9 + 1e-5 * abs(system)
+    slack = _slack(system)
     holds = (lower <= system + slack) and (system <= upper + slack)
     return SandwichReport(lower, system, upper, w1, w2, holds)
 
@@ -324,24 +328,10 @@ def compare_systems(
     phi_a(q2(u)) / phi_a(q1(u)): inf * E*(T1) <= E*(T2) <= sup * E*(T1).
     """
     a = as_order(alpha)
-    phi = _phi(a)
-
-    def ratio(u: float) -> float:
-        den = phi(q1(u))
-        if den <= 0.0:
-            return math.nan
-        return phi(q2(u)) / den
-
-    pts = _ratio_grid(512)
-    vals = [(ratio(u), u) for u in pts]
-    vals = [(r, u) for r, u in vals if math.isfinite(r)]
-    if not vals:
-        raise DomainError("cross-ratio undefined on the whole grid")
-    inf_r = min(v[0] for v in vals)
-    sup_r = max(v[0] for v in vals)
+    inf_r, sup_r = _ratio_bounds(q2, q1, a, "cross-ratio")
     v1 = system_efcpe(q1, X, a).value
     v2 = system_efcpe(q2, X, a).value
-    slack = 1e-9 + 1e-5 * abs(v2)
+    slack = _slack(v2)
     return CrossSystemReport(
         inf_r,
         sup_r,
@@ -363,27 +353,20 @@ class ComponentReport:
 def component_comparison(q: DistortionFunction, X: Distribution, alpha) -> ComponentReport:
     """Pointwise kernel comparison phi_a(q(u)) vs phi_a(u) and its implication.
 
-    When the kernel inequality holds uniformly on the grid the implied
-    ordering of system and component measures is checked; a sign change
-    yields an inconclusive direction with no ordering claim.
+    When the kernel ratio stays on one side of 1 (omega1 >= 1 or omega2 <= 1)
+    the implied ordering of system and component measures is checked; a
+    ratio on both sides of 1 yields an inconclusive direction with no
+    ordering claim.
     """
     a = as_order(alpha)
-    from .entropy import efcpe
-
-    phi = _phi(a)
-    diffs = []
-    for u in _ratio_grid(512):
-        diffs.append(phi(q(u)) - phi(u))
-    tol = 1e-12
-    all_ge = all(d >= -tol for d in diffs)
-    all_le = all(d <= tol for d in diffs)
+    w1, w2 = omega_bounds(q, a)
     system = system_efcpe(q, X, a).value
     component = efcpe(X, a).value
-    slack = 1e-9 + 1e-5 * max(abs(system), abs(component))
-    if all_ge and not all_le:
-        return ComponentReport("ge", system, component, system >= component - slack)
-    if all_le and not all_ge:
-        return ComponentReport("le", system, component, system <= component + slack)
-    if all_ge and all_le:
+    slack = _slack(system, component)
+    if w1 >= 1.0 and w2 <= 1.0:
         return ComponentReport("ge", system, component, abs(system - component) <= slack)
+    if w1 >= 1.0:
+        return ComponentReport("ge", system, component, system >= component - slack)
+    if w2 <= 1.0:
+        return ComponentReport("le", system, component, system <= component + slack)
     return ComponentReport("inconclusive", system, component, True)

@@ -123,6 +123,15 @@ def empirical_efcpe(S: Sample, alpha) -> float:
     return pref * math.fsum(terms)
 
 
+def _spacing_cores(n: int, a: float) -> Tuple[float, List[float]]:
+    """(a!)**(1/a) and the cores (i/n) (-log(i/n))**(1/a), i = 1..n-1."""
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"sample size must be an integer >= 2, got {n}")
+    inv_a = 1.0 / a
+    cores = [r * (-math.log(r)) ** inv_a for r in (i / n for i in range(1, n))]
+    return math.gamma(1.0 + a) ** inv_a, cores
+
+
 def exp_spacing_moments(n: int, lam: float, alpha) -> MomentPair:
     """Estimator mean and variance under Exponential(lam) sampling.
 
@@ -132,22 +141,11 @@ def exp_spacing_moments(n: int, lam: float, alpha) -> MomentPair:
         mean = (a!)**(1/a) sum (1/(lam (n-i))) (i/n) (-log(i/n))**(1/a)
         var  = (a!)**(2/a) sum (1/(lam (n-i)))**2 (i/n)**2 (-log(i/n))**(2/a).
     """
-    a = as_order(alpha).alpha
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"sample size must be an integer >= 2, got {n}")
+    pref, cores = _spacing_cores(n, as_order(alpha).alpha)
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"rate must be positive, got {lam}")
-    inv_a = 1.0 / a
-    pref = math.gamma(1.0 + a) ** inv_a
-    mean_terms = []
-    var_terms = []
-    for i in range(1, n):
-        r = i / n
-        core = r * (-math.log(r)) ** inv_a
-        scale = 1.0 / (lam * (n - i))
-        mean_terms.append(scale * core)
-        var_terms.append((scale * core) ** 2)
-    return MomentPair(pref * math.fsum(mean_terms), pref**2 * math.fsum(var_terms))
+    terms = [1.0 / (lam * (n - i)) * core for i, core in enumerate(cores, 1)]
+    return MomentPair(pref * math.fsum(terms), pref**2 * math.fsum(t**2 for t in terms))
 
 
 def unif_spacing_moments(n: int, alpha) -> MomentPair:
@@ -156,20 +154,9 @@ def unif_spacing_moments(n: int, alpha) -> MomentPair:
     Each spacing follows Beta(1, n), hence mean 1/(n+1) and variance
     n / ((n+1)**2 (n+2)); the variance formula keeps the squared-core sum.
     """
-    a = as_order(alpha).alpha
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"sample size must be an integer >= 2, got {n}")
-    inv_a = 1.0 / a
-    pref = math.gamma(1.0 + a) ** inv_a
-    mean_terms = []
-    var_terms = []
-    for i in range(1, n):
-        r = i / n
-        core = r * (-math.log(r)) ** inv_a
-        mean_terms.append(core)
-        var_terms.append(core * core)
-    mean = pref / (n + 1) * math.fsum(mean_terms)
-    variance = pref**2 / ((n + 1) ** 2 * (n + 2)) * math.fsum(var_terms)
+    pref, cores = _spacing_cores(n, as_order(alpha).alpha)
+    mean = pref / (n + 1) * math.fsum(cores)
+    variance = pref**2 / ((n + 1) ** 2 * (n + 2)) * math.fsum(c * c for c in cores)
     return MomentPair(mean, variance)
 
 

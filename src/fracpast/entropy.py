@@ -327,6 +327,21 @@ def dynamic_decomposition(X: Distribution, alpha, t: float,
     return total - boundary, boundary
 
 
+def _tail_integral(X: Distribution, t: float, g: Callable[[float], float], what: str,
+                   factor: Optional[float] = None) -> float:
+    """int_t^upper g(F(x)) dx, g zero at F = 1; DivergedError on a divergent tail."""
+    lo = max(t, X.lower)
+    if t >= X.upper or X.cdf(lo) == 1.0:
+        # F is nondecreasing, so F = 1 and the integrand is 0 on [lo, upper].
+        return 0.0
+    res = _integral(g, X.cdf, lo, X.upper, factor)
+    if res.diverged:
+        raise DivergedError(
+            f"{what} integral diverges (tail exponent {res.tail_exponent:.3f})"
+        )
+    return res.value
+
+
 def tau_alpha(X: Distribution, alpha, t: float, mode: LogMode = LogMode.APPROX) -> float:
     """Upper-tail kernel integral int_t^upper [-Ln_a F(x)]**(1/a) dx.
 
@@ -334,17 +349,8 @@ def tau_alpha(X: Distribution, alpha, t: float, mode: LogMode = LogMode.APPROX) 
     when the tail is not integrable.
     """
     a = as_order(alpha)
-    lo = max(t, X.lower)
-    if t >= X.upper or X.cdf(lo) == 1.0:
-        # F is nondecreasing, so F = 1 and the integrand is 0 on [lo, upper].
-        return 0.0
-    res = _integral(lambda p: 0.0 if p <= 0.0 or p >= 1.0 else log_kernel(a, p, mode),
-                    X.cdf, lo, X.upper)
-    if res.diverged:
-        raise DivergedError(
-            f"tau integral diverges (tail exponent {res.tail_exponent:.3f})"
-        )
-    return res.value
+    return _tail_integral(
+        X, t, lambda p: 0.0 if p <= 0.0 or p >= 1.0 else log_kernel(a, p, mode), "tau")
 
 
 def W_alpha(X: Distribution, alpha, t: float) -> float:
@@ -354,17 +360,8 @@ def W_alpha(X: Distribution, alpha, t: float) -> float:
     modified past measure. Raises DivergedError on non-integrable tails.
     """
     a = as_order(alpha).alpha
-    lo = max(t, X.lower)
-    if t >= X.upper or X.cdf(lo) == 1.0:
-        # F is nondecreasing, so F = 1 and the integrand is 0 on [lo, upper].
-        return 0.0
-    res = _integral(lambda p: 0.0 if p <= 0.0 or p >= 1.0 else -math.log(p),
-                    X.cdf, lo, X.upper, factor=math.gamma(1.0 + a))
-    if res.diverged:
-        raise DivergedError(
-            f"W integral diverges (tail exponent {res.tail_exponent:.3f})"
-        )
-    return res.value
+    return _tail_integral(X, t, lambda p: 0.0 if p <= 0.0 or p >= 1.0 else -math.log(p),
+                          "W", factor=math.gamma(1.0 + a))
 
 
 def gini(X: Distribution) -> float:

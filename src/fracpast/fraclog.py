@@ -68,6 +68,12 @@ _CONTOUR_STEP = 3.0 / _CONTOUR_N
 _CONTOUR_FLOOR = 1e-10
 _ASYMPTOTIC_TERMS = 12
 
+# Term budget of the power series: 700 terms, or 25/alpha at small orders,
+# where 1/Gamma(alpha*k + 1) stays near 1 for hundreds of terms, capped so
+# that orders below about 0.0016 are refused at x = -1 in bounded time.
+_SERIES_TERMS = 700
+_SERIES_MAX_TERMS = 12_500
+
 _ROOT_XTOL = 1e-10
 _ROOT_MAXITER = 200
 
@@ -171,7 +177,8 @@ def _mlf_series(alpha: float, x: float) -> float:
     """Power series sum_k x^k / Gamma(alpha*k + 1) with compensated addition."""
     terms = [1.0]
     log_ax = math.log(abs(x)) if x != 0.0 else None
-    for k in range(1, 700):
+    budget = min(_SERIES_MAX_TERMS, max(_SERIES_TERMS, math.ceil(25.0 / alpha)))
+    for k in range(1, budget):
         if log_ax is None:
             break
         log_mag = k * log_ax - math.lgamma(alpha * k + 1.0)

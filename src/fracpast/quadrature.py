@@ -299,33 +299,23 @@ def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
 _2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
 
 
-def integrate_2d(
-    f: Callable[[float, float], float],
-    x_lo: float,
-    x_hi: float,
-    y_lo,
-    y_hi,
-    cfg: Optional[QuadConfig] = None,
-) -> QuadResult:
-    """Iterated integral of f(x, y) over a region with x-dependent y-bounds.
+def integrate_2d(f: Callable[[float, float], float], x_lo: float, x_hi: float,
+                 y_lo: float, y_hi: float) -> QuadResult:
+    """Iterated integral of f(x, y) over the rectangle [x_lo, x_hi] x [y_lo, y_hi].
 
-    ``y_lo`` and ``y_hi`` may be constants or callables of x. Both axes are
-    bounded; each uses the one-dimensional adaptive rule.
+    Both axes are bounded; each uses the one-dimensional adaptive rule.
     """
-    cfg = cfg or _2D_CFG
-    lo_fn = y_lo if callable(y_lo) else (lambda _x, c=float(y_lo): c)
-    hi_fn = y_hi if callable(y_hi) else (lambda _x, c=float(y_hi): c)
     inner_err = 0.0
     inner_subs = 0
 
     def outer(x: float) -> float:
         nonlocal inner_err, inner_subs
-        res = integrate(lambda y: f(x, y), lo_fn(x), hi_fn(x), cfg)
+        res = integrate(lambda y: f(x, y), y_lo, y_hi, _2D_CFG)
         inner_err = max(inner_err, res.error_estimate)
         inner_subs = max(inner_subs, res.subdivisions_used)
         return res.value
 
-    res = integrate(outer, x_lo, x_hi, cfg)
+    res = integrate(outer, x_lo, x_hi, _2D_CFG)
     span = abs(x_hi - x_lo)
     return QuadResult(
         res.value,

@@ -99,6 +99,14 @@ class TestMeasure:
         # The exact kernel dominates the factorial-approximation kernel.
         assert row["value"] > 0.3
 
+    def test_one_tolerance_flag_keeps_the_other_defaults(self, capsys):
+        # Setting only the subdivision budget, at its default, must not
+        # loosen the two tolerances the measures use by default.
+        argv = ["measure", "--dist", "weibull:scale=1,shape=0.6", "--alpha", "0.35"]
+        _, plain, _ = run_cli(capsys, argv)
+        _, budget, _ = run_cli(capsys, argv + ["--max-subdiv", "2000"])
+        assert budget == plain
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -183,10 +183,6 @@ class TestOmegaBounds:
         _, w2 = omega_bounds(parallel(2), 0.1)
         assert w2 == pytest.approx(1024.0, rel=1e-4)
 
-    def test_grid_size_validated(self):
-        with pytest.raises(DomainError):
-            omega_bounds(parallel(2), 0.5, grid=50)
-
     @pytest.mark.parametrize("q", [parallel(2), series_system(3)], ids=["p2", "s3"])
     def test_supremum_bounds_kernel_pointwise(self, q):
         _, w2 = omega_bounds(q, 0.5)
@@ -278,6 +274,32 @@ class TestComparisons:
         assert rep.consistent
         assert rep.system == pytest.approx(0.23271057, abs=5e-7)
         assert rep.component == pytest.approx(0.19634954, abs=5e-7)
+
+    @pytest.mark.parametrize("q", [parallel(2), series_system(3), k_out_of_n(2, 4)],
+                             ids=["p2", "s3", "k24"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    def test_cross_ratio_against_identity_is_omega(self, q, alpha):
+        # Against the component itself the cross-ratio is the omega ratio,
+        # refined the same way.
+        rep = compare_systems(identity_distortion(), q, Uniform(1.0), alpha)
+        assert (rep.inf_ratio, rep.sup_ratio) == omega_bounds(q, alpha)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    @pytest.mark.parametrize("X", [Uniform(1.0), Beta(2.0, 3.0)], ids=["unif", "beta"])
+    @pytest.mark.parametrize("sign,direction", [(1.0, "ge"), (-1.0, "le")])
+    def test_component_comparison_one_sided(self, alpha, X, sign, direction):
+        # A distortion that moves every level toward the kernel's mode
+        # m = exp(-1/a) raises the unimodal kernel pointwise; one that moves
+        # away lowers it.
+        m = math.exp(-1.0 / alpha)
+        q = custom(lambda u: u + sign * 0.5 * (m - u) * u * (1.0 - u))
+        rep = component_comparison(q, X, alpha)
+        assert rep.direction == direction
+        assert rep.consistent
+        if direction == "ge":
+            assert rep.system > rep.component
+        else:
+            assert rep.system < rep.component
 
     def test_custom_distortion_round_trip(self):
         q = custom(lambda u: u**1.5, "three-halves")

@@ -184,6 +184,27 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mlf(0.5, math.nan)
 
+    @pytest.mark.parametrize("alpha", [0.025, 0.02, 0.01, 0.005])
+    def test_series_settles_at_small_orders(self, alpha):
+        # 1/Gamma(a k + 1) stays near 1 for about 20/a terms, more than the
+        # 700 the series allowed at every order; the budget now grows as 25/a.
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            a, total, k = mp.mpf(alpha), mp.mpf(0), 0
+            while True:
+                term = (-1) ** k / mp.gamma(a * k + 1)
+                total += term
+                if abs(term) < mp.mpf(10) ** -25:
+                    break
+                k += 1
+        assert mlf(alpha, -1.0) == pytest.approx(float(total), rel=1e-12, abs=0.0)
+
+    def test_series_budget_is_capped(self):
+        # Below about order 0.0016 the series would need more than 12 500
+        # terms at x = -1; that stays a typed refusal.
+        with pytest.raises(NonConvergentError):
+            mlf(0.001, -1.0)
+
     @given(
         alpha=st.floats(0.3, 1.0),
         x=st.floats(-40.0, 3.0),

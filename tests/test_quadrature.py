@@ -142,15 +142,6 @@ class TestTwoDimensional:
         res = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert res.value == pytest.approx(0.25, rel=1e-7)
 
-    def test_triangle_with_callable_bounds(self):
-        res = integrate_2d(lambda x, y: 2.0, 0.0, 1.0, 0.0, lambda x: x)
-        assert res.value == pytest.approx(1.0, rel=1e-7)
-
-    def test_callable_lower_bound(self):
-        # Area between y = x and y = 1 over x in [0, 1] is 1/2.
-        res = integrate_2d(lambda x, y: 1.0, 0.0, 1.0, lambda x: x, 1.0)
-        assert res.value == pytest.approx(0.5, rel=1e-7)
-
     def test_error_estimate_accounts_for_inner_axis(self):
         res = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert res.error_estimate >= 0.0
