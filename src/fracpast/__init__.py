@@ -90,7 +90,7 @@ from .multivariate import (
     triangle_law,
 )
 from .orders import OrderReport, dispersive_check, ordering_validation
-from .quadrature import QuadConfig, QuadResult, detect_divergence, integrate
+from .quadrature import QuadConfig, QuadResult, integrate
 
 __version__ = "0.1.0"
 
@@ -127,7 +127,6 @@ __all__ = [
     "classic_fractional",
     "confidence_interval",
     "convergence_study",
-    "detect_divergence",
     "discrete_frac_entropy",
     "dispersive_check",
     "distortion",

@@ -120,10 +120,6 @@ def _quad_config(args) -> Optional[QuadConfig]:
     return replace(_CFG, **given) if given else None
 
 
-def _log_mode(args) -> LogMode:
-    return LogMode.EXACT if args.mode == "exact" else LogMode.APPROX
-
-
 def _jsonable(obj):
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
@@ -149,16 +145,30 @@ def _rows_to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: dict, args) -> None:
-    if args.format == "csv":
+def _emit(payload: dict, args, text: Optional[str] = None) -> None:
+    """Write text, or else the payload as JSON or CSV, to --out or stdout."""
+    if text is None and args.format == "csv":
         text = _rows_to_csv(_jsonable(payload))
-    else:
+    elif text is None:
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _record_rows(args, payload: dict, compute) -> int:
+    """Emit payload with one row per requested order; EXIT_NUMERIC if any diverged.
+
+    ``compute(alpha)`` returns ``(result, row)``, with result None when the
+    row carries a bare float, as fcpmi's and the spacing estimator's do.
+    """
+    results = [compute(alpha) for alpha in _parse_alphas(args)]
+    payload["rows"] = [row for _, row in results]
+    _emit(payload, args)
+    diverged = any(res is not None and res.diverged for res, _ in results)
+    return EXIT_NUMERIC if diverged else EXIT_OK
 
 
 def _parse_law(spec: str) -> BivariateLaw:
@@ -227,92 +237,77 @@ def _parse_system(spec: str) -> DistortionFunction:
 def _cmd_measure(args) -> int:
     X = parse_spec(args.dist)
     cfg = _quad_config(args)
-    mode = _log_mode(args)
-    rows = []
-    exit_code = EXIT_OK
+    mode = LogMode(args.mode)
+    measures = {
+        "efcpe": lambda alpha: efcpe(X, alpha, mode, cfg),
+        "efcre": lambda alpha: efcre(X, alpha, mode, cfg),
+        "modified": lambda alpha: modified_efcpe(X, alpha, cfg),
+        "classic": lambda alpha: classic_fractional(X, alpha, past=args.past, cfg=cfg),
+        "paired": lambda alpha: paired_phi_entropy(X, alpha, mode, cfg),
+    }
+
+    def compute(alpha):
+        res = measures[args.kind](alpha)
+        return res, res.record(X)
+
+    payload = {"command": "measure", "kind": args.kind, "dist": args.dist}
     if args.kind == "gini":
-        rows.append({"value": gini(X)})
-    else:
-        for alpha in _parse_alphas(args):
-            if args.kind == "efcpe":
-                res = efcpe(X, alpha, mode, cfg)
-            elif args.kind == "efcre":
-                res = efcre(X, alpha, mode, cfg)
-            elif args.kind == "modified":
-                res = modified_efcpe(X, alpha, cfg)
-            elif args.kind == "classic":
-                res = classic_fractional(X, alpha, past=args.past, cfg=cfg)
-            else:
-                res = paired_phi_entropy(X, alpha, mode, cfg)
-            rows.append(res.record(X))
-            if res.diverged:
-                exit_code = EXIT_NUMERIC
-    payload = {"command": "measure", "kind": args.kind, "dist": args.dist, "rows": rows}
-    _emit(payload, args)
-    return exit_code
+        payload["rows"] = [{"value": gini(X)}]
+        _emit(payload, args)
+        return EXIT_OK
+    return _record_rows(args, payload, compute)
 
 
 def _cmd_empirical(args) -> int:
     sample = load_sample_csv(args.file)
-    rows = [
-        {"alpha": alpha, "n": sample.n, "value": empirical_efcpe(sample, alpha)}
-        for alpha in _parse_alphas(args)
-    ]
-    payload = {"command": "empirical", "file": args.file, "rows": rows}
-    _emit(payload, args)
-    return EXIT_OK
+
+    def compute(alpha):
+        return None, {"alpha": alpha, "n": sample.n, "value": empirical_efcpe(sample, alpha)}
+
+    return _record_rows(args, {"command": "empirical", "file": args.file}, compute)
 
 
 def _cmd_bivariate(args) -> int:
     law = _parse_law(args.law)
-    rows = []
-    exit_code = EXIT_OK
-    for alpha in _parse_alphas(args):
+
+    def compute(alpha):
         if args.kind == "fcpmi":
-            rows.append({"alpha": alpha, "kind": "fcpmi", "value": fcpmi(law, alpha)})
-            continue
+            return None, {"alpha": alpha, "kind": "fcpmi", "value": fcpmi(law, alpha)}
         if args.kind == "modified":
             res = modified_bivariate_efcpe(law, alpha)
         else:
             res = bivariate_efcpe(law, alpha)
         rec = res.record()
         rec["law"] = law.label
-        rows.append(rec)
-        if res.diverged:
-            exit_code = EXIT_NUMERIC
-    payload = {"command": "bivariate", "law": args.law, "kind": args.kind, "rows": rows}
-    _emit(payload, args)
-    return exit_code
+        return res, rec
+
+    return _record_rows(args, {"command": "bivariate", "law": args.law, "kind": args.kind}, compute)
 
 
 def _cmd_dynamic(args) -> int:
     X = parse_spec(args.dist)
     cfg = _quad_config(args)
-    mode = _log_mode(args)
-    rows = []
-    exit_code = EXIT_OK
-    for alpha in _parse_alphas(args):
+    mode = LogMode(args.mode)
+
+    def compute(alpha):
         res = dynamic_efcpe(X, alpha, args.t, mode, cfg)
         rec = res.record(X)
         rec["t"] = args.t
         if args.decompose:
-            integral_term, boundary_term = dynamic_decomposition(X, alpha, args.t, mode)
-            rec["integral_term"] = integral_term
+            # The integral term complements the value computed under the flags.
+            boundary_term = dynamic_decomposition(X, alpha, args.t, mode)[1]
+            rec["integral_term"] = res.value - boundary_term
             rec["boundary_term"] = boundary_term
-        rows.append(rec)
-        if res.diverged:
-            exit_code = EXIT_NUMERIC
-    payload = {"command": "dynamic", "dist": args.dist, "t": args.t, "rows": rows}
-    _emit(payload, args)
-    return exit_code
+        return res, rec
+
+    return _record_rows(args, {"command": "dynamic", "dist": args.dist, "t": args.t}, compute)
 
 
 def _cmd_coherent(args) -> int:
     q = _parse_system(args.system)
     X = parse_spec(args.dist)
-    rows = []
-    exit_code = EXIT_OK
-    for alpha in _parse_alphas(args):
+
+    def compute(alpha):
         res = system_efcpe(q, X, alpha)
         rec = res.record(X)
         rec["system"] = q.label
@@ -323,12 +318,10 @@ def _cmd_coherent(args) -> int:
             rec["lower"] = report.lower
             rec["upper"] = report.upper
             rec["sandwich_holds"] = report.holds
-        rows.append(rec)
-        if res.diverged:
-            exit_code = EXIT_NUMERIC
-    payload = {"command": "coherent", "system": args.system, "dist": args.dist, "rows": rows}
-    _emit(payload, args)
-    return exit_code
+        return res, rec
+
+    payload = {"command": "coherent", "system": args.system, "dist": args.dist}
+    return _record_rows(args, payload, compute)
 
 
 def _cmd_orders(args) -> int:
@@ -397,56 +390,50 @@ def _load_fixture(name: str) -> dict:
 
 
 def _compute_cell(op: dict, fixture: dict):
-    """Evaluate one fixture cell; returns (value, diverged)."""
+    """Evaluate one fixture cell: an EntropyResult, or a float that cannot diverge."""
     kind = op["kind"]
     alpha = op.get("alpha")
     if kind == "efcpe":
-        res = efcpe(parse_spec(op["dist"]), alpha)
-        return res.value, res.diverged
+        return efcpe(parse_spec(op["dist"]), alpha)
     if kind == "efcpe_closed":
-        return efcpe_closed_form(parse_spec(op["dist"]), alpha), False
+        return efcpe_closed_form(parse_spec(op["dist"]), alpha)
     if kind == "modified_efcpe":
-        res = modified_efcpe(parse_spec(op["dist"]), alpha)
-        return res.value, res.diverged
+        return modified_efcpe(parse_spec(op["dist"]), alpha)
     if kind == "sum_efcpe":
         Z = independent_sum(Uniform(1.0), Uniform(1.0))
-        res = efcpe(Z, alpha)
-        return res.value, res.diverged
+        return efcpe(Z, alpha)
     if kind == "max_component":
-        res = efcpe(Uniform(1.0), alpha)
-        return res.value, res.diverged
+        return efcpe(Uniform(1.0), alpha)
     if kind == "sum_cdf":
-        return independent_sum(Uniform(1.0), Uniform(1.0)).cdf(op["x"]), False
+        return independent_sum(Uniform(1.0), Uniform(1.0)).cdf(op["x"])
     if kind == "exp_mean":
-        return exp_spacing_moments(op["n"], op["rate"], alpha).mean, False
+        return exp_spacing_moments(op["n"], op["rate"], alpha).mean
     if kind == "exp_var":
-        return exp_spacing_moments(op["n"], op["rate"], alpha).variance, False
+        return exp_spacing_moments(op["n"], op["rate"], alpha).variance
     if kind == "unif_mean":
-        return unif_spacing_moments(op["n"], alpha).mean, False
+        return unif_spacing_moments(op["n"], alpha).mean
     if kind == "unif_var":
-        return unif_spacing_moments(op["n"], alpha).variance, False
+        return unif_spacing_moments(op["n"], alpha).variance
     if kind == "empirical":
-        return empirical_efcpe(Sample(fixture["data"]), alpha), False
+        return empirical_efcpe(Sample(fixture["data"]), alpha)
     if kind == "empirical_argmin":
         sample = Sample(fixture["data"])
         grid = [round(0.05 * k, 2) for k in range(1, 21)]
         values = {a: empirical_efcpe(sample, a) for a in grid}
-        return min(values, key=values.get), False
+        return min(values, key=values.get)
     if kind == "omega1":
-        return omega_bounds(_parse_system(op["system"]), alpha)[0], False
+        return omega_bounds(_parse_system(op["system"]), alpha)[0]
     if kind == "omega2":
-        return omega_bounds(_parse_system(op["system"]), alpha)[1], False
+        return omega_bounds(_parse_system(op["system"]), alpha)[1]
     if kind == "omega2_times_efcpe":
         w2 = omega_bounds(_parse_system(op["system"]), alpha)[1]
-        return w2 * efcpe_closed_form(parse_spec(op["dist"]), alpha), False
+        return w2 * efcpe_closed_form(parse_spec(op["dist"]), alpha)
     if kind == "system_closed":
-        return parallel_uniform_closed_form(op["n"], alpha), False
+        return parallel_uniform_closed_form(op["n"], alpha)
     if kind == "system_quad":
-        res = system_efcpe(_parse_system(op["system"]), parse_spec(op["dist"]), alpha)
-        return res.value, res.diverged
+        return system_efcpe(_parse_system(op["system"]), parse_spec(op["dist"]), alpha)
     if kind == "modified_bivariate":
-        res = modified_bivariate_efcpe(_parse_law(op["law"]), alpha)
-        return res.value, res.diverged
+        return modified_bivariate_efcpe(_parse_law(op["law"]), alpha)
     raise DomainError(f"unknown fixture op {kind!r}")
 
 
@@ -472,7 +459,8 @@ def _check_cell(cell: dict, fixture: dict) -> dict:
     status = cell.get("status", "match")
     row = {"id": cell["id"], "status": status}
     try:
-        value, diverged = _compute_cell(cell["op"], fixture)
+        res = _compute_cell(cell["op"], fixture)
+        value, diverged = getattr(res, "value", res), getattr(res, "diverged", False)
     except (DivergedError, NonConvergentError, MaxSubdivisionsError) as exc:
         value, diverged = None, True
         row["note"] = str(exc)
@@ -530,9 +518,8 @@ def _cmd_reproduce(args) -> int:
         "all_ok": all_ok,
         "rows": rows,
     }
-    if args.format in ("json", "csv"):
-        _emit(payload, args)
-    else:
+    text = None
+    if args.format == "text":
         lines = []
         for row in rows:
             verdict = "PASS" if row["ok"] else "FAIL"
@@ -544,11 +531,7 @@ def _cmd_reproduce(args) -> int:
             )
         lines.append(f"{'PASS' if all_ok else 'FAIL'} {name}: {sum(r['ok'] for r in rows)}/{len(rows)} cells")
         text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    _emit(payload, args, text)
     return EXIT_OK if all_ok else EXIT_NUMERIC
 
 
@@ -556,8 +539,8 @@ def _cmd_reproduce(args) -> int:
 # parser assembly
 
 
-def _add_common(sub, alphas=True, dist=False, quad=True):
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _add_common(sub, alphas=True, dist=False, quad=True, formats=("json", "csv")):
+    sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if alphas:
         sub.add_argument("--alpha", type=float, default=None)
@@ -631,7 +614,7 @@ def _build_parser() -> _Parser:
     p = verbs.add_parser("reproduce", help="check the stored expectation tables")
     p.add_argument("--table", choices=_TABLES, default=None)
     p.add_argument("--example", choices=_EXAMPLES, default=None)
-    _add_common(p, alphas=False, quad=False)
+    _add_common(p, alphas=False, quad=False, formats=("json", "csv", "text"))
     p.set_defaults(fn=_cmd_reproduce)
     return parser
 

@@ -373,7 +373,7 @@ def gini(X: Distribution) -> float:
         raise DomainError("Gini index requires a finite positive mean")
     res = _integral(lambda p: p ** 2, X.survival, X.lower, X.upper)
     if res.diverged:
-        raise DomainError("Gini index integral diverged")
+        raise DivergedError(f"Gini index integral diverges (tail exponent {res.tail_exponent:.3f})")
     return 1.0 - (X.lower + res.value) / mu
 
 

@@ -4,7 +4,7 @@ A 7/15-point Gauss-Kronrod rule drives a worst-panel-first refinement loop.
 Semi-infinite integrals are screened for power-law divergence by probing the
 integrand along a geometric ladder, then mapped onto a bounded interval with
 ``x = a + t / (1 - t)`` and finished with an analytic power-law tail
-completion beyond the last probe.
+completion beyond the last probe; the verdict travels in the QuadResult.
 
 The engine reports diagnostics (error estimate, subdivision count, divergence
 flag) rather than silently degrading; callers that need a hard failure get
@@ -23,8 +23,6 @@ from .errors import MaxSubdivisionsError, NonConvergentError, UnsupportedError
 __all__ = [
     "QuadConfig",
     "QuadResult",
-    "TailProbe",
-    "detect_divergence",
     "integrate",
     "integrate_2d",
 ]
@@ -83,20 +81,6 @@ class QuadResult:
     subdivisions_used: int
     low_confidence: bool = False
     tail_exponent: float = math.nan
-
-
-@dataclass(frozen=True)
-class TailProbe:
-    """Outcome of the semi-infinite divergence screen.
-
-    ``slope`` is the fitted log-log exponent of |f| along the probe ladder;
-    ``verdict`` is one of "diverged", "convergent", "inconclusive".
-    """
-
-    slope: float
-    verdict: str
-    probe_x: tuple
-    probe_f: tuple
 
 
 _DEFAULT = QuadConfig()
@@ -183,62 +167,6 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig):
     return total, total_err, splits
 
 
-def detect_divergence(f, a: float) -> TailProbe:
-    """Screen f on [a, inf) for a non-integrable power-law tail.
-
-    The integrand is sampled at a geometric ladder of offsets 4**k. A
-    least-squares fit of log|f| against log(x - a + 1) estimates the tail
-    exponent; exponents at or above -1.05 flag divergence. Ladders with too
-    few usable samples or sign changes yield "inconclusive".
-    """
-    offsets = [_PROBE_BASE**k for k in range(_PROBE_POINTS)]
-    xs = [a + d for d in offsets]
-    fs = [f(x) for x in xs]
-    if any(not math.isfinite(v) for v in fs):
-        return TailProbe(math.nan, "diverged", tuple(xs), tuple(fs))
-
-    pts = [(math.log(d), math.log(abs(v))) for d, v in zip(offsets, fs) if v != 0.0]
-    if len(pts) < 4:
-        # The tail underflowed to zero almost immediately: integrable.
-        return TailProbe(-math.inf, "convergent", tuple(xs), tuple(fs))
-    mixed_sign = any(v > 0 for v in fs) and any(v < 0 for v in fs)
-
-    n = len(pts)
-    sx = sum(p[0] for p in pts)
-    sy = sum(p[1] for p in pts)
-    sxx = sum(p[0] * p[0] for p in pts)
-    sxy = sum(p[0] * p[1] for p in pts)
-    denom = n * sxx - sx * sx
-    slope = (n * sxy - sx * sy) / denom
-
-    if mixed_sign:
-        verdict = "inconclusive" if slope >= _DIVERGENCE_EXPONENT else "convergent"
-    elif slope >= _DIVERGENCE_EXPONENT:
-        verdict = "diverged"
-    else:
-        verdict = "convergent"
-    return TailProbe(slope, verdict, tuple(xs), tuple(fs))
-
-
-def _tail_completion(xs, fs) -> float:
-    """Analytic remainder of a power-law tail beyond the last probe point.
-
-    Fits the local exponent p from the last two nonzero probes and returns
-    int_X^inf f ~= f(X) * X / (-1 - p), or zero when the tail has already
-    underflowed or decays faster than any power law can explain.
-    """
-    x_last, f_last = xs[-1], fs[-1]
-    x_prev, f_prev = xs[-2], fs[-2]
-    if f_last == 0.0 or f_prev == 0.0:
-        return 0.0
-    if f_last < 0.0 or f_prev < 0.0:
-        return 0.0
-    p_local = math.log(f_last / f_prev) / math.log(x_last / x_prev)
-    if p_local >= -1.0:
-        return 0.0
-    return f_last * x_last / (-1.0 - p_local)
-
-
 def integrate(
     f: Callable[[float], float],
     a: float,
@@ -268,31 +196,59 @@ def integrate(
 
 
 def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
-    probe = detect_divergence(f, a)
-    if probe.verdict == "diverged":
-        return QuadResult(math.inf, math.inf, True, 0, tail_exponent=probe.slope)
+    """Integrate f over [a, inf) after screening its tail for divergence.
 
-    x_cut = probe.probe_x[-1]
-    if x_cut == a:
+    A least-squares fit of log|f| against log(x - a) on the ladder
+    x = a + 4**k gives the tail exponent. A non-finite sample, or a
+    same-sign tail at or above -1.05, is diverged; a mixed-sign one that
+    slow is low-confidence. Beyond the last probe X, the tail is completed
+    as f(X) * X / (-1 - p), with p the exponent of the last two probes.
+    """
+    offsets = [_PROBE_BASE**k for k in range(_PROBE_POINTS)]
+    xs = [a + d for d in offsets]
+    fs = [f(x) for x in xs]
+    if any(not math.isfinite(v) for v in fs):
+        return QuadResult(math.inf, math.inf, True, 0, tail_exponent=math.nan)
+
+    pts = [(math.log(d), math.log(abs(v))) for d, v in zip(offsets, fs) if v != 0.0]
+    # Fewer than four nonzero samples: the tail underflowed almost at once.
+    slope = -math.inf
+    if len(pts) >= 4:
+        n = len(pts)
+        sx = sum(p[0] for p in pts)
+        sy = sum(p[1] for p in pts)
+        sxx = sum(p[0] * p[0] for p in pts)
+        sxy = sum(p[0] * p[1] for p in pts)
+        denom = n * sxx - sx * sx
+        slope = (n * sxy - sx * sy) / denom
+    slow = slope >= _DIVERGENCE_EXPONENT
+    if slow and not (any(v > 0 for v in fs) and any(v < 0 for v in fs)):
+        return QuadResult(math.inf, math.inf, True, 0, tail_exponent=slope)
+
+    if xs[-1] == a:
         raise UnsupportedError(
             f"lower limit {a:g} is too large for the semi-infinite map: "
-            f"a + {_PROBE_BASE ** (_PROBE_POINTS - 1):g} rounds to a"
+            f"a + {offsets[-1]:g} rounds to a"
         )
-    t_cut = (x_cut - a) / (1.0 + x_cut - a)
+    t_cut = (xs[-1] - a) / (1.0 + xs[-1] - a)
 
     def transformed(t: float) -> float:
         u = 1.0 - t
         return f(a + t / u) / (u * u)
 
     total, err, splits = _adaptive(transformed, 0.0, t_cut, cfg)
-    remainder = _tail_completion(probe.probe_x, probe.probe_f)
+    remainder = 0.0
+    if fs[-1] > 0.0 and fs[-2] > 0.0:
+        p_local = math.log(fs[-1] / fs[-2]) / math.log(xs[-1] / xs[-2])
+        if p_local < -1.0:
+            remainder = fs[-1] * xs[-1] / (-1.0 - p_local)
     return QuadResult(
         total + remainder,
         err + 0.05 * abs(remainder),
         False,
         splits,
-        low_confidence=(probe.verdict == "inconclusive"),
-        tail_exponent=probe.slope,
+        low_confidence=slow,
+        tail_exponent=slope,
     )
 
 

@@ -58,6 +58,14 @@ class TestMeasure:
         assert row["value"] is None
         assert row["tail_exponent"] < -0.7
 
+    def test_gini_divergence_flag_exits_numeric(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["measure", "--kind", "gini", "--dist", "exponential:rate=1e-4"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "Gini index integral diverges" in err
+
     def test_gini_kind(self, capsys):
         code, payload, _ = run_json(
             capsys, ["measure", "--kind", "gini", "--dist", "uniform:a=1", "--alpha", "0.5"]
@@ -122,6 +130,7 @@ class TestUsageErrors:
             ["bivariate", "--law", "pentagon", "--alpha", "0.5"],
             ["chaos"],
             ["chaos", "--s-list", "3.6"],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--format", "text"],
         ],
     )
     def test_exit_one_with_message(self, capsys, argv):
@@ -191,6 +200,20 @@ class TestDynamic:
         assert row["boundary_term"] == pytest.approx(-0.09433672868253101, rel=1e-7)
         assert row["integral_term"] + row["boundary_term"] == pytest.approx(
             row["value"], abs=1e-9
+        )
+
+    def test_decomposition_sums_to_value_under_tolerance_flags(self, capsys):
+        code, payload, _ = run_json(
+            capsys,
+            [
+                "dynamic", "--dist", "weibull:scale=1,shape=0.6", "--t", "0.5", "--alpha", "0.35",
+                "--decompose", "--rel-tol", "1e-2", "--abs-tol", "1e-2",
+            ],
+        )
+        assert code == 0
+        (row,) = payload["rows"]
+        assert row["integral_term"] + row["boundary_term"] == pytest.approx(
+            row["value"], rel=1e-12
         )
 
 

@@ -153,6 +153,10 @@ class TestSpecificValues:
         w = Weibull(2.0, 3.0)
         assert w.cdf(2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
 
+    @pytest.mark.parametrize("dist", [Weibull(2.0, 3.0), Frechet(2.5, 3.0)], ids=repr)
+    def test_closed_form_mean_matches_survival_integral(self, dist):
+        assert dist.mean() == pytest.approx(Distribution.mean(dist), rel=1e-12)
+
     def test_infinite_mean_families(self):
         assert ParetoType(0.5).mean() == math.inf
         assert Frechet(0.8, 1.0).mean() == math.inf
@@ -209,6 +213,11 @@ class TestTransforms:
             assert y.cdf(x) == pytest.approx(base.cdf((x - 3.0) / 2.0), rel=1e-13)
         assert y.mean() == pytest.approx(2.0 * base.mean() + 3.0, rel=1e-12)
         assert y.lower == 3.0
+
+    def test_affine_survival_and_quantile(self):
+        y = affine(Exponential(2.0), 3.0, 1.5)
+        assert y.survival(4.0) == pytest.approx(math.exp(-5.0 / 3.0), rel=1e-14)
+        assert y.quantile(0.3) == pytest.approx(1.5 - 1.5 * math.log1p(-0.3), rel=1e-14)
 
     def test_affine_pdf_jacobian(self):
         y = affine(Uniform(1.0), 4.0)
@@ -342,6 +351,14 @@ class TestQuantileFallback:
             assert s.cdf(x) == pytest.approx(p, abs=1e-8)
             assert Distribution._quantile(s, p) == pytest.approx(x, abs=1e-9)
             assert conv.cdf(conv.quantile(p)) == pytest.approx(p, abs=1e-8)
+
+    def test_wedge_marginal_closed_forms(self):
+        # Second coordinate of the wedge law: F(y) = y(2 - y), f(y) = 2(1 - y).
+        wedge = triangle_law().marginal_y
+        for p in (0.1, 0.5, 0.9):
+            assert wedge.quantile(p) == pytest.approx(Distribution._quantile(wedge, p), rel=1e-9)
+        assert wedge.pdf(0.25) == 1.5
+        assert wedge.pdf(-0.1) == wedge.pdf(1.5) == 0.0
 
     def test_quantile_rejects_bad_probability(self):
         # The contract on every family and wrapper: p = 0 and p = 1 give the

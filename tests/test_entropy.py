@@ -364,6 +364,12 @@ class TestGini:
         with pytest.raises(DomainError):
             gini(ParetoType(0.5))
 
+    def test_flagged_divergence_is_a_numeric_failure(self):
+        # The true value is 1/2 at every rate; the tail screen flags this
+        # scale, which is a numeric failure, not a domain error.
+        with pytest.raises(DivergedError, match="Gini index integral diverges"):
+            gini(Exponential(1e-4))
+
     def test_degenerate_is_zero(self):
         assert gini(Degenerate(2.0)) == 0.0
 

@@ -249,6 +249,19 @@ class TestConditionalMeasure:
         got = conditional_efcpe(triangle_law(), 0.5, x)
         assert got == pytest.approx(x * UNIFORM_PAST, rel=1e-7)
 
+    @pytest.mark.parametrize(
+        "theta,alpha,x,want",
+        # scipy.integrate.quad of C * (Gamma(1 + a) * -log C)**(1/a) over
+        # [0, 1], with C(v) = v * (1 + theta * (1 - v) * (1 - 2x)).
+        [(-0.3, 0.65, 0.6, 0.19651857741), (0.5, 0.4, 0.2, 0.18591755140)],
+    )
+    def test_fgm_conditional_against_quadpack(self, theta, alpha, x, want):
+        assert conditional_efcpe(fgm_law(theta), alpha, x) == pytest.approx(want, rel=1e-9)
+
+    def test_independent_fgm_conditional_is_uniform(self):
+        got = conditional_efcpe(fgm_law(0.0), 0.5, 0.3)
+        assert got == pytest.approx(efcpe(Uniform(1.0), 0.5).value, rel=1e-9)
+
     def test_conditioning_point_validated(self):
         with pytest.raises(DomainError):
             conditional_efcpe(triangle_law(), 0.5, 0.0)
