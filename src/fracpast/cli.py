@@ -44,8 +44,8 @@ from .distributions import Uniform, independent_sum, parse_spec
 from .empirical import Sample, empirical_efcpe, exp_spacing_moments, load_sample_csv, unif_spacing_moments
 from .entropy import (
     _CFG,
+    _dynamic_boundary,
     classic_fractional,
-    dynamic_decomposition,
     dynamic_efcpe,
     efcpe,
     efcpe_closed_form,
@@ -295,7 +295,7 @@ def _cmd_dynamic(args) -> int:
         rec["t"] = args.t
         if args.decompose:
             # The integral term complements the value computed under the flags.
-            boundary_term = dynamic_decomposition(X, alpha, args.t, mode)[1]
+            boundary_term = _dynamic_boundary(X, alpha, args.t, mode)
             rec["integral_term"] = res.value - boundary_term
             rec["boundary_term"] = boundary_term
         return res, rec

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 from .distributions import Distribution
 from .entropy import _CFG, EntropyResult, MeasureTag, _integral, _phi, _result, efcpe
 from .errors import DomainError
-from .fraclog import FracOrder, LogMode, as_order, log_kernel
+from .fraclog import FracOrder, LogMode, as_order
 from .quadrature import integrate
 
 __all__ = [
@@ -150,6 +150,8 @@ def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult
                 f"f(F^-1({probe})) = {fv}"
             )
 
+    k = a._kernels[LogMode.APPROX]
+
     def integrand(u: float) -> float:
         quv = q(u)
         if quv <= 0.0 or quv >= 1.0:
@@ -157,7 +159,7 @@ def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult
         fv = X.pdf(X.quantile(u))
         if fv <= 0.0:
             raise DomainError(f"density vanished at quantile level {u}")
-        return quv * log_kernel(a, quv) / fv
+        return quv * k(quv) / fv
 
     res = integrate(integrand, 0.0, 1.0, _CFG)
     return _result(res, MeasureTag.SYSTEM_EFCPE, a.alpha)

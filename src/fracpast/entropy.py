@@ -121,11 +121,12 @@ def _scaled(res: QuadResult, factor: float) -> QuadResult:
 
 def _phi(a: FracOrder, mode: LogMode = LogMode.APPROX) -> Callable[[float], float]:
     """The kernel p -> p * [-Ln_a p]**(1/a) at a fixed order, zero off (0, 1)."""
+    k = a._kernels[mode]
 
     def phi(p: float) -> float:
         if p <= 0.0 or p >= 1.0:
             return 0.0
-        return p * log_kernel(a, p, mode)
+        return p * k(p)
 
     return phi
 
@@ -316,15 +317,18 @@ def dynamic_decomposition(X: Distribution, alpha, t: float,
     the integral part coincides with (1/F(t)) * int_0^t F * (-log F) dx.
     """
     a = as_order(alpha)
+    boundary = _dynamic_boundary(X, a, t, mode)
+    return dynamic_efcpe(X, a, t, mode).value - boundary, boundary
+
+
+def _dynamic_boundary(X: Distribution, alpha, t: float, mode: LogMode) -> float:
+    """The boundary part -mu(t) * kernel(F(t)) of the dynamic past measure."""
     Ft = X.cdf(t)
     if Ft <= 0.0:
         raise DomainError(f"dynamic decomposition needs F(t) > 0; F({t}) = {Ft}")
-    total = dynamic_efcpe(X, a, t, mode).value
     if Ft >= 1.0:
-        boundary = 0.0
-    else:
-        boundary = -mean_inactivity_time(X, t) * log_kernel(a, Ft, mode)
-    return total - boundary, boundary
+        return 0.0
+    return -mean_inactivity_time(X, t) * log_kernel(alpha, Ft, mode)
 
 
 def _tail_integral(X: Distribution, t: float, g: Callable[[float], float], what: str,
@@ -348,9 +352,8 @@ def tau_alpha(X: Distribution, alpha, t: float, mode: LogMode = LogMode.APPROX) 
     Its expectation over X reproduces the past measure. Raises DivergedError
     when the tail is not integrable.
     """
-    a = as_order(alpha)
-    return _tail_integral(
-        X, t, lambda p: 0.0 if p <= 0.0 or p >= 1.0 else log_kernel(a, p, mode), "tau")
+    k = as_order(alpha)._kernels[mode]
+    return _tail_integral(X, t, lambda p: 0.0 if p <= 0.0 or p >= 1.0 else k(p), "tau")
 
 
 def W_alpha(X: Distribution, alpha, t: float) -> float:

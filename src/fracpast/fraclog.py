@@ -28,10 +28,10 @@ about 2e-16, so where E_a(-t) falls below 1e-10 (orders within about 5e-9
 of 1) the branch returns e^(-t) plus the asymptotic expansion instead,
 within 4e-7 relative; at any order up to 1 the branch is within 2e-6.
 
-The contour nodes and weights, the powers s^a, Gamma(1 +- a) and the
-expansion's coefficients depend on the order only, so each ``FracOrder``
-computes them once, on first use, and every point of a public call shares
-them.
+The contour nodes and weights, the powers s^a, Gamma(1 +- a), the
+expansion's coefficients and the measure kernel's closure per mode depend on
+the order only, so each ``FracOrder`` computes them once, on first use, and
+every point of a public call shares them.
 """
 
 from __future__ import annotations
@@ -146,6 +146,37 @@ class FracOrder:
             weight = (h / math.pi) * mu * z * cmath.exp(s) * s_a / s
             nodes.append((2.0 * weight if k else weight, s_a))
         return tuple(nodes)
+
+    @cached_property
+    def _kernels(self) -> dict:
+        """The kernel p -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1, per LogMode.
+
+        ``log_kernel`` is its argument checks plus this closure, and every
+        integrand calls the closure directly. Where the power overflows the
+        closure returns inf, which the quadrature reads as a divergent or
+        non-finite integrand.
+        """
+        a, gamma_plus = self.alpha, self._gamma_plus
+        exp, log = math.exp, math.log
+
+        # The power is written out in both closures: a shared helper would
+        # cost a call at every integrand point.
+        def approx(p: float) -> float:
+            try:
+                return exp(log(gamma_plus * -log(p)) / a)
+            except OverflowError:
+                return math.inf
+
+        def exact(p: float) -> float:
+            neg_ln = -frac_log(self, p, LogMode.EXACT)
+            if neg_ln <= 0.0:
+                return 0.0
+            try:
+                return exp(log(neg_ln) / a)
+            except OverflowError:
+                return math.inf
+
+        return {LogMode.APPROX: approx, LogMode.EXACT: exact}
 
 
 def as_order(alpha) -> FracOrder:
@@ -325,17 +356,14 @@ def log_kernel(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
 
     In APPROX mode this is (Gamma(1+alpha) * (-log p))**(1/alpha); every
     cumulative measure integrand is the CDF (or survival) times this kernel.
+    Past the float range the kernel is inf.
     """
     order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
-    a = order.alpha
     if not math.isfinite(p) or p <= 0.0 or p > 1.0:
         raise DomainError(f"log_kernel requires 0 < p <= 1, got {p}")
     if p == 1.0:
         return 0.0
-    neg_ln = -frac_log(order, p, mode)
-    if neg_ln <= 0.0:
-        return 0.0
-    return math.exp(math.log(neg_ln) / a)
+    return order._kernels[mode](p)
 
 
 def discrete_frac_entropy(probs, alpha, mode: LogMode = LogMode.APPROX) -> float:

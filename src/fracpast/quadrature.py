@@ -8,7 +8,10 @@ completion beyond the last probe; the verdict travels in the QuadResult.
 
 The engine reports diagnostics (error estimate, subdivision count, divergence
 flag) rather than silently degrading; callers that need a hard failure get
-MaxSubdivisionsError with the partial result attached.
+MaxSubdivisionsError with the partial result attached. That error also comes
+early, before the budget is spent, once panels at the width limit hold more
+error than the tolerance allows and the budget cannot clamp the rest: the
+tolerance is then unreachable, and refining further would only burn time.
 """
 
 from __future__ import annotations
@@ -86,33 +89,42 @@ class QuadResult:
 _DEFAULT = QuadConfig()
 
 
-def _eval(f: Callable[[float], float], x: float) -> float:
-    y = f(x)
-    if not math.isfinite(y):
-        raise NonConvergentError(f"integrand returned {y} at x={x}")
-    return y
+# _gk15's node pairs j = 0..6 as (abscissa, Kronrod weight, Gauss weight or
+# None), and the weights of its node order: the center, then each pair.
+_PAIRS = tuple((_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None) for j in range(7))
+_WGK_NODES = (_WGK[7],) + tuple(w for w in _WGK[:7] for _ in (0, 1))
+
+
+def _nonfinite(y: float, x: float) -> NonConvergentError:
+    return NonConvergentError(f"integrand returned {y} at x={x}")
 
 
 def _gk15(f, lo: float, hi: float):
     """One Gauss-Kronrod panel: returns (value, refined_error_estimate)."""
+    isfinite = math.isfinite
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fc = _eval(f, center)
+    fc = f(center)
+    if not isfinite(fc):
+        raise _nonfinite(fc, center)
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     values = [fc]
-    weights = [_WGK[7]]
-    for j in range(7):
-        dx = half * _XGK[j]
-        f1 = _eval(f, center - dx)
-        f2 = _eval(f, center + dx)
-        resk += _WGK[j] * (f1 + f2)
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
-        values.extend((f1, f2))
-        weights.extend((_WGK[j], _WGK[j]))
+    for xk, wk, wg in _PAIRS:
+        dx = half * xk
+        f1 = f(center - dx)
+        if not isfinite(f1):
+            raise _nonfinite(f1, center - dx)
+        f2 = f(center + dx)
+        if not isfinite(f2):
+            raise _nonfinite(f2, center + dx)
+        pair = f1 + f2
+        resk += wk * pair
+        if wg is not None:
+            resg += wg * pair
+        values += (f1, f2)
     reskh = 0.5 * resk
-    resasc = sum(w * abs(v - reskh) for w, v in zip(weights, values)) * half
+    resasc = sum([w * abs(v - reskh) for w, v in zip(_WGK_NODES, values)]) * half
     value = resk * half
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
@@ -121,7 +133,14 @@ def _gk15(f, lo: float, hi: float):
 
 
 def _adaptive(f, lo: float, hi: float, cfg: QuadConfig):
-    """Refine the worst panel until the summed error meets tolerance."""
+    """Refine the worst panel until the summed error meets tolerance.
+
+    A panel narrower than _WIDTH_CLAMP is accepted as it is, and its error
+    stays in the sum for good. Once that clamped error alone exceeds the
+    tolerance the remaining panels can still reach, and the budget is too
+    small to clamp every remaining panel, the loop can only end by
+    exhausting the budget; it raises MaxSubdivisionsError at once instead.
+    """
     n_init = 8
     step = (hi - lo) / n_init
     heap = []
@@ -141,18 +160,30 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig):
     clamped_err = 0.0
     while heap and total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
         if splits >= cfg.max_subdivisions:
-            partial = QuadResult(total, total_err, False, splits)
-            exc = MaxSubdivisionsError(
+            raise MaxSubdivisionsError(
                 f"subdivision budget {cfg.max_subdivisions} exhausted; "
-                f"error estimate {total_err:.3e}"
+                f"error estimate {total_err:.3e}",
+                QuadResult(total, total_err, False, splits),
             )
-            exc.partial = partial
-            raise exc
         _, _, a, b, val, err = heapq.heappop(heap)
         if b - a < _WIDTH_CLAMP:
             # Panel is at resolution limit: accept its contribution as-is.
             clamped_err += err
-            total_err = clamped_err + sum(item[5] for item in heap)
+            open_err = sum(item[5] for item in heap)
+            total_err = clamped_err + open_err
+            reachable = max(cfg.abs_tol, cfg.rel_tol * (abs(total) + open_err))
+            # Clamping an open panel of width w takes more than
+            # w / _WIDTH_CLAMP - 1 splits, so the sum bounds from below the
+            # splits that emptying the heap needs.
+            if clamped_err > reachable and (
+                    sum(item[3] - item[2] for item in heap) / _WIDTH_CLAMP - len(heap)
+                    > cfg.max_subdivisions - splits):
+                raise MaxSubdivisionsError(
+                    f"tolerance unreachable: error {clamped_err:.3e} of panels at the "
+                    f"width limit exceeds {reachable:.3e}; {splits} of "
+                    f"{cfg.max_subdivisions} subdivisions used",
+                    QuadResult(total, total_err, False, splits),
+                )
             continue
         mid = 0.5 * (a + b)
         val1, err1 = _gk15(f, a, mid)
@@ -255,10 +286,12 @@ def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
 _2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
 
 
-def integrate_2d(f: Callable[[float, float], float], x_lo: float, x_hi: float,
+def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, x_hi: float,
                  y_lo: float, y_hi: float) -> QuadResult:
-    """Iterated integral of f(x, y) over the rectangle [x_lo, x_hi] x [y_lo, y_hi].
+    """Iterated integral of f(x, y) = row(x)(y) over [x_lo, x_hi] x [y_lo, y_hi].
 
+    ``row(x)`` is called once per outer node and returns the inner integrand
+    in y, so a factor of x alone is computed once per row, not per point.
     Both axes are bounded; each uses the one-dimensional adaptive rule.
     """
     inner_err = 0.0
@@ -266,7 +299,7 @@ def integrate_2d(f: Callable[[float, float], float], x_lo: float, x_hi: float,
 
     def outer(x: float) -> float:
         nonlocal inner_err, inner_subs
-        res = integrate(lambda y: f(x, y), y_lo, y_hi, _2D_CFG)
+        res = integrate(row(x), y_lo, y_hi, _2D_CFG)
         inner_err = max(inner_err, res.error_estimate)
         inner_subs = max(inner_subs, res.subdivisions_used)
         return res.value

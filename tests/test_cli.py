@@ -216,6 +216,26 @@ class TestDynamic:
             row["value"], rel=1e-12
         )
 
+    def test_decomposition_computes_the_measure_once(self, capsys, monkeypatch):
+        import fracpast.cli
+        import fracpast.entropy
+
+        calls = []
+        original = fracpast.entropy.dynamic_efcpe
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fracpast.cli, "dynamic_efcpe", counted)
+        monkeypatch.setattr(fracpast.entropy, "dynamic_efcpe", counted)
+        code, _, _ = run_json(
+            capsys,
+            ["dynamic", "--dist", "uniform:a=1", "--t", "0.5", "--alpha", "0.5", "--decompose"],
+        )
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestCoherent:
     def test_parallel_pair_with_bounds(self, capsys):

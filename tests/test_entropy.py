@@ -32,7 +32,7 @@ from fracpast.entropy import (
     paired_phi_entropy,
     tau_alpha,
 )
-from fracpast.errors import DivergedError, DomainError, MaxSubdivisionsError
+from fracpast.errors import DivergedError, DomainError, MaxSubdivisionsError, NonConvergentError
 from fracpast.fraclog import LogMode, log_kernel
 from fracpast.quadrature import QuadConfig, integrate
 
@@ -141,6 +141,29 @@ class TestExactMode:
         cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=400)
         with pytest.raises(MaxSubdivisionsError):
             efcpe(Uniform(1.0), 0.4, LogMode.EXACT, cfg)
+
+    def test_unreachable_tolerance_refused_early(self):
+        # Panels at the width limit next to x = 0 keep 7.3e-10 of error
+        # against a tolerance of 3.2e-10; the integrator refuses as soon as
+        # the budget cannot clamp the rest, not after all 2000 subdivisions.
+        with pytest.raises(MaxSubdivisionsError, match="width limit") as excinfo:
+            efcpe(Uniform(1.0), 0.75, LogMode.EXACT)
+        assert excinfo.value.partial.subdivisions_used < 100
+
+    @pytest.mark.parametrize("X,alpha", [(Weibull(1.0, 2.0), 0.3), (Exponential(1.0), 0.3)])
+    def test_exact_residual_kernel_overflow_is_diverged(self, X, alpha):
+        # The kernel passes the float range on the tail probes; it reads as
+        # inf there, so the screen flags the divergence.
+        res = efcre(X, alpha, LogMode.EXACT)
+        assert res.diverged
+
+    @pytest.mark.parametrize("measure,alpha", [(efcre, 0.6), (efcre, 0.9),
+                                               (paired_phi_entropy, 0.9)])
+    def test_exact_residual_kernel_overflow_is_typed(self, measure, alpha):
+        # Here the kernel passes the float range inside the mapped tail, so
+        # the integrand is inf at a node: a typed refusal, not OverflowError.
+        with pytest.raises(NonConvergentError, match="integrand returned inf"):
+            measure(Weibull(1.0, 2.0), alpha, LogMode.EXACT)
 
 
     @pytest.mark.parametrize("alpha", [0.87, 0.9, 0.93])

@@ -305,6 +305,11 @@ class TestLogKernel:
         for p in (0.2, 0.8):
             assert log_kernel(1.0, p) == pytest.approx(-math.log(p), rel=1e-13)
 
+    @pytest.mark.parametrize("alpha,p,mode", [(0.001, 1e-300, LogMode.APPROX),
+                                              (0.3, 1e-120, LogMode.EXACT)])
+    def test_overflow_is_inf(self, alpha, p, mode):
+        assert log_kernel(alpha, p, mode) == math.inf
+
     def test_matches_power_construction(self):
         for alpha in (0.3, 0.6, 0.9):
             for p in (0.1, 0.5, 0.9):

@@ -145,6 +145,15 @@ class TestBivariateMeasure:
         with pytest.raises(DomainError):
             bivariate_efcpe(J, 0.5)
 
+    @pytest.mark.parametrize("law,alpha,value", [
+        (triangle_law(), 0.5, "0.2327105685614861"),
+        (fgm_law(-0.6), 0.7, "0.19338473388506539"),
+    ])
+    def test_value_bits_pinned(self, law, alpha, value):
+        # Hoisting the x-only factors out of the inner integrand keeps the
+        # arithmetic of every point, so the value keeps its last bit.
+        assert repr(bivariate_efcpe(law, alpha).value) == value
+
 
 class TestModifiedBivariateMeasure:
     @pytest.mark.parametrize("alpha,expected", sorted(TRIANGLE_MODIFIED.items()))

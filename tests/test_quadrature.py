@@ -135,13 +135,35 @@ class TestBudget:
         assert math.isfinite(partial.value)
         assert partial.value == pytest.approx(5.0, rel=0.2)
 
+    def test_unreachable_tolerance_refused_early(self):
+        # The panel holding the step keeps an error near its width, so once
+        # it is clamped no refinement meets 1e-30, and clamping the rest of
+        # [0, 1] would take far more than the budget.
+        cfg = QuadConfig(abs_tol=1e-30, rel_tol=0.0)
+        with pytest.raises(MaxSubdivisionsError, match="width limit") as excinfo:
+            integrate(lambda x: 1.0 if x > 1.0 / 3.0 else 0.0, 0.0, 1.0, cfg)
+        partial = excinfo.value.partial
+        assert partial.subdivisions_used < cfg.max_subdivisions // 10
+        assert partial.value == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    def test_narrow_interval_clamps_every_panel(self):
+        # On a 1e-10 wide interval every panel reaches the width limit in
+        # about 120 subdivisions, so the heap empties within the budget and
+        # the value comes back although 1e-30 is never met.
+        lo, step = 1.0, 1.0 + 3.3e-11
+        cfg = QuadConfig(abs_tol=1e-30, rel_tol=0.0)
+        res = integrate(lambda x: 1.0 if x > step else 0.0, lo, lo + 1e-10, cfg)
+        assert res.subdivisions_used < cfg.max_subdivisions
+        assert res.error_estimate > cfg.abs_tol
+        assert res.value == pytest.approx(lo + 1e-10 - step, rel=1e-3)
+
 
 class TestTwoDimensional:
     def test_rectangle(self):
-        res = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
+        res = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert res.value == pytest.approx(0.25, rel=1e-7)
 
     def test_error_estimate_accounts_for_inner_axis(self):
-        res = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
+        res = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert res.error_estimate >= 0.0
         assert not res.diverged
