@@ -40,10 +40,9 @@ from .coherent import (
     sandwich_check,
     system_efcpe,
 )
-from .distributions import Uniform, independent_sum, parse_spec
+from .distributions import Uniform, _build, _read_spec, independent_sum, parse_spec
 from .empirical import Sample, empirical_efcpe, exp_spacing_moments, load_sample_csv, unif_spacing_moments
 from .entropy import (
-    _CFG,
     _dynamic_boundary,
     classic_fractional,
     dynamic_efcpe,
@@ -71,8 +70,8 @@ from .multivariate import (
     modified_bivariate_efcpe,
     triangle_law,
 )
-from .orders import dispersive_check, ordering_validation
-from .quadrature import QuadConfig
+from .orders import _ordering_rows, dispersive_check
+from .quadrature import _MEASURE_CFG, QuadConfig
 
 __all__ = ["main", "run"]
 
@@ -99,25 +98,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _float_list(text: str, flag: str) -> List[float]:
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"bad {flag} list: {exc}")
+    if not values:
+        raise _UsageError(f"{flag} list is empty")
+    return values
+
+
 def _parse_alphas(args) -> List[float]:
-    if args.alphas is not None:
-        try:
-            values = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise _UsageError(f"bad --alphas list: {exc}")
-        if not values:
-            raise _UsageError("--alphas list is empty")
-        return values
-    if args.alpha is not None:
-        return [args.alpha]
-    raise _UsageError("one of --alpha or --alphas is required")
+    if args.alphas is None:
+        raise _UsageError("--alphas (or --alpha) is required")
+    return _float_list(args.alphas, "--alphas")
 
 
 def _quad_config(args) -> Optional[QuadConfig]:
     """The measures' default tolerances, with each flag given in its place."""
     flags = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol, "max_subdivisions": args.max_subdiv}
     given = {field: value for field, value in flags.items() if value is not None}
-    return replace(_CFG, **given) if given else None
+    return replace(_MEASURE_CFG, **given) if given else None
 
 
 def _jsonable(obj):
@@ -171,63 +172,25 @@ def _record_rows(args, payload: dict, compute) -> int:
     return EXIT_NUMERIC if diverged else EXIT_OK
 
 
+_LAWS = {"triangle": triangle_law, "fgm": fgm_law, "indep": independent_law}
+
+
 def _parse_law(spec: str) -> BivariateLaw:
-    s = spec.strip()
-    low = s.lower()
-    if low == "triangle":
-        return triangle_law()
-    if low.startswith("fgm:"):
-        body = s.split(":", 1)[1]
-        params = {}
-        for piece in body.split(","):
-            if "=" not in piece:
-                raise DomainError(f"expected param=value in fgm spec, got {piece!r}")
-            key, val = piece.split("=", 1)
-            params[key.strip()] = float(val)
-        if set(params) != {"theta"}:
-            raise DomainError(f"fgm law takes exactly theta=, got {sorted(params)}")
-        return fgm_law(params["theta"])
-    if low.startswith("indep(") and s.endswith(")"):
-        body = s[len("indep(") : -1]
-        for sep in (";", "|"):
-            if sep in body:
-                left, right = body.split(sep, 1)
-                return independent_law(parse_spec(left), parse_spec(right))
-        # Comma-separated component specs: the comma also separates
-        # parameters, so try each split point until both halves parse.
-        positions = [i for i, ch in enumerate(body) if ch == ","]
-        for pos in positions:
-            try:
-                left = parse_spec(body[:pos])
-                right = parse_spec(body[pos + 1 :])
-            except DomainError:
-                continue
-            return independent_law(left, right)
-        raise DomainError(f"cannot split independent-law spec {body!r} into two components")
-    raise DomainError(
-        f"unknown bivariate law {spec!r}; use triangle, fgm:theta=T, or indep(<spec>,<spec>)"
-    )
+    """``triangle``, ``fgm:theta=T`` or ``indep(<spec>,<spec>)``."""
+    name, inner, params = _read_spec(spec)
+    return _build(_LAWS, "bivariate law", name, *map(parse_spec, inner), **params)
 
 
 def _parse_system(spec: str) -> DistortionFunction:
+    """``parallel:N`` (short for ``parallel:n=N``), ``koutofn:k=K,n=N``, ..."""
     s = spec.strip().lower()
-    if ":" in s:
-        kind, body = s.split(":", 1)
-        params = {}
-        pieces = [p for p in body.split(",") if p.strip()]
-        if len(pieces) == 1 and "=" not in pieces[0]:
-            key = {"parallel": "n", "series": "n"}.get(kind)
-            if key is None:
-                raise DomainError(f"system kind {kind!r} needs named parameters")
-            params[key] = pieces[0]
-        else:
-            for piece in pieces:
-                if "=" not in piece:
-                    raise DomainError(f"expected param=value in system spec, got {piece!r}")
-                key, val = piece.split("=", 1)
-                params[key.strip()] = val
-        return distortion(kind, **{key: int(val) for key, val in params.items()})
-    return distortion(s)
+    kind, colon, body = s.partition(":")
+    if colon and "=" not in body:
+        s = f"{kind}:n={body}"
+    name, inner, params = _read_spec(s, int)
+    if inner:
+        raise DomainError(f"a system spec takes no inner spec: {spec!r}")
+    return distortion(name, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +292,8 @@ def _cmd_orders(args) -> int:
     Y = parse_spec(args.dist_y)
     report = dispersive_check(X, Y, args.grid)
     rows = []
-    wants_values = args.alphas is not None or args.alpha is not None
-    if wants_values and report.holds == "Yes":
-        rows = ordering_validation(X, Y, _parse_alphas(args))
+    if args.alphas is not None and report.holds == "Yes":
+        rows = _ordering_rows(X, Y, _parse_alphas(args))
     payload = {
         "command": "orders",
         "dist_x": args.dist_x,
@@ -362,11 +324,7 @@ def _cmd_chaos(args) -> int:
         _write_csv_file(path, ("s", "value"), pts)
         wrote.append({"file": path, "rows": len(pts)})
     if args.s_list is not None:
-        try:
-            s_values = [float(tok) for tok in args.s_list.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise _UsageError(f"bad --s-list: {exc}")
-        table = efcpe_vs_s(s_values, _parse_alphas(args), cfg)
+        table = efcpe_vs_s(_float_list(args.s_list, "--s-list"), _parse_alphas(args), cfg)
         path = f"{args.out_dir}/efcpe_vs_s.csv"
         _write_csv_file(
             path, ("s", "alpha", "value"), [(r["s"], r["alpha"], r["value"]) for r in table]
@@ -543,8 +501,8 @@ def _add_common(sub, alphas=True, dist=False, quad=True, formats=("json", "csv")
     sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if alphas:
-        sub.add_argument("--alpha", type=float, default=None)
-        sub.add_argument("--alphas", default=None, help="comma-separated fractional orders")
+        sub.add_argument("--alphas", "--alpha", default=None,
+                         help="comma-separated fractional orders; --alpha is another spelling")
     if dist:
         sub.add_argument("--dist", required=True, help="distribution spec, e.g. uniform:a=1")
     if quad:

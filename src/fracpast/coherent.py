@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from .distributions import Distribution
-from .entropy import _CFG, EntropyResult, MeasureTag, _integral, _phi, _result, efcpe
+from .distributions import Distribution, _build
+from .entropy import EntropyResult, MeasureTag, _integral, _phi, _result, efcpe
 from .errors import DomainError
 from .fraclog import FracOrder, LogMode, as_order
-from .quadrature import integrate
+from .quadrature import _MEASURE_CFG, integrate
 
 __all__ = [
     "ComponentReport",
@@ -111,20 +111,18 @@ def _check_n(n: int):
         raise DomainError(f"component count must be a positive integer, got {n}")
 
 
+_DISTORTIONS = {
+    "parallel": parallel,
+    "series": series_system,
+    "koutofn": k_out_of_n,
+    "twooutoffour": two_out_of_four,
+    "identity": identity_distortion,
+}
+
+
 def distortion(kind: str, **kw) -> DistortionFunction:
     """Dispatch constructor, e.g. distortion("parallel", n=2)."""
-    key = kind.strip().lower()
-    if key == "parallel":
-        return parallel(int(kw["n"]))
-    if key == "series":
-        return series_system(int(kw["n"]))
-    if key == "koutofn":
-        return k_out_of_n(int(kw["k"]), int(kw["n"]))
-    if key == "twooutoffour":
-        return two_out_of_four()
-    if key == "identity":
-        return identity_distortion()
-    raise DomainError(f"unknown distortion kind {kind!r}")
+    return _build(_DISTORTIONS, "distortion kind", kind.strip().lower(), **kw)
 
 
 def phi_alpha(u: float, alpha, mode: LogMode = LogMode.APPROX) -> float:
@@ -161,7 +159,7 @@ def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult
             raise DomainError(f"density vanished at quantile level {u}")
         return quv * k(quv) / fv
 
-    res = integrate(integrand, 0.0, 1.0, _CFG)
+    res = integrate(integrand, 0.0, 1.0, _MEASURE_CFG)
     return _result(res, MeasureTag.SYSTEM_EFCPE, a.alpha)
 
 

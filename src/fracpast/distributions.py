@@ -14,11 +14,14 @@ never needs to distinguish primitive from derived families.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import re
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from .errors import DomainError, UnsupportedError
-from .quadrature import QuadConfig, integrate
+from .quadrature import _MEASURE_CFG, integrate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AffineTransformed",
@@ -105,16 +108,17 @@ class Distribution:
 
     def mean(self) -> float:
         """E[X] = lower + integral of the survival function over the support."""
-        res = integrate(self.survival, self.lower, self.upper,
-                        QuadConfig(abs_tol=1e-10, rel_tol=1e-9))
+        res = integrate(self.survival, self.lower, self.upper, _MEASURE_CFG)
         if res.diverged:
             return math.inf
         return self.lower + res.value
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Inverse-transform sampling."""
+        """Inverse-transform sampling, written over the generator's own uniforms."""
         u = rng.random(n)
-        return np.array([self.quantile(float(ui)) for ui in u])
+        for i, ui in enumerate(u):
+            u[i] = self.quantile(float(ui))
+        return u
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
@@ -545,7 +549,6 @@ class _ConvolutionSum(Distribution):
         self.params = {"first": d1, "second": d2}
         self.lower = d1.lower + d2.lower
         self.upper = d1.upper + d2.upper
-        self._cfg = QuadConfig(abs_tol=1e-9, rel_tol=1e-8)
 
     def cdf(self, x):
         if x <= self.lower:
@@ -556,7 +559,7 @@ class _ConvolutionSum(Distribution):
         hi = min(self.d2.upper, x - self.d1.lower)
         if hi <= lo:
             return 0.0
-        res = integrate(lambda y: self.d1.cdf(x - y) * self.d2.pdf(y), lo, hi, self._cfg)
+        res = integrate(lambda y: self.d1.cdf(x - y) * self.d2.pdf(y), lo, hi)
         return min(1.0, max(0.0, res.value))
 
     def pdf(self, x):
@@ -566,7 +569,7 @@ class _ConvolutionSum(Distribution):
         hi = min(self.d2.upper, x - self.d1.lower)
         if hi <= lo:
             return 0.0
-        res = integrate(lambda y: self.d1.pdf(x - y) * self.d2.pdf(y), lo, hi, self._cfg)
+        res = integrate(lambda y: self.d1.pdf(x - y) * self.d2.pdf(y), lo, hi)
         return max(0.0, res.value)
 
 
@@ -600,6 +603,8 @@ _FACTORIES = {
     "triangularsum": TriangularSum,
     "degenerate": Degenerate,
 }
+_WRAPPERS = {"affine": affine, "prhr": prhr}
+_PARAM = re.compile(r"\s*[A-Za-z_]\w*\s*=")  # a spec piece that starts "key="
 
 # Conventional one-letter parameter names accepted alongside the
 # constructor keywords, e.g. uniform:a=2 for Uniform(scale=2).
@@ -610,13 +615,20 @@ _PARAM_ALIASES = {
 }
 
 
+def _build(table: dict, what: str, name: str, *args, **params):
+    """``table[name](*args, **params)``; an unknown name or a parameter set
+    the constructor does not take raises DomainError."""
+    if name not in table:
+        raise DomainError(f"unknown {what} {name!r}; known: {sorted(table)}")
+    try:
+        return table[name](*args, **params)
+    except TypeError as exc:
+        raise DomainError(f"bad parameters for {what} {name!r}: {exc}") from exc
+
+
 def make(name: str, **params) -> Distribution:
     """Construct a catalog distribution by family name."""
     key = name.strip().lower()
-    if key not in _FACTORIES:
-        raise DomainError(
-            f"unknown distribution {name!r}; known: {sorted(_FACTORIES)}"
-        )
     aliases = _PARAM_ALIASES.get(key, {})
     fixed = {}
     for pname, value in params.items():
@@ -624,10 +636,52 @@ def make(name: str, **params) -> Distribution:
         if canonical in fixed:
             raise DomainError(f"duplicate parameter {canonical!r} for {name!r}")
         fixed[canonical] = value
-    try:
-        return _FACTORIES[key](**fixed)
-    except TypeError as exc:
-        raise DomainError(f"bad parameters for {name!r}: {exc}") from exc
+    return _build(_FACTORIES, "distribution", key, **fixed)
+
+
+def _split_top(text: str, sep: str) -> List[str]:
+    """Split text at each ``sep`` outside parentheses. An unbalanced
+    parenthesis stays in a piece, and the name or value it lands in is refused."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == sep and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    return pieces + [text[start:]]
+
+
+def _read_spec(spec: str, convert: Callable[[str], object] = float) -> Tuple[str, List[str], dict]:
+    """Split a spec into ``(name, inner specs, parameters)``.
+
+    ``name:k=v,k=v`` has no inner specs. ``name(<spec>, <spec>; k=v, k=v)``
+    lists inner specs, left for the caller to read, before an optional ``;``
+    and the parameters; a ``k=v`` piece after an inner spec's comma stays
+    with it, as in ``indep(beta:p=2,q=3,uniform:a=1)``. The name is
+    lower-cased and each parameter value goes through ``convert``.
+    """
+    head, paren, rest = spec.strip().partition("(")
+    inner: List[str] = []
+    if paren and rest.endswith(")") and ":" not in head:
+        specs, *tail = _split_top(rest[:-1], ";")
+        for piece in _split_top(specs, ","):
+            if inner and _PARAM.match(piece):
+                inner[-1] += "," + piece
+            else:
+                inner.append(piece)
+        name, body = head, ";".join(tail)  # a second ';' stays in a piece and is refused
+    else:
+        name, _, body = spec.partition(":")
+    params = {}
+    for piece in filter(str.strip, body.split(",")):
+        if not _PARAM.match(piece):
+            raise DomainError(f"expected param=value, got {piece.strip()!r} in {spec!r}")
+        key, _, value = piece.partition("=")
+        try:
+            params[key.strip()] = convert(value)
+        except ValueError as exc:
+            raise DomainError(f"bad value for {key.strip()!r} in {spec!r}: {exc}") from exc
+    return name.strip().lower(), inner, params
 
 
 def parse_spec(spec: str) -> Distribution:
@@ -639,41 +693,7 @@ def parse_spec(spec: str) -> Distribution:
     * ``affine(<spec>; scale=2, shift=3)``
     * ``prhr(<spec>; delta=2)``
     """
-    s = spec.strip()
-    for wrapper in ("affine", "prhr"):
-        prefix = wrapper + "("
-        if s.lower().startswith(prefix) and s.endswith(")"):
-            body = s[len(prefix):-1]
-            if ";" not in body:
-                raise DomainError(
-                    f"{wrapper} spec needs ';' between inner spec and parameters: {spec!r}"
-                )
-            inner_spec, param_part = body.rsplit(";", 1)
-            base = parse_spec(inner_spec)
-            kwargs = _parse_params(param_part)
-            if wrapper == "affine":
-                return affine(base, **kwargs)
-            return prhr(base, **kwargs)
-    if ":" in s:
-        name, param_part = s.split(":", 1)
-        return make(name, **_parse_params(param_part))
-    return make(s)
-
-
-def _parse_params(text: str) -> dict:
-    kwargs = {}
-    text = text.strip()
-    if not text:
-        return kwargs
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" not in piece:
-            raise DomainError(f"expected param=value, got {piece!r}")
-        key, value = piece.split("=", 1)
-        try:
-            kwargs[key.strip()] = float(value)
-        except ValueError as exc:
-            raise DomainError(f"non-numeric value in {piece!r}") from exc
-    return kwargs
+    name, inner, params = _read_spec(spec)
+    if inner:
+        return _build(_WRAPPERS, "wrapper", name, *map(parse_spec, inner), **params)
+    return make(name, **params)

@@ -19,8 +19,6 @@ import statistics
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .distributions import Distribution
 from .entropy import efcpe
 from .errors import DomainError
@@ -186,6 +184,8 @@ def stability_probe(S: Sample, alpha, delta: float, trials: int, seed: int = 0) 
         raise DomainError(f"need at least one trial, got {trials}")
     if delta == 0.0:
         return 0.0
+    import numpy as np  # only the two seeded studies use numpy; the package loads without it
+
     rng = np.random.default_rng(seed)
     base = empirical_efcpe(S, a)
     data = np.array(S.data)
@@ -216,6 +216,8 @@ def convergence_study(
     truth = efcpe(X, a).value
     if not math.isfinite(truth):
         raise DomainError("convergence study requires a finite population measure")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_grid:

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 from .distributions import Distribution, Frechet, Uniform
 from .errors import DivergedError, DomainError
 from .fraclog import FracOrder, LogMode, as_order, log_kernel
-from .quadrature import QuadConfig, QuadResult, integrate
+from .quadrature import _MEASURE_CFG, QuadConfig, QuadResult, integrate
 
 __all__ = [
     "EntropyResult",
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _DEGENERATE_WIDTH = 1e-12
-_CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-9)
 _ZERO = QuadResult(0.0, 0.0, False, 0)
 
 
@@ -147,7 +146,7 @@ def _integral(
     cfg: Optional[QuadConfig] = None,
 ) -> QuadResult:
     """int_lo^hi g(side(x)) dx, where side is a CDF, survival or distortion."""
-    res = integrate(lambda x: g(side(x)), lo, hi, cfg or _CFG)
+    res = integrate(lambda x: g(side(x)), lo, hi, cfg or _MEASURE_CFG)
     return res if factor is None else _scaled(res, factor)
 
 

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Tuple
 
 from .distributions import Distribution, Uniform, prhr
 from .entropy import (
@@ -40,7 +38,10 @@ from .entropy import (
 )
 from .errors import DomainError
 from .fraclog import LogMode, as_order
-from .quadrature import QuadConfig, QuadResult, integrate_2d
+from .quadrature import _DEFAULT, QuadResult, integrate_2d
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BivariateLaw",
@@ -188,6 +189,9 @@ class _GridDistribution(Distribution):
 
     def __init__(self, xs: np.ndarray, cdf_values: np.ndarray):
         super().__init__()
+        import numpy as np  # loaded by from_density's tabulation, not with the package
+
+        self._interp = np.interp
         self._xs = xs
         self._cdf = np.clip(cdf_values, 0.0, 1.0)
         self._cdf[-1] = 1.0
@@ -195,7 +199,7 @@ class _GridDistribution(Distribution):
         self.lower, self.upper = float(xs[0]), float(xs[-1])
 
     def cdf(self, x):
-        return float(np.interp(x, self._xs, self._cdf))
+        return float(self._interp(x, self._xs, self._cdf))
 
     def pdf(self, x):
         h = (self.upper - self.lower) * 1e-6
@@ -214,6 +218,8 @@ def from_density(
     The density is integrated by the trapezoid rule into conditional rows
     and the joint CDF, then renormalized so the far corner is exactly 1.
     """
+    import numpy as np
+
     x_lo, x_hi = x_support
     y_lo, y_hi = y_support
     if not (math.isfinite(x_hi) and math.isfinite(y_hi)):
@@ -428,7 +434,7 @@ def conditional_efcpe(J: BivariateLaw, alpha, x: float) -> float:
     if not x_lo < x <= x_hi:
         raise DomainError(f"conditioning point {x} outside ({x_lo}, {x_hi}]")
     res = _integral(_phi(a), lambda y: J.conditional_cdf_y_given_x(y, x), y_lo, y_hi,
-                    cfg=QuadConfig(abs_tol=1e-9, rel_tol=1e-8))
+                    cfg=_DEFAULT)
     return res.value
 
 

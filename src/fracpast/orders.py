@@ -84,6 +84,11 @@ def ordering_validation(
         raise DomainError(
             f"pair is not certified dispersively ordered (verdict {report.holds})"
         )
+    return _ordering_rows(X, Y, alpha_grid)
+
+
+def _ordering_rows(X: Distribution, Y: Distribution, alpha_grid: Sequence[float]) -> List[dict]:
+    """ordering_validation's rows, for a pair its caller has already certified."""
     rows = []
     for alpha in alpha_grid:
         a = as_order(alpha)

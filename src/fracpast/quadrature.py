@@ -87,6 +87,8 @@ class QuadResult:
 
 
 _DEFAULT = QuadConfig()
+# The univariate measures' tolerances.
+_MEASURE_CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-9)
 
 
 # _gk15's node pairs j = 0..6 as (abscissa, Kronrod weight, Gauss weight or

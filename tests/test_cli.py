@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from fracpast.cli import main
+from fracpast.orders import dispersive_check
 
 DATA_FILE = str(Path(__file__).resolve().parent.parent / "data" / "odisha_covid_weekly.csv")
 
@@ -319,6 +320,30 @@ class TestOrders:
         )
         assert code == 0
         assert payload["grid_size"] == 64
+
+    def test_rows_follow_the_verdict_at_the_requested_grid(self, capsys, monkeypatch):
+        # Two levels certify this pair; 4096 do not. The rows follow the
+        # verdict the payload reports, from one check at --grid.
+        import fracpast.cli
+        import fracpast.orders
+
+        calls = []
+
+        def counted(X, Y, grid=4096):
+            calls.append(grid)
+            return dispersive_check(X, Y, grid)
+
+        monkeypatch.setattr(fracpast.cli, "dispersive_check", counted)
+        monkeypatch.setattr(fracpast.orders, "dispersive_check", counted)
+        code, payload, _ = run_json(
+            capsys,
+            ["orders", "--dist-x", "uniform:a=2", "--dist-y", "beta:p=2,q=2",
+             "--grid", "2", "--alphas", "0.5"],
+        )
+        assert code == 0
+        assert payload["dispersive"] == "Yes"
+        assert [row["alpha"] for row in payload["rows"]] == [0.5]
+        assert calls == [2]
 
 
 class TestChaos:

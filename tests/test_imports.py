@@ -1,8 +1,9 @@
-"""scipy stays out of ``import fracpast``; the two call sites that need it,
-the ``Beta`` law and EXACT mode's root search, load it on first use.
+"""scipy and numpy stay out of ``import fracpast``. The two call sites that
+need scipy, the ``Beta`` law and EXACT mode's root search, load it on first
+use, and so do the few functions that need numpy.
 
 Each check runs in a fresh interpreter, because the test session itself
-loads scipy (its ``Beta`` laws and quadrature references).
+loads scipy and numpy (its ``Beta`` laws and quadrature references).
 """
 
 import os
@@ -21,13 +22,21 @@ def _run(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_package_and_cli_import_without_scipy():
+def _loaded_by_cli_import(package: str) -> str:
     out = _run(
         "import sys, fracpast, fracpast.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n"
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_package_and_cli_import_without_scipy():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_package_and_cli_import_without_numpy():
+    assert _loaded_by_cli_import("numpy") == "[]"
 
 
 def test_beta_and_exact_mode_load_scipy_on_first_use():
