@@ -658,7 +658,8 @@ def _read_spec(spec: str, convert: Callable[[str], object] = float) -> Tuple[str
     lists inner specs, left for the caller to read, before an optional ``;``
     and the parameters; a ``k=v`` piece after an inner spec's comma stays
     with it, as in ``indep(beta:p=2,q=3,uniform:a=1)``. The name is
-    lower-cased and each parameter value goes through ``convert``.
+    lower-cased and each parameter value goes through ``convert``; a key
+    given twice is refused.
     """
     head, paren, rest = spec.strip().partition("(")
     inner: List[str] = []
@@ -677,10 +678,13 @@ def _read_spec(spec: str, convert: Callable[[str], object] = float) -> Tuple[str
         if not _PARAM.match(piece):
             raise DomainError(f"expected param=value, got {piece.strip()!r} in {spec!r}")
         key, _, value = piece.partition("=")
+        key = key.strip()
+        if key in params:
+            raise DomainError(f"parameter {key!r} given twice in {spec!r}")
         try:
-            params[key.strip()] = convert(value)
+            params[key] = convert(value)
         except ValueError as exc:
-            raise DomainError(f"bad value for {key.strip()!r} in {spec!r}: {exc}") from exc
+            raise DomainError(f"bad value for {key!r} in {spec!r}: {exc}") from exc
     return name.strip().lower(), inner, params
 
 

@@ -40,7 +40,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DomainError, NonConvergentError
 
@@ -78,6 +77,21 @@ _ROOT_XTOL = 1e-10
 _ROOT_MAXITER = 200
 
 
+class _per_order:
+    """``functools.cached_property`` without its lock, which CPython 3.11
+    takes on every first access: the value goes straight into the instance
+    ``__dict__``, where every later read finds it first."""
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __get__(self, order, owner=None):
+        if order is None:
+            return self
+        value = order.__dict__[self.fn.__name__] = self.fn(order)
+        return value
+
+
 @dataclass(frozen=True)
 class FracOrder:
     """Validated fractional order, the single parameter of every measure.
@@ -101,17 +115,17 @@ class FracOrder:
     # Per-order constants of the kernel, each computed on first use and then
     # shared by every point evaluated at this order.
 
-    @cached_property
+    @_per_order
     def _gamma_plus(self) -> float:
         """Gamma(1 + alpha)."""
         return math.gamma(1.0 + self.alpha)
 
-    @cached_property
+    @_per_order
     def _gamma_minus(self) -> float:
         """Gamma(1 - alpha), for alpha < 1."""
         return math.gamma(1.0 - self.alpha)
 
-    @cached_property
+    @_per_order
     def _asymptotic_coefficients(self) -> tuple:
         """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1..12.
 
@@ -129,7 +143,7 @@ class FracOrder:
             coefficients.append((-1.0) ** (k + 1) * math.gamma(a * k) * sine / math.pi)
         return tuple(coefficients)
 
-    @cached_property
+    @_per_order
     def _contour(self) -> tuple:
         """Pairs (weight, s^alpha) of the contour nodes u = k h, k = 0..N.
 
@@ -147,7 +161,7 @@ class FracOrder:
             nodes.append((2.0 * weight if k else weight, s_a))
         return tuple(nodes)
 
-    @cached_property
+    @_per_order
     def _kernels(self) -> dict:
         """The kernel p -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1, per LogMode.
 

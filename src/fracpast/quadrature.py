@@ -6,6 +6,11 @@ integrand along a geometric ladder, then mapped onto a bounded interval with
 ``x = a + t / (1 - t)`` and finished with an analytic power-law tail
 completion beyond the last probe; the verdict travels in the QuadResult.
 
+Rectangles are integrated as iterated 1-D integrals, each axis mapped onto
+[0, 1] by the graded map ``lo + w t^2 (3 - 2t)``, which flattens endpoint
+singularities; the tolerances then apply to the dimensionless integral, so
+the value scales exactly with the area of the rectangle.
+
 The engine reports diagnostics (error estimate, subdivision count, divergence
 flag) rather than silently degrading; callers that need a hard failure get
 MaxSubdivisionsError with the partial result attached. That error also comes
@@ -134,8 +139,9 @@ def _gk15(f, lo: float, hi: float):
     return value, err
 
 
-def _adaptive(f, lo: float, hi: float, cfg: QuadConfig):
-    """Refine the worst panel until the summed error meets tolerance.
+def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8):
+    """Refine the worst panel, from n_init equal ones, until the summed error
+    meets tolerance.
 
     A panel narrower than _WIDTH_CLAMP is accepted as it is, and its error
     stays in the sum for good. Once that clamped error alone exceeds the
@@ -143,7 +149,6 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig):
     small to clamp every remaining panel, the loop can only end by
     exhausting the budget; it raises MaxSubdivisionsError at once instead.
     """
-    n_init = 8
     step = (hi - lo) / n_init
     heap = []
     counter = 0
@@ -286,6 +291,7 @@ def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
 
 
 _2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
+_2D_PANELS = 2
 
 
 def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, x_hi: float,
@@ -294,23 +300,34 @@ def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, 
 
     ``row(x)`` is called once per outer node and returns the inner integrand
     in y, so a factor of x alone is computed once per row, not per point.
-    Both axes are bounded; each uses the one-dimensional adaptive rule.
+
+    Each axis is integrated over t in [0, 1] through the graded map
+    ``lo + w t^2 (3 - 2t)``, w the axis width, with weight ``6t (1 - t)``;
+    the area of the rectangle multiplies the value and the error estimate
+    once, at the end. The map flattens an endpoint singularity such as the
+    ``y |log y|^c`` of a kernel at a vanishing CDF into ``t^3 log t``, which
+    the Gauss-Kronrod rule resolves in a few panels. Both axes start from
+    two panels. The tolerances apply to the dimensionless integral in
+    (s, t), so scaling both coordinates by c scales the value by c^2 and
+    leaves the refinement as it is.
     """
+    wx = x_hi - x_lo
+    wy = y_hi - y_lo
     inner_err = 0.0
     inner_subs = 0
 
-    def outer(x: float) -> float:
+    def outer(s: float) -> float:
         nonlocal inner_err, inner_subs
-        res = integrate(row(x), y_lo, y_hi, _2D_CFG)
-        inner_err = max(inner_err, res.error_estimate)
-        inner_subs = max(inner_subs, res.subdivisions_used)
-        return res.value
+        f = row(x_lo + wx * (s * s * (3.0 - 2.0 * s)))
 
-    res = integrate(outer, x_lo, x_hi, _2D_CFG)
-    span = abs(x_hi - x_lo)
-    return QuadResult(
-        res.value,
-        res.error_estimate + inner_err * span,
-        False,
-        max(res.subdivisions_used, inner_subs),
-    )
+        def inner(t: float) -> float:
+            return f(y_lo + wy * (t * t * (3.0 - 2.0 * t))) * (6.0 * t * (1.0 - t))
+
+        value, err, splits = _adaptive(inner, 0.0, 1.0, _2D_CFG, _2D_PANELS)
+        inner_err = max(inner_err, err)
+        inner_subs = max(inner_subs, splits)
+        return value * (6.0 * s * (1.0 - s))
+
+    value, err, splits = _adaptive(outer, 0.0, 1.0, _2D_CFG, _2D_PANELS)
+    area = wx * wy
+    return QuadResult(value * area, (err + inner_err) * abs(area), False, max(splits, inner_subs))

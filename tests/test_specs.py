@@ -29,6 +29,10 @@ MALFORMED = [
     ("dist", "affine(uniform:a=1; scale=2, bogus=1)"),
     ("dist", "prhr(uniform:a=1; )"),
     ("law", "fgm:theta=abc"),
+    # A repeated key is refused, not read as its last value.
+    ("dist", "uniform:scale=1,scale=2"),
+    ("law", "fgm:theta=0.1,theta=0.9"),
+    ("system", "koutofn:k=1,k=2,n=3"),
 ]
 
 
