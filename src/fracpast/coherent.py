@@ -130,7 +130,7 @@ def phi_alpha(u: float, alpha, mode: LogMode = LogMode.APPROX) -> float:
     a = as_order(alpha)
     if not (math.isfinite(u) and 0.0 <= u <= 1.0):
         raise DomainError(f"kernel argument must lie in [0, 1], got {u}")
-    return _phi(a, mode)(u)
+    return _phi(a, mode)(u, 1.0 - u)
 
 
 def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult:
@@ -157,7 +157,7 @@ def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult
         fv = X.pdf(X.quantile(u))
         if fv <= 0.0:
             raise DomainError(f"density vanished at quantile level {u}")
-        return quv * k(quv) / fv
+        return quv * k(quv, 1.0 - quv) / fv
 
     res = integrate(integrand, 0.0, 1.0, _MEASURE_CFG)
     return _result(res, MeasureTag.SYSTEM_EFCPE, a.alpha)
@@ -218,10 +218,12 @@ def _ratio_bounds(num: Callable[[float], float], den: Callable[[float], float], 
     phi = _phi(a)
 
     def ratio(u: float) -> float:
-        d = phi(den(u))
+        dv = den(u)
+        d = phi(dv, 1.0 - dv)
         if d <= 0.0:
             return math.nan
-        return phi(num(u)) / d
+        nv = num(u)
+        return phi(nv, 1.0 - nv) / d
 
     pts = _ratio_grid(512)
     vals = [(ratio(u), u) for u in pts]

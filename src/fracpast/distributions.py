@@ -9,6 +9,13 @@ bisection quantiles and survival-function means for the rest.
 Transforms (affine rescaling, proportional reversed hazard, independent sum)
 wrap an existing distribution and preserve the same contract, so measure code
 never needs to distinguish primitive from derived families.
+
+Each catalog family, and an affine or prhr wrapper around one, also gives its
+quantile density ``qd``: a closure ``(p, q) -> 1/f(Q(p))``, ``q = 1 - p``,
+that the probability-space measures bind once per call. It reads p where p
+is the small side and q where q is, so neither end loses digits, and it may
+raise OverflowError where its value passes the float range. A law with no
+closed form (a numeric convolution) leaves ``qd`` at None.
 """
 
 from __future__ import annotations
@@ -59,6 +66,11 @@ class Distribution:
     """Base class: subclasses set family, params, lower, upper, cdf, pdf."""
 
     family: str = "abstract"
+    # The quantile density closure (p, q) -> 1/f(Q(p)); None where the law
+    # has no closed form, which keeps its measures on the x-axis path. The
+    # levels p in (0, 1) where its slope jumps are qd_kinks.
+    qd = None
+    qd_kinks = ()
 
     def __init__(self):
         self.params: dict = {}
@@ -150,6 +162,11 @@ class Uniform(Distribution):
     def _quantile(self, p):
         return p * self.scale
 
+    @property
+    def qd(self):
+        scale = self.scale
+        return lambda p, q: scale
+
     def mean(self):
         return 0.5 * self.scale
 
@@ -176,6 +193,11 @@ class Exponential(Distribution):
 
     def _quantile(self, p):
         return -math.log1p(-p) / self.rate
+
+    @property
+    def qd(self):
+        mean = 1.0 / self.rate
+        return lambda p, q: mean / q
 
     def mean(self):
         return 1.0 / self.rate
@@ -218,6 +240,17 @@ class Frechet(Distribution):
     def _quantile(self, p):
         return (self.scale / (-math.log(p))) ** (1.0 / self.shape)
 
+    @property
+    def qd(self):
+        shape, scale, inv = self.shape, self.scale, 1.0 / self.shape
+        log, log1p = math.log, math.log1p
+
+        def qd(p, q):  # Q / (shape p L), L = -log p
+            L = -log(p) if p < 0.5 else -log1p(-q)
+            return (scale / L) ** inv / shape / p / L
+
+        return qd
+
     def mean(self):
         if self.shape <= 1.0:
             return math.inf
@@ -246,6 +279,11 @@ class ParetoType(Distribution):
 
     def _quantile(self, p):
         return (1.0 - p) ** (-1.0 / self.k) - 1.0
+
+    @property
+    def qd(self):
+        k, power = self.k, -1.0 / self.k - 1.0
+        return lambda p, q: q ** power / k
 
     def mean(self):
         return 1.0 / (self.k - 1.0) if self.k > 1.0 else math.inf
@@ -296,6 +334,17 @@ class Weibull(Distribution):
     def _quantile(self, p):
         return self.scale * (-math.log1p(-p)) ** (1.0 / self.shape)
 
+    @property
+    def qd(self):
+        c, power = self.scale / self.shape, 1.0 / self.shape - 1.0
+        log, log1p = math.log, math.log1p
+
+        def qd(p, q):  # scale L^(1/shape - 1) / (shape q), L = -log q
+            L = -log1p(-p) if p < 0.5 else -log(q)
+            return c * L ** power / q
+
+        return qd
+
     def mean(self):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
@@ -328,6 +377,11 @@ class LogUniform(Distribution):
 
     def _quantile(self, p):
         return self.a * (self.b / self.a) ** p
+
+    @property
+    def qd(self):
+        a, ratio, log_ratio = self.a, self.b / self.a, self._log_ratio
+        return lambda p, q: a * ratio ** p * log_ratio
 
     def mean(self):
         return (self.b - self.a) / self._log_ratio
@@ -370,6 +424,28 @@ class Beta(Distribution):
 
     def _quantile(self, p):
         return float(self._betaincinv(self.p, self.q, p))
+
+    @property
+    def qd(self):
+        a, b, log_beta, inv = self.p, self.q, self._log_beta, self._betaincinv
+        exp, log, log1p = math.exp, math.log, math.log1p
+
+        def qd(p, q):  # B(a, b) x^(1 - a) (1 - x)^(1 - b) at x = Q(p)
+            # Above 1/2, y = 1 - x comes from the reflected law Beta(b, a)
+            # at q, so it keeps its digits as x nears 1.
+            if p <= 0.5:
+                x = float(inv(a, b, p))
+                if x == 0.0:  # past the float range: the point counts as 0
+                    return 0.0
+                log_x, log_y = log(x), log1p(-x)
+            else:
+                y = float(inv(b, a, q))
+                if y == 0.0:
+                    return 0.0
+                log_x, log_y = log1p(-y), log(y)
+            return exp(log_beta - (a - 1.0) * log_x - (b - 1.0) * log_y)
+
+        return qd
 
     def mean(self):
         return self.p / (self.p + self.q)
@@ -429,6 +505,18 @@ class AffineTransformed(Distribution):
     def _quantile(self, p):
         return self.scale * self.base.quantile(p) + self.shift
 
+    @property
+    def qd_kinks(self):
+        return self.base.qd_kinks
+
+    @property
+    def qd(self):
+        """scale * qd of the base; the shift drops out."""
+        base, scale = self.base.qd, self.scale
+        if base is None:
+            return None
+        return lambda p, q: scale * base(p, q)
+
     def mean(self):
         return self.scale * self.base.mean() + self.shift
 
@@ -460,6 +548,30 @@ class PrhrTransformed(Distribution):
 
     def _quantile(self, p):
         return self.base.quantile(p ** (1.0 / self.delta))
+
+    @property
+    def qd_kinks(self):
+        return tuple(p ** self.delta for p in self.base.qd_kinks)
+
+    @property
+    def qd(self):
+        """qd0(v, 1 - v) * v^(1 - delta) / delta at v = p^(1/delta), from
+        l = log p (log1p(-q) above 1/2), with 1 - v = -expm1(l / delta)."""
+        base, delta = self.base.qd, self.delta
+        if base is None:
+            return None
+        inv, power = 1.0 / delta, 1.0 / delta - 1.0
+        exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
+
+        def qd(p, q):
+            ell = log(p) if p < 0.5 else log1p(-q)
+            t = ell * inv
+            v, w = exp(t), -expm1(t)
+            if v == 0.0 or w == 0.0:  # past the float range: the point counts as 0
+                return 0.0
+            return base(v, w) * exp(power * ell) / delta
+
+        return qd
 
 
 class UniformSum(Distribution):
@@ -515,6 +627,24 @@ class UniformSum(Distribution):
         if x <= b:
             return 1.0 / b
         return self._over_ab(a + b - x)
+
+    @property
+    def qd_kinks(self):
+        r = self.a / self.b
+        return (0.5 * r, 1.0 - 0.5 * r)
+
+    @property
+    def qd(self):
+        """a / sqrt(2 r m) on the two ramps, m = min(p, q), b on the flat."""
+        a, b, r = self.a, self.b, self.a / self.b
+        ramp, sqrt = 0.5 * r, math.sqrt
+        c = a / sqrt(2.0 * r)
+
+        def qd(p, q):
+            m = p if p < q else q
+            return c / sqrt(m) if m < ramp else b
+
+        return qd
 
     def _quantile(self, p):
         r = self.a / self.b  # in (0, 1]: no product a * b to overflow or underflow

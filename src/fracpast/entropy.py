@@ -11,9 +11,20 @@ the Gini-index lower bound. All default to the APPROX fractional logarithm;
 the past and residual measures also accept EXACT mode as a cross-check.
 
 Every measure here is int g(p(x)) dx, with p the CDF or the survival function
-and g a kernel on [0, 1], evaluated through one integrand path. Divergence on
+and g a kernel on [0, 1] that takes the pair (p, 1 - p). Divergence on
 unbounded supports is detected and reported through the result diagnostics
 rather than reproduced as a large truncation artifact.
+
+In APPROX mode ``efcpe``, ``efcre``, ``modified_efcpe`` and
+``classic_fractional`` (and through them ``paired_phi_entropy``) integrate in
+probability space, int_0^1 g(u) qd(u) du with the law's quantile density
+(``quadrature.integrate_quantile``): the scale law holds by construction,
+and the endpoint verdicts are decided in u, which has no units. EXACT mode,
+``dynamic_efcpe``, ``tau_alpha``, ``W_alpha``, ``gini``,
+``mean_inactivity_time`` and laws with no quantile density (numeric
+convolutions, tabulated marginals) keep the x-axis path: their integrands
+need a truncation point, an EXACT kernel accurate at p near 1, or a density
+in closed form, none of which the probability-space core has yet.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from typing import Callable, Optional, Tuple
 from .distributions import Distribution, Frechet, Uniform
 from .errors import DivergedError, DomainError
 from .fraclog import FracOrder, LogMode, as_order, log_kernel
-from .quadrature import _MEASURE_CFG, QuadConfig, QuadResult, integrate
+from .quadrature import _MEASURE_CFG, QuadConfig, QuadResult, integrate, integrate_quantile
 
 __all__ = [
     "EntropyResult",
@@ -118,41 +129,51 @@ def _scaled(res: QuadResult, factor: float) -> QuadResult:
     return replace(res, value=factor * res.value, error_estimate=factor * res.error_estimate)
 
 
-def _phi(a: FracOrder, mode: LogMode = LogMode.APPROX) -> Callable[[float], float]:
-    """The kernel p -> p * [-Ln_a p]**(1/a) at a fixed order, zero off (0, 1)."""
+_Kernel = Callable[[float, float], float]
+
+
+def _phi(a: FracOrder, mode: LogMode = LogMode.APPROX) -> _Kernel:
+    """The kernel (p, q) -> p * [-Ln_a p]**(1/a) at a fixed order, q = 1 - p,
+    zero unless p > 0 and q > 0."""
     k = a._kernels[mode]
 
-    def phi(p: float) -> float:
-        if p <= 0.0 or p >= 1.0:
+    def phi(p: float, q: float) -> float:
+        if p <= 0.0 or q <= 0.0:
             return 0.0
-        return p * k(p)
+        return p * k(p, q)
 
     return phi
 
 
-def _first_power(p: float) -> float:
-    """The first-power kernel -p * log p, zero off (0, 1)."""
-    if p <= 0.0 or p >= 1.0:
+def _first_power(p: float, q: float) -> float:
+    """The first-power kernel -p * log p, q = 1 - p, zero unless p > 0 and q > 0."""
+    if p <= 0.0 or q <= 0.0:
         return 0.0
-    return -p * math.log(p)
+    return p * (-math.log(p) if p < 0.5 else -math.log1p(-q))
 
 
 def _integral(
-    g: Callable[[float], float],
+    g: _Kernel,
     side: Callable[[float], float],
     lo: float,
     hi: float,
     factor: Optional[float] = None,
     cfg: Optional[QuadConfig] = None,
 ) -> QuadResult:
-    """int_lo^hi g(side(x)) dx, where side is a CDF, survival or distortion."""
-    res = integrate(lambda x: g(side(x)), lo, hi, cfg or _MEASURE_CFG)
+    """int_lo^hi g(side(x)) dx on the x axis, where side is a CDF, survival or
+    distortion."""
+
+    def f(x: float) -> float:
+        p = side(x)
+        return g(p, 1.0 - p)
+
+    res = integrate(f, lo, hi, cfg or _MEASURE_CFG)
     return res if factor is None else _scaled(res, factor)
 
 
 def _measure(
     X: Distribution,
-    g: Callable[[float], float],
+    g: _Kernel,
     side: Callable[[float], float],
     tag: MeasureTag,
     alpha: float,
@@ -162,10 +183,20 @@ def _measure(
     cfg: Optional[QuadConfig] = None,
 ) -> EntropyResult:
     """Cumulative measure int g(side(x)) dx from the lower support bound to hi
-    (default the upper bound); exactly zero on a degenerate support."""
+    (default the upper bound); exactly zero on a degenerate support.
+
+    Side is X.cdf or X.survival, or for a truncated measure any function of
+    x. An APPROX measure over the whole support of a law with a quantile
+    density runs in probability space; the rest on the x axis.
+    """
     if X.upper - X.lower < _DEGENERATE_WIDTH:
         return _result(_ZERO, tag, alpha, mode)
-    res = _integral(g, side, X.lower, X.upper if hi is None else hi, factor, cfg)
+    qd = X.qd
+    if qd is not None and hi is None and mode is LogMode.APPROX:
+        res = integrate_quantile(g, qd, side == X.survival, cfg, X.qd_kinks)
+        res = res if factor is None else _scaled(res, factor)
+    else:
+        res = _integral(g, side, X.lower, X.upper if hi is None else hi, factor, cfg)
     return _result(res, tag, alpha, mode)
 
 
@@ -245,12 +276,12 @@ def classic_fractional(
         raise DomainError(f"exponent q must lie in [0, 1], got {q}")
     at_one = 1.0 if q == 0.0 else 0.0
 
-    def kernel(p: float) -> float:
+    def kernel(p: float, r: float) -> float:
         if p <= 0.0:
             return 0.0
-        if p >= 1.0:
+        if r <= 0.0:
             return at_one
-        return p * (-math.log(p)) ** q
+        return p * (-math.log(p) if p < 0.5 else -math.log1p(-r)) ** q
 
     side = X.cdf if past else X.survival
     return _measure(X, kernel, side, MeasureTag.CLASSIC_FRACTIONAL, q, cfg=cfg)
@@ -303,7 +334,7 @@ def mean_inactivity_time(X: Distribution, t: float) -> float:
     Ft = X.cdf(t)
     if Ft <= 0.0:
         raise DomainError(f"mean inactivity time needs F(t) > 0; F({t}) = {Ft}")
-    return _integral(lambda p: p, X.cdf, X.lower, min(t, X.upper)).value / Ft
+    return _integral(lambda p, q: p, X.cdf, X.lower, min(t, X.upper)).value / Ft
 
 
 def dynamic_decomposition(X: Distribution, alpha, t: float,
@@ -330,7 +361,7 @@ def _dynamic_boundary(X: Distribution, alpha, t: float, mode: LogMode) -> float:
     return -mean_inactivity_time(X, t) * log_kernel(alpha, Ft, mode)
 
 
-def _tail_integral(X: Distribution, t: float, g: Callable[[float], float], what: str,
+def _tail_integral(X: Distribution, t: float, g: _Kernel, what: str,
                    factor: Optional[float] = None) -> float:
     """int_t^upper g(F(x)) dx, g zero at F = 1; DivergedError on a divergent tail."""
     lo = max(t, X.lower)
@@ -352,7 +383,7 @@ def tau_alpha(X: Distribution, alpha, t: float, mode: LogMode = LogMode.APPROX) 
     when the tail is not integrable.
     """
     k = as_order(alpha)._kernels[mode]
-    return _tail_integral(X, t, lambda p: 0.0 if p <= 0.0 or p >= 1.0 else k(p), "tau")
+    return _tail_integral(X, t, lambda p, q: 0.0 if p <= 0.0 or q <= 0.0 else k(p, q), "tau")
 
 
 def W_alpha(X: Distribution, alpha, t: float) -> float:
@@ -362,7 +393,7 @@ def W_alpha(X: Distribution, alpha, t: float) -> float:
     modified past measure. Raises DivergedError on non-integrable tails.
     """
     a = as_order(alpha).alpha
-    return _tail_integral(X, t, lambda p: 0.0 if p <= 0.0 or p >= 1.0 else -math.log(p),
+    return _tail_integral(X, t, lambda p, q: 0.0 if p <= 0.0 or q <= 0.0 else -math.log(p),
                           "W", factor=math.gamma(1.0 + a))
 
 
@@ -373,7 +404,7 @@ def gini(X: Distribution) -> float:
     mu = X.mean()
     if not math.isfinite(mu) or mu <= 0.0:
         raise DomainError("Gini index requires a finite positive mean")
-    res = _integral(lambda p: p ** 2, X.survival, X.lower, X.upper)
+    res = _integral(lambda p, q: p ** 2, X.survival, X.lower, X.upper)
     if res.diverged:
         raise DivergedError(f"Gini index integral diverges (tail exponent {res.tail_exponent:.3f})")
     return 1.0 - (X.lower + res.value) / mu

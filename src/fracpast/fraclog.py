@@ -163,25 +163,29 @@ class FracOrder:
 
     @_per_order
     def _kernels(self) -> dict:
-        """The kernel p -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1, per LogMode.
+        """The kernel (p, q) -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1 and
+        q = 1 - p, per LogMode.
 
-        ``log_kernel`` is its argument checks plus this closure, and every
-        integrand calls the closure directly. Where the power overflows the
-        closure returns inf, which the quadrature reads as a divergent or
-        non-finite integrand.
+        APPROX mode forms -log p as -log1p(-q) above p = 1/2, so a caller that
+        knows q exactly (the upper half of a probability-space integral, where
+        p rounds to 1) keeps the kernel's relative accuracy there; EXACT mode
+        reads p alone. ``log_kernel`` is its argument checks plus this
+        closure, and every integrand calls the closure directly. Where the
+        power overflows the closure returns inf, which the quadrature reads as
+        a divergent or non-finite integrand.
         """
         a, gamma_plus = self.alpha, self._gamma_plus
-        exp, log = math.exp, math.log
+        exp, log, log1p = math.exp, math.log, math.log1p
 
         # The power is written out in both closures: a shared helper would
         # cost a call at every integrand point.
-        def approx(p: float) -> float:
+        def approx(p: float, q: float) -> float:
             try:
-                return exp(log(gamma_plus * -log(p)) / a)
+                return exp(log(gamma_plus * (-log(p) if p < 0.5 else -log1p(-q))) / a)
             except OverflowError:
                 return math.inf
 
-        def exact(p: float) -> float:
+        def exact(p: float, q: float) -> float:
             neg_ln = -frac_log(self, p, LogMode.EXACT)
             if neg_ln <= 0.0:
                 return 0.0
@@ -377,7 +381,7 @@ def log_kernel(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
         raise DomainError(f"log_kernel requires 0 < p <= 1, got {p}")
     if p == 1.0:
         return 0.0
-    return order._kernels[mode](p)
+    return order._kernels[mode](p, 1.0 - p)
 
 
 def discrete_frac_entropy(probs, alpha, mode: LogMode = LogMode.APPROX) -> float:

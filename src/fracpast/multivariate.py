@@ -311,13 +311,13 @@ def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
         Fx = J.marginal_x.cdf(x)
         if Fx <= 0.0:
             return _zero_row
-        kx = k(Fx) if Fx < 1.0 else 0.0
+        kx = k(Fx, 1.0 - Fx) if Fx < 1.0 else 0.0
 
         def integrand(y: float) -> float:
             Fyx = conditional(y, x)
             if Fyx <= 0.0:
                 return 0.0
-            ky = k(Fyx) if Fyx < 1.0 else 0.0
+            ky = k(Fyx, 1.0 - Fyx) if Fyx < 1.0 else 0.0
             return Fx * Fyx * (kx + ky)
 
         return integrand
@@ -333,8 +333,15 @@ def modified_bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
     """
     a = as_order(alpha)
     joint = J.joint_cdf
-    res = _rectangle_integral(J, lambda x: lambda y: _first_power(joint(x, y)),
-                              "modified bivariate past measure")
+
+    def row(x: float) -> Callable[[float], float]:
+        def integrand(y: float) -> float:
+            F = joint(x, y)
+            return _first_power(F, 1.0 - F)
+
+        return integrand
+
+    res = _rectangle_integral(J, row, "modified bivariate past measure")
     return _result(_scaled(res, math.gamma(1.0 + a.alpha)),
                    MeasureTag.MODIFIED_BIVARIATE_EFCPE, a.alpha)
 
@@ -420,7 +427,7 @@ def fcpmi(J: BivariateLaw, alpha) -> float:
                 return -F * math.log(ratio)
             if ratio >= 1.0:
                 return 0.0
-            return F * k(ratio)
+            return F * k(ratio, 1.0 - ratio)
 
         return integrand
 
@@ -459,7 +466,7 @@ def decomposition_theorem_check(J: BivariateLaw, alpha) -> Tuple[float, float]:
         Fx = J.marginal_x.cdf(x)
         if Fx <= 0.0 or Fx >= 1.0:
             return _zero_row
-        kx = k(Fx)
+        kx = k(Fx, 1.0 - Fx)
         return lambda y: conditional(y, x) * Fx * kx
 
     def t2(x: float) -> Callable[[float], float]:
@@ -467,7 +474,7 @@ def decomposition_theorem_check(J: BivariateLaw, alpha) -> Tuple[float, float]:
             C = conditional(y, x)
             if C <= 0.0 or C >= 1.0:
                 return 0.0
-            return C * k(C)
+            return C * k(C, 1.0 - C)
 
         return integrand
 
@@ -478,7 +485,7 @@ def decomposition_theorem_check(J: BivariateLaw, alpha) -> Tuple[float, float]:
             C = conditional(y, x)
             if C <= 0.0 or C >= 1.0:
                 return 0.0
-            return survival * C * k(C)
+            return survival * C * k(C, 1.0 - C)
 
         return integrand
 

@@ -1,7 +1,22 @@
 """Adaptive Gauss-Kronrod quadrature with divergence screening.
 
 A 7/15-point Gauss-Kronrod rule drives a worst-panel-first refinement loop.
-Semi-infinite integrals are screened for power-law divergence by probing the
+
+The univariate measures integrate in probability space. Every one of them is
+``int g(F(x)) dx`` or ``int g(S(x)) dx``; with ``x = Q(u)`` it becomes
+``int_0^1 g(u) qd(u) du``, where ``qd = 1/f(Q)`` is the law's quantile
+density (Parzen, JASA 1979). ``integrate_quantile`` takes ``g`` and ``qd``
+as functions of the pair ``(p, q)``, ``q = 1 - p`` passed exactly, and splits
+(0, 1) at 1/2, the upper half run in ``s = 1 - u``. Each half's endpoint
+exponent is fitted on the probes ``u = 2^-k``; an exponent at or below -0.98
+is a divergence, and otherwise the substitution ``u = w^m / 2`` flattens the
+endpoint before the refinement loop runs. A law's scale is a constant factor
+of ``qd``, and the verdict and the tolerance are decided in ``u``, which has
+no units, so the scale law holds by construction.
+
+``integrate`` keeps the x-axis path for integrands with no quantile density
+(EXACT-mode measures, truncated and tail integrals, numeric convolutions):
+a semi-infinite range is screened for power-law divergence by probing the
 integrand along a geometric ladder, then mapped onto a bounded interval with
 ``x = a + t / (1 - t)`` and finished with an analytic power-law tail
 completion beyond the last probe; the verdict travels in the QuadResult.
@@ -12,7 +27,9 @@ singularities; the tolerances then apply to the dimensionless integral, so
 the value scales exactly with the area of the rectangle.
 
 The engine reports diagnostics (error estimate, subdivision count, divergence
-flag) rather than silently degrading; callers that need a hard failure get
+flag) rather than silently degrading. Every QuadResult built here either
+meets ``error_estimate <= max(abs_tol, rel_tol * |value|)`` or carries
+``low_confidence``. Callers that need a hard failure get
 MaxSubdivisionsError with the partial result attached. That error also comes
 early, before the budget is spent, once panels at the width limit hold more
 error than the tolerance allows and the budget cannot clamp the rest: the
@@ -23,7 +40,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .errors import MaxSubdivisionsError, NonConvergentError, UnsupportedError
@@ -33,6 +50,7 @@ __all__ = [
     "QuadResult",
     "integrate",
     "integrate_2d",
+    "integrate_quantile",
 ]
 
 # 15-point Kronrod abscissae on [-1, 1] (nonnegative half) and weights,
@@ -69,6 +87,21 @@ _DIVERGENCE_EXPONENT = -1.05
 _PROBE_BASE = 4.0
 _PROBE_POINTS = 8
 
+# The probability-space core: endpoint probes at u = 2^-k, k = 20, 40, ...,
+# 320; the endpoint exponent at or below which a half diverges; the panels
+# each half starts from; and the relative tolerance of each half.
+_U_PROBES = tuple(2.0 ** -k for k in range(320, 0, -20))
+_U_DIVERGED = -0.98
+_U_PANELS = 4
+_U_REL_TOL = 1e-10
+# Where the integrand or the quantile density, extrapolated from the deepest
+# probe, would pass _U_BIG, and in any case below _U_FLOOR, the core stops
+# evaluating and completes the half from the endpoint fit: near an end
+# h ~ s^gamma with gamma near -1, or a steep qd, leaves the float range
+# while the integral stays finite.
+_U_FLOOR = 2.0 ** -900
+_U_BIG = 1e300
+
 
 @dataclass(frozen=True)
 class QuadConfig:
@@ -100,6 +133,14 @@ _MEASURE_CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-9)
 # None), and the weights of its node order: the center, then each pair.
 _PAIRS = tuple((_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None) for j in range(7))
 _WGK_NODES = (_WGK[7],) + tuple(w for w in _WGK[:7] for _ in (0, 1))
+
+
+def _checked(value: float, err: float, splits: int, cfg: QuadConfig,
+             low_confidence: bool = False, tail_exponent: float = math.nan) -> QuadResult:
+    """A finite result, flagged low-confidence unless its error estimate
+    meets ``max(abs_tol, rel_tol * |value|)``."""
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    return QuadResult(value, err, False, splits, low_confidence or not err <= tol, tail_exponent)
 
 
 def _nonfinite(y: float, x: float) -> NonConvergentError:
@@ -139,9 +180,9 @@ def _gk15(f, lo: float, hi: float):
     return value, err
 
 
-def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8):
-    """Refine the worst panel, from n_init equal ones, until the summed error
-    meets tolerance.
+def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8, kinks=()):
+    """Refine the worst panel, from n_init equal ones, each also split at the
+    kinks inside it, until the summed error meets tolerance.
 
     A panel narrower than _WIDTH_CLAMP is accepted as it is, and its error
     stays in the sum for good. Once that clamped error alone exceeds the
@@ -150,13 +191,12 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8):
     exhausting the budget; it raises MaxSubdivisionsError at once instead.
     """
     step = (hi - lo) / n_init
+    edges = sorted([lo + i * step for i in range(n_init)] + [k for k in kinks if lo < k < hi])
     heap = []
     counter = 0
     total = 0.0
     total_err = 0.0
-    for i in range(n_init):
-        a = lo + i * step
-        b = hi if i == n_init - 1 else lo + (i + 1) * step
+    for a, b in zip(edges, edges[1:] + [hi]):
         val, err = _gk15(f, a, b)
         heapq.heappush(heap, (-err, counter, a, b, val, err))
         counter += 1
@@ -170,7 +210,7 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8):
             raise MaxSubdivisionsError(
                 f"subdivision budget {cfg.max_subdivisions} exhausted; "
                 f"error estimate {total_err:.3e}",
-                QuadResult(total, total_err, False, splits),
+                QuadResult(total, total_err, False, splits, low_confidence=True),
             )
         _, _, a, b, val, err = heapq.heappop(heap)
         if b - a < _WIDTH_CLAMP:
@@ -189,7 +229,7 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8):
                     f"tolerance unreachable: error {clamped_err:.3e} of panels at the "
                     f"width limit exceeds {reachable:.3e}; {splits} of "
                     f"{cfg.max_subdivisions} subdivisions used",
-                    QuadResult(total, total_err, False, splits),
+                    QuadResult(total, total_err, False, splits, low_confidence=True),
                 )
             continue
         mid = 0.5 * (a + b)
@@ -230,7 +270,7 @@ def integrate(
     if a > b:
         a, b, sign = b, a, -1.0
     total, err, splits = _adaptive(f, a, b, cfg)
-    return QuadResult(sign * total, err, False, splits)
+    return _checked(sign * total, err, splits, cfg)
 
 
 def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
@@ -280,14 +320,7 @@ def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
         p_local = math.log(fs[-1] / fs[-2]) / math.log(xs[-1] / xs[-2])
         if p_local < -1.0:
             remainder = fs[-1] * xs[-1] / (-1.0 - p_local)
-    return QuadResult(
-        total + remainder,
-        err + 0.05 * abs(remainder),
-        False,
-        splits,
-        low_confidence=slow,
-        tail_exponent=slope,
-    )
+    return _checked(total + remainder, err + 0.05 * abs(remainder), splits, cfg, slow, slope)
 
 
 _2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
@@ -329,5 +362,153 @@ def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, 
         return value * (6.0 * s * (1.0 - s))
 
     value, err, splits = _adaptive(outer, 0.0, 1.0, _2D_CFG, _2D_PANELS)
+    # The outer and the worst inner error together must meet the tolerance
+    # of the dimensionless integral.
+    flag = _checked(value, err + inner_err, 0, _2D_CFG).low_confidence
     area = wx * wy
-    return QuadResult(value * area, (err + inner_err) * abs(area), False, max(splits, inner_subs))
+    return QuadResult(value * area, (err + inner_err) * abs(area), False,
+                      max(splits, inner_subs), flag)
+
+
+def _half(g, qd, survival: bool, upper: bool, m: int, floor: float) -> Callable[[float], float]:
+    """One half of (0, 1) as a function of w on (0, 1]: the probability-space
+    integrand h at distance s = w^m / 2 from the half's end, times ds/dw, and
+    0 below ``floor``. The lower half passes p = s, the upper half q = s,
+    the other 1 - s."""
+    c, k = 0.5 * m, m - 1
+    flip = survival != upper  # g reads (1 - s, s)
+
+    def f(w: float) -> float:
+        wk = w ** k
+        s = 0.5 * w * wk
+        if s < floor:
+            return 0.0
+        r = 1.0 - s
+        v = g(r, s) if flip else g(s, r)
+        if v == 0.0:
+            return 0.0
+        try:
+            return v * (qd(r, s) if upper else qd(s, r)) * c * wk
+        except OverflowError:  # qd passed the float range
+            return math.inf
+
+    return f
+
+
+class _EndFit:
+    """The power laws h ~ s^gamma and qd ~ s^beta at one end of (0, 1), fitted
+    between the two deepest probes s1 < s2 of s = 2^-k where h is finite and
+    nonzero. Without two such probes gamma is inf if h vanished at every
+    probe, else NaN, and nothing else is set."""
+
+    def __init__(self, g, qd, survival: bool, upper: bool):
+        self.gamma = self.beta = math.nan
+        half = _half(g, qd, survival, upper, 1, 0.0)  # half(2s) = h(s) / 2
+        found = []
+        nonfinite = False
+        for s in _U_PROBES:
+            h = abs(2.0 * half(2.0 * s))
+            if h == 0.0:
+                continue
+            if not math.isfinite(h):
+                nonfinite = True
+                continue
+            found.append((s, h, qd(1.0 - s, s) if upper else qd(s, 1.0 - s)))
+            if len(found) == 2:
+                break
+        else:
+            self.gamma = math.nan if nonfinite else math.inf
+            return
+        (self.s1, self.h1, self.q1), (s2, h2, q2) = found
+        span = math.log(self.s1 / s2)
+        self.gamma = math.log(self.h1 / h2) / span
+        self.beta = math.log(self.q1 / q2) / span
+
+    def x_exponent(self) -> float:
+        """The exponent in x units, (gamma + 1) / (beta + 1) - 1. Where beta
+        is within 0.01 of -1 the end is exponential in x (x ~ -log s), and
+        the integrand falls faster than any power: -inf."""
+        gamma, beta = self.gamma, self.beta
+        if not math.isfinite(gamma):
+            return math.nan
+        return (gamma - beta) / (beta + 1.0) if abs(beta + 1.0) >= 0.01 else -math.inf
+
+    def floor(self) -> float:
+        """The depth where h or qd, extrapolated from s1, would pass _U_BIG,
+        or _U_FLOOR if that is deeper; at most s1, where both were finite."""
+        if not math.isfinite(self.gamma):
+            return _U_FLOOR
+        floor = _U_FLOOR
+        for exponent, value in ((self.gamma, self.h1), (self.beta, self.q1)):
+            if exponent < 0.0:
+                try:
+                    floor = max(floor, self.s1 * (_U_BIG / value) ** (1.0 / exponent))
+                except OverflowError:
+                    floor = self.s1
+        return min(floor, self.s1)
+
+    def rest(self, floor: float) -> float:
+        """int_0^floor h ds under the fitted power law."""
+        if not math.isfinite(self.gamma):
+            return 0.0
+        e = self.gamma + 1.0
+        return self.h1 * self.s1 * (floor / self.s1) ** e / e
+
+
+def integrate_quantile(
+    g: Callable[[float, float], float],
+    qd: Callable[[float, float], float],
+    survival: bool = False,
+    cfg: Optional[QuadConfig] = None,
+    kinks: tuple = (),
+) -> QuadResult:
+    """Integrate g(p, q) * qd(p, q) over 0 < p < 1, where q = 1 - p.
+
+    With g a nonnegative kernel and qd a law's quantile density this is
+    int g(F(x)) dx over the support; ``survival=True`` passes g the pair
+    (q, p), which gives int g(S(x)) dx. Both arguments of each pair are
+    exact: the lower half of (0, 1) passes p = u, the upper half q = 1 - u.
+
+    On each half the endpoint exponent gamma (``h ~ s^gamma`` at distance
+    s from the end) is the slope of log|h| between the two deepest finite
+    probes at s = 2^-20, 2^-40, ..., 2^-320. gamma <= -0.98 is a diverged
+    result, value inf; otherwise ``s = w^m / 2`` with
+    ``m = clamp(ceil(3 / (gamma + 1)), 2, 60)`` makes the endpoint smooth
+    and the refinement loop runs from 4 panels per half, to a relative
+    tolerance of 1e-10 or the caller's rel_tol if tighter, with no absolute
+    tolerance, each half under the caller's subdivision budget.
+
+    A panel holding one of the levels ``kinks``, where qd's slope jumps, is
+    split there: a kink between a panel's outermost node and its end is
+    invisible to the error estimate. Below the depth where h or qd would
+    leave the float range (``_EndFit.floor``, 2^-900 at most) the fitted
+    power law stands in for h; its integral is added to the value and to
+    the error estimate. ``tail_exponent`` is the diverged end's exponent,
+    or else the upper end's, in x units.
+    """
+    cfg = cfg or _MEASURE_CFG
+    ucfg = QuadConfig(0.0, min(cfg.rel_tol, _U_REL_TOL), cfg.max_subdivisions)
+    fits = {upper: _EndFit(g, qd, survival, upper) for upper in (True, False)}
+    for fit in fits.values():
+        if not fit.gamma > _U_DIVERGED:
+            return QuadResult(math.inf, math.inf, True, 0, tail_exponent=fit.x_exponent())
+    total = err = 0.0
+    splits = 0
+    for upper, fit in fits.items():
+        m = min(60, max(2, math.ceil(3.0 / (fit.gamma + 1.0))))
+        floor = fit.floor()
+        ends = [1.0 - p if upper else p for p in kinks if (p > 0.5 if upper else p < 0.5)]
+        try:
+            value, e, n = _adaptive(_half(g, qd, survival, upper, m, floor), 0.0, 1.0, ucfg,
+                                    _U_PANELS, [(2.0 * s) ** (1.0 / m) for s in ends])
+        except MaxSubdivisionsError as exc:  # the partial result covers both halves
+            part = exc.partial
+            exc.partial = replace(part, value=total + part.value,
+                                  error_estimate=err + part.error_estimate,
+                                  subdivisions_used=splits + part.subdivisions_used)
+            raise
+        rest = fit.rest(floor)
+        total += value + rest
+        err += e + rest
+        splits += n
+    return _checked(total, err, splits, ucfg, tail_exponent=fits[True].x_exponent())

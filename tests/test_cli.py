@@ -57,7 +57,8 @@ class TestMeasure:
         (row,) = payload["rows"]
         assert row["diverged"] is True
         assert row["value"] is None
-        assert row["tail_exponent"] < -0.7
+        # x units: the integrand falls as x^(-k/a) = x^(-0.5/0.6).
+        assert row["tail_exponent"] == pytest.approx(-0.5 / 0.6, abs=0.01)
 
     def test_gini_divergence_flag_exits_numeric(self, capsys):
         code, out, err = run_cli(

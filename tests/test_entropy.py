@@ -9,6 +9,7 @@ from fracpast.distributions import (
     Degenerate,
     Exponential,
     Frechet,
+    LogUniform,
     ParetoType,
     TriangularSum,
     Uniform,
@@ -34,6 +35,7 @@ from fracpast.entropy import (
 )
 from fracpast.errors import DivergedError, DomainError, MaxSubdivisionsError, NonConvergentError
 from fracpast.fraclog import LogMode, log_kernel
+from fracpast import quadrature
 from fracpast.quadrature import QuadConfig, integrate
 
 # Reference expectation table for the standard uniform, computed with an
@@ -113,7 +115,8 @@ class TestPastMeasure:
         res = efcpe(ParetoType(0.5), 0.5)
         assert res.diverged
         assert math.isnan(res.value)
-        assert res.diagnostics.tail_exponent == pytest.approx(-0.938, abs=0.05)
+        # The integrand F [Gamma(1+a) (-log F)]^(1/a) ~ x^(-k/a) in the tail.
+        assert res.diagnostics.tail_exponent == pytest.approx(-1.0, abs=0.05)
 
     def test_heavy_tail_converges_at_smaller_order(self):
         res = efcpe(ParetoType(0.5), 0.4)
@@ -490,19 +493,22 @@ class TestResultRecord:
         rec = efcpe(ParetoType(0.5), 0.5).record()
         assert rec["value"] is None
         assert rec["diverged"] is True
-        assert rec["tail_exponent"] == pytest.approx(-0.938, abs=0.05)
+        assert rec["tail_exponent"] == pytest.approx(-1.0, abs=0.05)
         assert "family" not in rec
 
 
 # Every univariate measure shares one integrand path; each case is
-# (measure, tag, fitted tail exponent on ParetoType(0.5)).
+# (measure, tag, tail exponent on ParetoType(0.5) in x units). With S ~ x^-k
+# in the tail, F (-log F)^c ~ x^(-k c) on the past side and S (-log S)^c ~
+# x^-k times a power of log x on the residual side, so the exponents are
+# -k/a, -k, -k, -k q, -k and -k.
 SHARED_CONTRACT_CASES = {
-    "efcpe": (lambda X: efcpe(X, 0.6), "efcpe", -0.764),
-    "efcre": (lambda X: efcre(X, 0.6), "efcre", -0.049),
-    "modified_efcpe": (lambda X: modified_efcpe(X, 0.6), "modified_efcpe", -0.417),
-    "classic_past": (lambda X: classic_fractional(X, 0.5, past=True), "classic_fractional", -0.156),
-    "classic_residual": (lambda X: classic_fractional(X, 0.5), "classic_fractional", -0.346),
-    "paired_phi_entropy": (lambda X: paired_phi_entropy(X, 0.6), "paired_phi", -0.049),
+    "efcpe": (lambda X: efcpe(X, 0.6), "efcpe", -0.5 / 0.6),
+    "efcre": (lambda X: efcre(X, 0.6), "efcre", -0.5),
+    "modified_efcpe": (lambda X: modified_efcpe(X, 0.6), "modified_efcpe", -0.5),
+    "classic_past": (lambda X: classic_fractional(X, 0.5, past=True), "classic_fractional", -0.25),
+    "classic_residual": (lambda X: classic_fractional(X, 0.5), "classic_fractional", -0.5),
+    "paired_phi_entropy": (lambda X: paired_phi_entropy(X, 0.6), "paired_phi", -0.5),
 }
 
 
@@ -521,3 +527,104 @@ class TestSharedResultContract:
         assert res.measure_tag.value == tag
         assert math.isfinite(res.diagnostics.tail_exponent)
         assert res.diagnostics.tail_exponent == pytest.approx(exponent, abs=0.01)
+
+
+# Each family as a function of its scale c; at c = 1 it is the unit law.
+SCALED_LAWS = {
+    "uniform": lambda c: Uniform(c),
+    "exponential": lambda c: Exponential(1.0 / c),
+    "weibull": lambda c: Weibull(c, 1.7),
+    "frechet": lambda c: Frechet(2.5, c ** 2.5),
+    "pareto": lambda c: affine(ParetoType(2.5), c),
+    "loguniform": lambda c: LogUniform(2.0 * c, 30.0 * c),
+    "beta": lambda c: affine(Beta(2.0, 3.0), c),
+    "uniformsum": lambda c: UniformSum(c, 3.0 * c),
+    "triangularsum": lambda c: affine(TriangularSum(), c),
+    "affine": lambda c: affine(Weibull(1.0, 0.8), 2.0 * c, 5.0 * c),
+    "prhr": lambda c: prhr(Exponential(1.0 / c), 0.4),
+}
+
+
+class TestScaleLaw:
+    # A law's scale is a constant factor of its quantile density, so the
+    # probability-space measures obey E*(cX) = c E*(X) to rounding.
+    @pytest.mark.parametrize("measure", [efcpe, efcre])
+    @pytest.mark.parametrize("name", sorted(SCALED_LAWS))
+    def test_scale_law_from_1e_minus_8_to_1e8(self, name, measure):
+        make = SCALED_LAWS[name]
+        for alpha in (0.3, 0.8):
+            unit = measure(make(1.0), alpha).value
+            for c in (1e-8, 1e-4, 1e4, 1e8):
+                assert measure(make(c), alpha).value == pytest.approx(c * unit, rel=1e-12)
+
+    @pytest.mark.parametrize("shift", [1e6, 1e9, 1e15, 1e17])
+    def test_shift_drops_out(self, shift):
+        # Gamma(3/2)^2 Gamma(3) (zeta(3) - 1) = 0.3173902412866...
+        res = efcpe(affine(Exponential(1.0), 1.0, shift), 0.5)
+        assert res.value == pytest.approx(0.3173902412866, rel=1e-12)
+
+
+class TestProbabilitySpaceReferences:
+    @pytest.mark.parametrize("k,alpha", [(2.5, 0.3), (1.5, 0.7), (4.0, 1.0)])
+    def test_pareto_residual_closed_form(self, k, alpha):
+        # (k Gamma(1+a))^(1/a) Gamma(1/a + 1) / (k - 1)^(1/a + 1); at k = 2.5,
+        # a = 0.3 mpmath gives 23.62877781659866.
+        want = ((k * math.gamma(1.0 + alpha)) ** (1.0 / alpha) * math.gamma(1.0 / alpha + 1.0)
+                / (k - 1.0) ** (1.0 / alpha + 1.0))
+        assert efcre(ParetoType(k), alpha).value == pytest.approx(want, rel=1e-12)
+        if (k, alpha) == (2.5, 0.3):
+            assert want == pytest.approx(23.62877781659866, rel=1e-14)
+
+    def test_uniform_sum_kink_split(self):
+        # The quantile density of UniformSum(1, 8.046) has a slope jump at
+        # p = a / (2b), which the lower half's substitution puts just inside
+        # a panel end, past the outermost node; the panel is split there.
+        # mpmath, in probability space with a breakpoint at the kink:
+        # 2.1769210989429229.
+        res = efcpe(UniformSum(1.0, 8.046), 0.3547)
+        assert res.value == pytest.approx(2.1769210989429229, rel=1e-12)
+
+    def test_tail_exponent_in_x_units(self):
+        # Past the mass, F [Gamma(1+a) (-log F)]^(1/a) ~ x^(-k/a).
+        res = efcpe(ParetoType(0.5), 0.6)
+        assert res.diverged
+        assert res.diagnostics.tail_exponent == pytest.approx(-0.5 / 0.6, abs=1e-3)
+
+
+# Finite measures that spent the whole 2000-split budget on the x axis,
+# more than 60,000 integrand points each, and raised MaxSubdivisionsError.
+# The references are 40-digit mpmath integrals: the Beta one over x with
+# scipy-independent incomplete beta functions, the Frechet ones over
+# t = scale x^-shape, with the past half of the paired measure from
+# efcpe_closed_form's formula.
+FORMER_BUDGET_BURNERS = {
+    "classic_beta": (lambda: classic_fractional(Beta(3.245, 4.173), 0.064, past=True),
+                     0.45035561270907849),
+    "paired_frechet": (lambda: paired_phi_entropy(Frechet(2.964, 1.9e-24), 0.109),
+                       0.072632119477581526),
+    "efcre_frechet": (lambda: efcre(Frechet(2.078, 3.9e-17), 0.100), 18.378735644984318),
+}
+
+
+class TestCostGuard:
+    @pytest.mark.parametrize("name", sorted(FORMER_BUDGET_BURNERS))
+    def test_former_budget_burner(self, name, monkeypatch):
+        run, want = FORMER_BUDGET_BURNERS[name]
+        points = 0
+        half = quadrature._half
+
+        def counted_half(*args):
+            f = half(*args)
+
+            def counted(w):
+                nonlocal points
+                points += 1
+                return f(w)
+
+            return counted
+
+        monkeypatch.setattr(quadrature, "_half", counted_half)
+        res = run()
+        assert not res.diverged
+        assert abs(res.value - want) <= res.error_estimate
+        assert 0 < points <= 2000

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from fracpast.errors import MaxSubdivisionsError, NonConvergentError, UnsupportedError
 from fracpast.quadrature import (
+    _MEASURE_CFG,
     QuadConfig,
     QuadResult,
     integrate,
     integrate_2d,
+    integrate_quantile,
 )
 
 
@@ -167,3 +169,104 @@ class TestTwoDimensional:
         res = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert res.error_estimate >= 0.0
         assert not res.diverged
+
+
+def _meets_tolerance(res: QuadResult, cfg: QuadConfig) -> bool:
+    return res.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+class TestErrorInvariant:
+    # Every result either meets max(abs_tol, rel_tol |value|) or carries
+    # low_confidence; the flag never moves a value.
+    def test_tail_completion_error_flagged(self):
+        # The completion beyond x = 4^7 adds 5% of the remainder, 3e-6,
+        # to the error after the tolerance check.
+        res = integrate(lambda x: (1.0 + x) ** -2.0, 0.0, math.inf)
+        assert not _meets_tolerance(res, QuadConfig())
+        assert res.low_confidence
+        assert res.value == pytest.approx(1.0, rel=1e-3)
+
+    def test_clamped_panels_flagged(self):
+        lo, step = 1.0, 1.0 + 3.3e-11
+        cfg = QuadConfig(abs_tol=1e-30, rel_tol=0.0)
+        res = integrate(lambda x: 1.0 if x > step else 0.0, lo, lo + 1e-10, cfg)
+        assert res.low_confidence
+
+    def test_two_dimensional_sum_checked(self):
+        # Each axis meets 1e-7 on its own; the outer error plus the worst
+        # inner one does not, for this kink at y = x.
+        res = integrate_2d(lambda x: lambda y: min(x, y) ** 0.5, 0.0, 1.0, 0.0, 1.0)
+        assert res.error_estimate > max(1e-8, 1e-7 * abs(res.value))
+        assert res.low_confidence
+        assert res.value == pytest.approx(8.0 / 15.0, rel=1e-7)
+        smooth = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
+        assert not smooth.low_confidence
+
+    def test_budget_partial_is_low_confidence(self):
+        cfg = QuadConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
+        with pytest.raises(MaxSubdivisionsError) as excinfo:
+            integrate(lambda x: math.sin(40.0 * x) ** 2, 0.0, 10.0, cfg)
+        assert excinfo.value.partial.low_confidence
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: x * x, 0.0, 1.0),
+        (lambda x: math.sqrt(x), 0.0, 1.0),
+        (lambda x: math.exp(-x), 0.0, math.inf),
+        (lambda x: (1.0 + x) ** -3.0, 0.0, math.inf),
+        (lambda x: math.log(x) ** 2, 0.0, 1.0),
+    ])
+    def test_unflagged_results_meet_tolerance(self, f, a, b):
+        res = integrate(f, a, b)
+        assert res.low_confidence or _meets_tolerance(res, QuadConfig())
+
+
+class TestProbabilitySpace:
+    def test_uniform_kernel(self):
+        # int_0^1 p (1 - p) dp with a constant quantile density 3.
+        res = integrate_quantile(lambda p, q: p * q, lambda p, q: 3.0)
+        assert res.value == pytest.approx(0.5, rel=1e-13)
+        assert not res.diverged
+        assert not res.low_confidence
+
+    def test_survival_side_swaps_the_pair(self):
+        # g(p, q) = p with Exponential(1)'s quantile density 1/q: the
+        # survival side is int S dx = 1, the mean; the past side int F dx
+        # diverges.
+        qd = lambda p, q: 1.0 / q
+        res = integrate_quantile(lambda p, q: p, qd, survival=True)
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+        assert integrate_quantile(lambda p, q: p, qd).diverged
+
+    def test_endpoint_singularity_substituted(self):
+        # int_0^1 p^-0.9 dp = 10: exponent -0.9 at the lower end.
+        res = integrate_quantile(lambda p, q: p ** -0.9, lambda p, q: 1.0)
+        assert res.value == pytest.approx(10.0, rel=1e-10)
+        assert _meets_tolerance(res, QuadConfig(0.0, 1e-10))
+
+    def test_divergent_end_reported_in_x_units(self):
+        # Pareto(1) quantile density q^-2; g(p, q) = q^0.5 gives an upper
+        # end exponent -1.5 in u, and (-1.5 + 1) / (-2 + 1) - 1 = -0.5 in x.
+        res = integrate_quantile(lambda p, q: q ** 0.5, lambda p, q: q ** -2.0)
+        assert res.diverged
+        assert res.value == math.inf
+        assert res.tail_exponent == pytest.approx(-0.5, abs=1e-9)
+
+    def test_budget_partial_covers_both_halves(self):
+        # The upper half (g = 1) settles; the lower half's sin(1/p)^2 does
+        # not, and the partial result adds the two.
+        g = lambda p, q: math.sin(1.0 / p) ** 2 if p < 0.5 else 1.0
+        with pytest.raises(MaxSubdivisionsError) as excinfo:
+            integrate_quantile(g, lambda p, q: 1.0, cfg=QuadConfig(max_subdivisions=5))
+        partial = excinfo.value.partial
+        assert partial.value > 0.5
+        assert partial.low_confidence
+
+    def test_tolerance_tightens_with_the_caller(self):
+        loose = integrate_quantile(lambda p, q: p ** -0.5, lambda p, q: 1.0,
+                                   cfg=QuadConfig(rel_tol=1e-3))
+        tight = integrate_quantile(lambda p, q: p ** -0.5, lambda p, q: 1.0,
+                                   cfg=QuadConfig(rel_tol=1e-13))
+        assert loose.value == pytest.approx(2.0, rel=1e-10)
+        assert tight.value == pytest.approx(2.0, rel=1e-13)
+        assert _meets_tolerance(tight, QuadConfig(0.0, 1e-13))
+        assert _meets_tolerance(loose, _MEASURE_CFG)
