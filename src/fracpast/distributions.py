@@ -25,7 +25,7 @@ import re
 from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from .errors import DomainError, UnsupportedError
-from .quadrature import _MEASURE_CFG, integrate
+from .quadrature import _MEASURE_CFG, integrate, integrate_quantile
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,7 +67,7 @@ class Distribution:
 
     family: str = "abstract"
     # The quantile density closure (p, q) -> 1/f(Q(p)); None where the law
-    # has no closed form, which keeps its measures on the x-axis path. The
+    # has no closed form, which puts its measures on the x axis. The
     # levels p in (0, 1) where its slope jumps are qd_kinks.
     qd = None
     qd_kinks = ()
@@ -120,7 +120,10 @@ class Distribution:
 
     def mean(self) -> float:
         """E[X] = lower + integral of the survival function over the support."""
-        res = integrate(self.survival, self.lower, self.upper, _MEASURE_CFG)
+        if self.qd is None:
+            res = integrate(self.survival, self.lower, self.upper, _MEASURE_CFG)
+        else:
+            res = integrate_quantile(lambda p, q: p, self.qd, True, _MEASURE_CFG, self.qd_kinks)
         if res.diverged:
             return math.inf
         return self.lower + res.value

@@ -11,20 +11,13 @@ the Gini-index lower bound. All default to the APPROX fractional logarithm;
 the past and residual measures also accept EXACT mode as a cross-check.
 
 Every measure here is int g(p(x)) dx, with p the CDF or the survival function
-and g a kernel on [0, 1] that takes the pair (p, 1 - p). Divergence on
-unbounded supports is detected and reported through the result diagnostics
-rather than reproduced as a large truncation artifact.
-
-In APPROX mode ``efcpe``, ``efcre``, ``modified_efcpe`` and
-``classic_fractional`` (and through them ``paired_phi_entropy``) integrate in
-probability space, int_0^1 g(u) qd(u) du with the law's quantile density
-(``quadrature.integrate_quantile``): the scale law holds by construction,
-and the endpoint verdicts are decided in u, which has no units. EXACT mode,
-``dynamic_efcpe``, ``tau_alpha``, ``W_alpha``, ``gini``,
-``mean_inactivity_time`` and laws with no quantile density (numeric
-convolutions, tabulated marginals) keep the x-axis path: their integrands
-need a truncation point, an EXACT kernel accurate at p near 1, or a density
-in closed form, none of which the probability-space core has yet.
+and g a kernel on [0, 1] that takes the pair (p, 1 - p). In either mode it
+runs through one helper, ``_cumulative``, as int g(u) qd(u) du over a range
+of levels with the law's quantile density (``quadrature.integrate_quantile``):
+the whole of (0, 1), or the levels below or above F(t) for the truncated
+measures. A divergence is reported through the result diagnostics, not
+reproduced as a large truncation artifact. Laws with no quantile density
+(numeric convolutions, tabulated marginals) are integrated on the x axis.
 """
 
 from __future__ import annotations
@@ -145,21 +138,20 @@ def _phi(a: FracOrder, mode: LogMode = LogMode.APPROX) -> _Kernel:
     return phi
 
 
+def _neg_log(p: float, q: float) -> float:
+    """-log p for 0 < p < 1, formed from q = 1 - p above p = 1/2."""
+    return -math.log(p) if p < 0.5 else -math.log1p(-q)
+
+
 def _first_power(p: float, q: float) -> float:
     """The first-power kernel -p * log p, q = 1 - p, zero unless p > 0 and q > 0."""
     if p <= 0.0 or q <= 0.0:
         return 0.0
-    return p * (-math.log(p) if p < 0.5 else -math.log1p(-q))
+    return p * _neg_log(p, q)
 
 
-def _integral(
-    g: _Kernel,
-    side: Callable[[float], float],
-    lo: float,
-    hi: float,
-    factor: Optional[float] = None,
-    cfg: Optional[QuadConfig] = None,
-) -> QuadResult:
+def _integral(g: _Kernel, side: Callable[[float], float], lo: float, hi: float,
+              cfg: Optional[QuadConfig] = None) -> QuadResult:
     """int_lo^hi g(side(x)) dx on the x axis, where side is a CDF, survival or
     distortion."""
 
@@ -167,37 +159,47 @@ def _integral(
         p = side(x)
         return g(p, 1.0 - p)
 
-    res = integrate(f, lo, hi, cfg or _MEASURE_CFG)
-    return res if factor is None else _scaled(res, factor)
+    return integrate(f, lo, hi, cfg or _MEASURE_CFG)
 
 
-def _measure(
-    X: Distribution,
-    g: _Kernel,
-    side: Callable[[float], float],
-    tag: MeasureTag,
-    alpha: float,
-    mode: LogMode = LogMode.APPROX,
-    hi: Optional[float] = None,
-    factor: Optional[float] = None,
-    cfg: Optional[QuadConfig] = None,
-) -> EntropyResult:
-    """Cumulative measure int g(side(x)) dx from the lower support bound to hi
-    (default the upper bound); exactly zero on a degenerate support.
-
-    Side is X.cdf or X.survival, or for a truncated measure any function of
-    x. An APPROX measure over the whole support of a law with a quantile
-    density runs in probability space; the rest on the x axis.
+def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional[float] = None,
+                below: bool = True, cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """int g(side(x)) dx over the support of X, side its CDF or, with
+    ``survival``, its survival function; with t, over the part below t with
+    side F / F(t) (the law of X given X <= t), or unless ``below``, over the
+    part above t with side F. In levels, a truncated range maps onto (0, 1)
+    as level l + d v with complement r + d w, w = 1 - v exact: (l, d, r) is
+    (0, F(t), S(t)) below t, where g reads (v, w), and (F(t), S(t), 0)
+    above, where g reads the level; qd gains the factor d, and the kinks
+    move with the range. A law with no quantile density runs on the x axis.
     """
+    qd, kinks = X.qd, X.qd_kinks
+    if qd is None:
+        side, lo, hi = X.survival if survival else X.cdf, X.lower, X.upper
+        if t is not None and below:
+            F = X.cdf(t)
+            side, hi = (lambda x: X.cdf(x) / F), min(t, hi)
+        elif t is not None:
+            lo = max(t, lo)
+        return _integral(g, side, lo, hi, cfg)
+    if t is not None:
+        l, d, r = (0.0, X.cdf(t), X.survival(t)) if below else (X.cdf(t), X.survival(t), 0.0)
+        qd0, g0 = qd, g
+        qd = lambda v, w: d * qd0(l + d * v, r + d * w)
+        g = g if below else (lambda v, w: g0(l + d * v, r + d * w))
+        kinks = tuple((k - l) / d for k in kinks if l < k < l + d)
+    return integrate_quantile(g, qd, survival, cfg, kinks)
+
+
+def _measure(X: Distribution, g: _Kernel, tag: MeasureTag, alpha: float,
+             mode: LogMode = LogMode.APPROX, survival: bool = False, t: Optional[float] = None,
+             factor: Optional[float] = None, cfg: Optional[QuadConfig] = None) -> EntropyResult:
+    """``_cumulative(X, g, survival, t)`` as an EntropyResult, times factor;
+    exactly zero on a degenerate support."""
     if X.upper - X.lower < _DEGENERATE_WIDTH:
         return _result(_ZERO, tag, alpha, mode)
-    qd = X.qd
-    if qd is not None and hi is None and mode is LogMode.APPROX:
-        res = integrate_quantile(g, qd, side == X.survival, cfg, X.qd_kinks)
-        res = res if factor is None else _scaled(res, factor)
-    else:
-        res = _integral(g, side, X.lower, X.upper if hi is None else hi, factor, cfg)
-    return _result(res, tag, alpha, mode)
+    res = _cumulative(X, g, survival, t, cfg=cfg)
+    return _result(res if factor is None else _scaled(res, factor), tag, alpha, mode)
 
 
 def efcpe(
@@ -208,11 +210,11 @@ def efcpe(
 ) -> EntropyResult:
     """Fractional cumulative past measure int F * [-Ln_a F]**(1/a) dx.
 
-    Degenerate supports give exactly zero. Unbounded supports go through the
-    divergence screen; a diverged tail is reported, not integrated.
+    Degenerate supports give exactly zero. Each end of the levels goes
+    through the divergence screen; a diverged end is reported, not integrated.
     """
     a = as_order(alpha)
-    return _measure(X, _phi(a, mode), X.cdf, MeasureTag.EFCPE, a.alpha, mode, cfg=cfg)
+    return _measure(X, _phi(a, mode), MeasureTag.EFCPE, a.alpha, mode, cfg=cfg)
 
 
 def efcpe_closed_form(X: Distribution, alpha) -> float:
@@ -248,7 +250,7 @@ def modified_efcpe(
     where CE is the cumulative entropy -int F log F dx.
     """
     a = as_order(alpha)
-    return _measure(X, _first_power, X.cdf, MeasureTag.MODIFIED_EFCPE, a.alpha,
+    return _measure(X, _first_power, MeasureTag.MODIFIED_EFCPE, a.alpha,
                     factor=math.gamma(1.0 + a.alpha), cfg=cfg)
 
 
@@ -260,7 +262,7 @@ def efcre(
 ) -> EntropyResult:
     """Survival-side dual int S * [-Ln_a S]**(1/a) dx."""
     a = as_order(alpha)
-    return _measure(X, _phi(a, mode), X.survival, MeasureTag.EFCRE, a.alpha, mode, cfg=cfg)
+    return _measure(X, _phi(a, mode), MeasureTag.EFCRE, a.alpha, mode, survival=True, cfg=cfg)
 
 
 def classic_fractional(
@@ -281,10 +283,9 @@ def classic_fractional(
             return 0.0
         if r <= 0.0:
             return at_one
-        return p * (-math.log(p) if p < 0.5 else -math.log1p(-r)) ** q
+        return p * _neg_log(p, r) ** q
 
-    side = X.cdf if past else X.survival
-    return _measure(X, kernel, side, MeasureTag.CLASSIC_FRACTIONAL, q, cfg=cfg)
+    return _measure(X, kernel, MeasureTag.CLASSIC_FRACTIONAL, q, survival=not past, cfg=cfg)
 
 
 def paired_phi_entropy(
@@ -318,15 +319,15 @@ def dynamic_efcpe(
     """Past measure of the truncated lifetime [X | X <= t].
 
     Integrates (F(x)/F(t)) * kernel(F(x)/F(t)) from the lower support bound
-    to t. As t reaches the upper bound this is the full past measure.
+    to t, over the levels (0, F(t)). As t reaches the upper bound this is
+    the full past measure.
     """
     a = as_order(alpha)
     Ft = X.cdf(t)
     # A degenerate support is measured as zero whatever t is.
     if Ft <= 0.0 and X.upper - X.lower >= _DEGENERATE_WIDTH:
         raise DomainError(f"dynamic measure needs F(t) > 0; F({t}) = {Ft}")
-    return _measure(X, _phi(a, mode), lambda x: X.cdf(x) / Ft, MeasureTag.DYNAMIC_EFCPE,
-                    a.alpha, mode, hi=min(t, X.upper), cfg=cfg)
+    return _measure(X, _phi(a, mode), MeasureTag.DYNAMIC_EFCPE, a.alpha, mode, t=t, cfg=cfg)
 
 
 def mean_inactivity_time(X: Distribution, t: float) -> float:
@@ -334,7 +335,7 @@ def mean_inactivity_time(X: Distribution, t: float) -> float:
     Ft = X.cdf(t)
     if Ft <= 0.0:
         raise DomainError(f"mean inactivity time needs F(t) > 0; F({t}) = {Ft}")
-    return _integral(lambda p, q: p, X.cdf, X.lower, min(t, X.upper)).value / Ft
+    return _cumulative(X, lambda p, q: p, t=t).value
 
 
 def dynamic_decomposition(X: Distribution, alpha, t: float,
@@ -361,53 +362,45 @@ def _dynamic_boundary(X: Distribution, alpha, t: float, mode: LogMode) -> float:
     return -mean_inactivity_time(X, t) * log_kernel(alpha, Ft, mode)
 
 
-def _tail_integral(X: Distribution, t: float, g: _Kernel, what: str,
-                   factor: Optional[float] = None) -> float:
-    """int_t^upper g(F(x)) dx, g zero at F = 1; DivergedError on a divergent tail."""
-    lo = max(t, X.lower)
-    if t >= X.upper or X.cdf(lo) == 1.0:
-        # F is nondecreasing, so F = 1 and the integrand is 0 on [lo, upper].
+def _tail_integral(X: Distribution, t: float, k: _Kernel, what: str, factor: float = 1.0) -> float:
+    """factor * int_t^upper k(F(x)) dx over the levels (F(t), 1), k read as 0
+    where F is 0 or 1; DivergedError on a divergent integral."""
+    if t >= X.upper or X.cdf(max(t, X.lower)) == 1.0:
+        # F is nondecreasing, so F = 1 and the integrand is 0 from t on.
         return 0.0
-    res = _integral(g, X.cdf, lo, X.upper, factor)
+    res = _cumulative(X, lambda p, q: 0.0 if p <= 0.0 or q <= 0.0 else k(p, q), t=t, below=False)
     if res.diverged:
-        raise DivergedError(
-            f"{what} integral diverges (tail exponent {res.tail_exponent:.3f})"
-        )
-    return res.value
+        raise DivergedError(f"{what} integral diverges (exponent {res.tail_exponent:.3f})")
+    return factor * res.value
 
 
 def tau_alpha(X: Distribution, alpha, t: float, mode: LogMode = LogMode.APPROX) -> float:
     """Upper-tail kernel integral int_t^upper [-Ln_a F(x)]**(1/a) dx.
 
     Its expectation over X reproduces the past measure. Raises DivergedError
-    when the tail is not integrable.
+    when the integral diverges, in the tail or where F vanishes.
     """
-    k = as_order(alpha)._kernels[mode]
-    return _tail_integral(X, t, lambda p, q: 0.0 if p <= 0.0 or q <= 0.0 else k(p, q), "tau")
+    return _tail_integral(X, t, as_order(alpha)._kernels[mode], "tau")
 
 
 def W_alpha(X: Distribution, alpha, t: float) -> float:
     """First-power tail integral Gamma(1+a) * int_t^upper (-log F(x)) dx.
 
     Convex and nonincreasing in t; its value at the mean lower-bounds the
-    modified past measure. Raises DivergedError on non-integrable tails.
+    modified past measure. Raises DivergedError on a divergent integral.
     """
-    a = as_order(alpha).alpha
-    return _tail_integral(X, t, lambda p, q: 0.0 if p <= 0.0 or q <= 0.0 else -math.log(p),
-                          "W", factor=math.gamma(1.0 + a))
+    return _tail_integral(X, t, _neg_log, "W", math.gamma(1.0 + as_order(alpha).alpha))
 
 
 def gini(X: Distribution) -> float:
-    """Gini concentration index 1 - E[min(X1, X2)] / E[X] in [0, 1]."""
+    """Gini concentration index 1 - E[min(X1, X2)] / E[X] in [0, 1]:
+    E[min(X1, X2)] = lower + int S(x)^2 dx, finite wherever the mean is."""
     if X.upper - X.lower < _DEGENERATE_WIDTH:
         return 0.0
     mu = X.mean()
     if not math.isfinite(mu) or mu <= 0.0:
         raise DomainError("Gini index requires a finite positive mean")
-    res = _integral(lambda p, q: p ** 2, X.survival, X.lower, X.upper)
-    if res.diverged:
-        raise DivergedError(f"Gini index integral diverges (tail exponent {res.tail_exponent:.3f})")
-    return 1.0 - (X.lower + res.value) / mu
+    return 1.0 - (X.lower + _cumulative(X, lambda p, q: p * p, survival=True).value) / mu
 
 
 def gini_lower_bound_check(X: Distribution, alpha) -> Tuple[float, bool]:

@@ -75,6 +75,8 @@ _SERIES_MAX_TERMS = 12_500
 
 _ROOT_XTOL = 1e-10
 _ROOT_MAXITER = 200
+# Relative step at which the complement root's Newton iteration stops.
+_ROOT_RTOL = 1e-15
 
 
 class _per_order:
@@ -166,13 +168,14 @@ class FracOrder:
         """The kernel (p, q) -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1 and
         q = 1 - p, per LogMode.
 
-        APPROX mode forms -log p as -log1p(-q) above p = 1/2, so a caller that
-        knows q exactly (the upper half of a probability-space integral, where
-        p rounds to 1) keeps the kernel's relative accuracy there; EXACT mode
-        reads p alone. ``log_kernel`` is its argument checks plus this
-        closure, and every integrand calls the closure directly. Where the
-        power overflows the closure returns inf, which the quadrature reads as
-        a divergent or non-finite integrand.
+        Above p = 1/2 both modes read q, so a caller that knows q exactly
+        (the upper half of a probability-space integral, where p rounds to 1)
+        keeps the kernel's relative accuracy there: APPROX forms -log p as
+        -log1p(-q), and EXACT solves 1 - E_alpha(-t) = q for t = -Ln_alpha p
+        (``_complement_root``). ``log_kernel`` is its argument checks plus
+        this closure, and every integrand calls the closure directly. Where
+        the power overflows the closure returns inf, which the quadrature
+        reads as a divergent or non-finite integrand.
         """
         a, gamma_plus = self.alpha, self._gamma_plus
         exp, log, log1p = math.exp, math.log, math.log1p
@@ -186,9 +189,7 @@ class FracOrder:
                 return math.inf
 
         def exact(p: float, q: float) -> float:
-            neg_ln = -frac_log(self, p, LogMode.EXACT)
-            if neg_ln <= 0.0:
-                return 0.0
+            neg_ln = _complement_root(self, q) if q < 0.5 else -frac_log(self, p, LogMode.EXACT)
             try:
                 return exp(log(neg_ln) / a)
             except OverflowError:
@@ -311,11 +312,43 @@ def mlf(alpha, x: float) -> float:
     return _mlf_asymptotic(order, x)
 
 
+def _complement_root(order: FracOrder, q: float) -> float:
+    """The t > 0 with 1 - E_a(-t) = q, that is -Ln_a(1 - q), for 0 < q < 1/2.
+
+    There t < 1 (0.9885 at a = 0.02, q = 1/2), and the series of 1 - E_a(-t)
+    without its leading 1 loses no digit of q. Newton's method runs from
+    t = Gamma(1+a) q, the root of its first term, to a relative step of
+    1e-15; 1 - E_a(-t) is increasing and concave (E_a(-t) is completely
+    monotone), so the iterates rise to the root from below.
+    """
+    a = order.alpha
+    if a == 1.0:
+        return -math.log1p(-q)
+    budget = min(_SERIES_MAX_TERMS, max(_SERIES_TERMS, math.ceil(25.0 / a)))
+    t = order._gamma_plus * q
+    for _ in range(_ROOT_MAXITER):
+        terms = []  # (-1)^(k+1) t^k / Gamma(a k + 1), k >= 1
+        for k in range(1, budget):
+            terms.append((-1.0) ** (k + 1) * t**k / math.gamma(a * k + 1.0))
+            if abs(terms[-1]) < 1e-18 * terms[0] and k > 4:
+                break
+        else:
+            raise NonConvergentError(f"complement series did not settle for alpha={a}, t={t}")
+        # The derivative of the series is sum_k k term_k / t.
+        step = (q - math.fsum(terms)) * t / math.fsum([k * v for k, v in enumerate(terms, 1)])
+        t += step
+        if abs(step) <= _ROOT_RTOL * t:
+            return t
+    raise NonConvergentError(f"complement root did not settle for alpha={a}, q={q}")
+
+
 def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     """Fractional-order logarithm Ln_alpha(p) on (0, 1], always <= 0.
 
-    APPROX evaluates Gamma(1+alpha) * log(p). EXACT solves E_alpha(y) = p by
-    bracketing plus Brent iteration (tolerance 1e-10 on y, at most 200
+    APPROX evaluates Gamma(1+alpha) * log(p). EXACT above p = 1/2, where
+    q = 1 - p is exact, is ``-_complement_root(q)``, to a relative 1e-15.
+    At or below 1/2 it solves E_alpha(y) = p by bracketing plus Brent
+    iteration (tolerance 1e-10 on y, where |y| > 0.69; at most 200
     iterations), seeding the bracket from the asymptotic inverse
     y ~= -1 / (p * Gamma(1-alpha)) when p is small. Each iteration is one
     ``mlf`` call with this call's ``FracOrder``, so the order's constants
@@ -331,11 +364,10 @@ def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
         return order._gamma_plus * math.log(p)
     if a == 1.0:
         return math.log(p)
+    if p > 0.5:
+        return -_complement_root(order, 1.0 - p)
 
-    lo = order._gamma_plus * math.log(p)
-    if a < 1.0:
-        lo = min(lo, -2.0 / (p * order._gamma_minus))
-    lo = min(lo, -1e-8)
+    lo = min(order._gamma_plus * math.log(p), -2.0 / (p * order._gamma_minus))
     for _ in range(80):
         if mlf(order, lo) < p:
             break

@@ -2,24 +2,15 @@
 
 A 7/15-point Gauss-Kronrod rule drives a worst-panel-first refinement loop.
 
-The univariate measures integrate in probability space. Every one of them is
-``int g(F(x)) dx`` or ``int g(S(x)) dx``; with ``x = Q(u)`` it becomes
-``int_0^1 g(u) qd(u) du``, where ``qd = 1/f(Q)`` is the law's quantile
-density (Parzen, JASA 1979). ``integrate_quantile`` takes ``g`` and ``qd``
-as functions of the pair ``(p, q)``, ``q = 1 - p`` passed exactly, and splits
-(0, 1) at 1/2, the upper half run in ``s = 1 - u``. Each half's endpoint
-exponent is fitted on the probes ``u = 2^-k``; an exponent at or below -0.98
-is a divergence, and otherwise the substitution ``u = w^m / 2`` flattens the
-endpoint before the refinement loop runs. A law's scale is a constant factor
-of ``qd``, and the verdict and the tolerance are decided in ``u``, which has
-no units, so the scale law holds by construction.
-
-``integrate`` keeps the x-axis path for integrands with no quantile density
-(EXACT-mode measures, truncated and tail integrals, numeric convolutions):
-a semi-infinite range is screened for power-law divergence by probing the
-integrand along a geometric ladder, then mapped onto a bounded interval with
-``x = a + t / (1 - t)`` and finished with an analytic power-law tail
-completion beyond the last probe; the verdict travels in the QuadResult.
+Every cumulative measure, ``int g(F(x)) dx`` or ``int g(S(x)) dx``, becomes
+``int g(u) qd(u) du`` under ``x = Q(u)``, where ``qd = 1/f(Q)`` is the law's
+quantile density (Parzen, JASA 1979); ``integrate_quantile`` integrates it
+over (0, 1) with one endpoint fit per half, one divergence verdict and one
+substitution, all decided in ``u``, which has no units, so the scale law
+holds by construction. ``integrate`` over a bounded interval is the
+refinement loop alone; over ``[a, inf)`` it is the same core under the map
+``x = a + p / q``, whose quantile density ``1 / q^2`` makes the endpoint fit
+at ``q -> 0`` the tail's power law.
 
 Rectangles are integrated as iterated 1-D integrals, each axis mapped onto
 [0, 1] by the graded map ``lo + w t^2 (3 - 2t)``, which flattens endpoint
@@ -83,9 +74,6 @@ _WG = (
 )
 
 _WIDTH_CLAMP = 1e-12
-_DIVERGENCE_EXPONENT = -1.05
-_PROBE_BASE = 4.0
-_PROBE_POINTS = 8
 
 # The probability-space core: endpoint probes at u = 2^-k, k = 20, 40, ...,
 # 320; the endpoint exponent at or below which a half diverges; the panels
@@ -136,11 +124,11 @@ _WGK_NODES = (_WGK[7],) + tuple(w for w in _WGK[:7] for _ in (0, 1))
 
 
 def _checked(value: float, err: float, splits: int, cfg: QuadConfig,
-             low_confidence: bool = False, tail_exponent: float = math.nan) -> QuadResult:
+             tail_exponent: float = math.nan) -> QuadResult:
     """A finite result, flagged low-confidence unless its error estimate
     meets ``max(abs_tol, rel_tol * |value|)``."""
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return QuadResult(value, err, False, splits, low_confidence or not err <= tol, tail_exponent)
+    return QuadResult(value, err, False, splits, not err <= tol, tail_exponent)
 
 
 def _nonfinite(y: float, x: float) -> NonConvergentError:
@@ -253,9 +241,12 @@ def integrate(
 ) -> QuadResult:
     """Integrate f over [a, b], where b may be math.inf.
 
-    Bounded intervals never set the diverged flag. A semi-infinite upper
-    limit triggers the divergence screen first; a diverged verdict returns
-    value=inf with the flag set instead of chasing a runaway refinement.
+    Bounded intervals never set the diverged flag. ``[a, inf)`` goes
+    through ``integrate_quantile`` under ``x = a + p / q``, to its relative
+    tolerance: a tail that decays no faster than ``x^-1`` with one sign
+    returns value=inf with the flag set and its exponent in
+    ``tail_exponent``, and one that changes sign without decaying that fast
+    raises NonConvergentError.
     """
     cfg = cfg or _DEFAULT
     if math.isnan(a) or math.isnan(b):
@@ -263,7 +254,10 @@ def integrate(
     if a == -math.inf:
         raise UnsupportedError("lower limit -inf is not supported")
     if b == math.inf:
-        return _integrate_semi_infinite(f, a, cfg)
+        if a + 1.0 == a:
+            raise UnsupportedError(
+                f"lower limit {a:g} is too large for the semi-infinite map: a + 1 rounds to a")
+        return integrate_quantile(lambda p, q: f(a + p / q), lambda p, q: 1.0 / q / q, cfg=cfg)
     if a == b:
         return QuadResult(0.0, 0.0, False, 0)
     sign = 1.0
@@ -271,56 +265,6 @@ def integrate(
         a, b, sign = b, a, -1.0
     total, err, splits = _adaptive(f, a, b, cfg)
     return _checked(sign * total, err, splits, cfg)
-
-
-def _integrate_semi_infinite(f, a: float, cfg: QuadConfig) -> QuadResult:
-    """Integrate f over [a, inf) after screening its tail for divergence.
-
-    A least-squares fit of log|f| against log(x - a) on the ladder
-    x = a + 4**k gives the tail exponent. A non-finite sample, or a
-    same-sign tail at or above -1.05, is diverged; a mixed-sign one that
-    slow is low-confidence. Beyond the last probe X, the tail is completed
-    as f(X) * X / (-1 - p), with p the exponent of the last two probes.
-    """
-    offsets = [_PROBE_BASE**k for k in range(_PROBE_POINTS)]
-    xs = [a + d for d in offsets]
-    fs = [f(x) for x in xs]
-    if any(not math.isfinite(v) for v in fs):
-        return QuadResult(math.inf, math.inf, True, 0, tail_exponent=math.nan)
-
-    pts = [(math.log(d), math.log(abs(v))) for d, v in zip(offsets, fs) if v != 0.0]
-    # Fewer than four nonzero samples: the tail underflowed almost at once.
-    slope = -math.inf
-    if len(pts) >= 4:
-        n = len(pts)
-        sx = sum(p[0] for p in pts)
-        sy = sum(p[1] for p in pts)
-        sxx = sum(p[0] * p[0] for p in pts)
-        sxy = sum(p[0] * p[1] for p in pts)
-        denom = n * sxx - sx * sx
-        slope = (n * sxy - sx * sy) / denom
-    slow = slope >= _DIVERGENCE_EXPONENT
-    if slow and not (any(v > 0 for v in fs) and any(v < 0 for v in fs)):
-        return QuadResult(math.inf, math.inf, True, 0, tail_exponent=slope)
-
-    if xs[-1] == a:
-        raise UnsupportedError(
-            f"lower limit {a:g} is too large for the semi-infinite map: "
-            f"a + {offsets[-1]:g} rounds to a"
-        )
-    t_cut = (xs[-1] - a) / (1.0 + xs[-1] - a)
-
-    def transformed(t: float) -> float:
-        u = 1.0 - t
-        return f(a + t / u) / (u * u)
-
-    total, err, splits = _adaptive(transformed, 0.0, t_cut, cfg)
-    remainder = 0.0
-    if fs[-1] > 0.0 and fs[-2] > 0.0:
-        p_local = math.log(fs[-1] / fs[-2]) / math.log(xs[-1] / xs[-2])
-        if p_local < -1.0:
-            remainder = fs[-1] * xs[-1] / (-1.0 - p_local)
-    return _checked(total + remainder, err + 0.05 * abs(remainder), splits, cfg, slow, slope)
 
 
 _2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
@@ -399,11 +343,14 @@ class _EndFit:
     """The power laws h ~ s^gamma and qd ~ s^beta at one end of (0, 1), fitted
     between the two deepest probes s1 < s2 of s = 2^-k where h is finite and
     nonzero. Without two such probes gamma is inf if h vanished at every
-    probe, else NaN, and nothing else is set."""
+    probe, else NaN, and nothing else is set. Where beta is within 0.01 of
+    -1 and g = h / qd is flat (a Frechet law's lower end, under S near 1),
+    h s ~ L^c in L = -log s, a power of log s the slope in s cannot resolve:
+    c is fitted too, and decides the verdict and the rest; elsewhere c is NaN."""
 
     def __init__(self, g, qd, survival: bool, upper: bool):
-        self.gamma = self.beta = math.nan
-        half = _half(g, qd, survival, upper, 1, 0.0)  # half(2s) = h(s) / 2
+        self.gamma = self.beta = self.c = math.nan
+        self.half = half = _half(g, qd, survival, upper, 1, 0.0)  # half(2s) = h(s) / 2
         found = []
         nonfinite = False
         for s in _U_PROBES:
@@ -423,15 +370,28 @@ class _EndFit:
         span = math.log(self.s1 / s2)
         self.gamma = math.log(self.h1 / h2) / span
         self.beta = math.log(self.q1 / q2) / span
+        if abs(self.beta + 1.0) < 0.01 and abs((self.gamma - self.beta) * span) < 1e-6:
+            self.c = (self.gamma + 1.0) * span / math.log(math.log(self.s1) / math.log(s2))
+
+    def diverged(self) -> bool:
+        """gamma <= -0.98, or where c is fitted, c >= -1.02."""
+        return not (self.c < -2.0 - _U_DIVERGED if self.c == self.c else self.gamma > _U_DIVERGED)
+
+    def one_signed(self) -> bool:
+        """Whether h has one sign at every probe where it is nonzero."""
+        signs = {h > 0.0 for h in map(self.half, (2.0 * s for s in _U_PROBES)) if h == h and h}
+        return len(signs) < 2
 
     def x_exponent(self) -> float:
         """The exponent in x units, (gamma + 1) / (beta + 1) - 1. Where beta
         is within 0.01 of -1 the end is exponential in x (x ~ -log s), and
-        the integrand falls faster than any power: -inf."""
+        the exponent is -inf, or inf where the end diverges."""
         gamma, beta = self.gamma, self.beta
         if not math.isfinite(gamma):
             return math.nan
-        return (gamma - beta) / (beta + 1.0) if abs(beta + 1.0) >= 0.01 else -math.inf
+        if abs(beta + 1.0) < 0.01:
+            return math.inf if self.diverged() else -math.inf
+        return (gamma - beta) / (beta + 1.0)
 
     def floor(self) -> float:
         """The depth where h or qd, extrapolated from s1, would pass _U_BIG,
@@ -448,9 +408,12 @@ class _EndFit:
         return min(floor, self.s1)
 
     def rest(self, floor: float) -> float:
-        """int_0^floor h ds under the fitted power law."""
+        """int_0^floor h ds under the fitted power law, in L where c is fitted."""
         if not math.isfinite(self.gamma):
             return 0.0
+        if self.c == self.c:
+            L1, e = -math.log(self.s1), self.c + 1.0
+            return self.h1 * self.s1 * L1 * (math.log(floor) / -L1) ** e / -e
         e = self.gamma + 1.0
         return self.h1 * self.s1 * (floor / self.s1) ** e / e
 
@@ -472,7 +435,9 @@ def integrate_quantile(
     On each half the endpoint exponent gamma (``h ~ s^gamma`` at distance
     s from the end) is the slope of log|h| between the two deepest finite
     probes at s = 2^-20, 2^-40, ..., 2^-320. gamma <= -0.98 is a diverged
-    result, value inf; otherwise ``s = w^m / 2`` with
+    result, value inf, if h has one sign at every probe of that end, and
+    NonConvergentError if it does not: a slow end that changes sign has no
+    limit the fit can see. Otherwise ``s = w^m / 2`` with
     ``m = clamp(ceil(3 / (gamma + 1)), 2, 60)`` makes the endpoint smooth
     and the refinement loop runs from 4 panels per half, to a relative
     tolerance of 1e-10 or the caller's rel_tol if tighter, with no absolute
@@ -482,24 +447,30 @@ def integrate_quantile(
     split there: a kink between a panel's outermost node and its end is
     invisible to the error estimate. Below the depth where h or qd would
     leave the float range (``_EndFit.floor``, 2^-900 at most) the fitted
-    power law stands in for h; its integral is added to the value and to
-    the error estimate. ``tail_exponent`` is the diverged end's exponent,
-    or else the upper end's, in x units.
+    power law, in s or in -log s, stands in for h; its integral is added to
+    the value and to the error estimate. ``tail_exponent`` is the diverged
+    end's exponent, or else the upper end's, in x units.
     """
     cfg = cfg or _MEASURE_CFG
     ucfg = QuadConfig(0.0, min(cfg.rel_tol, _U_REL_TOL), cfg.max_subdivisions)
     fits = {upper: _EndFit(g, qd, survival, upper) for upper in (True, False)}
-    for fit in fits.values():
-        if not fit.gamma > _U_DIVERGED:
+    for upper, fit in fits.items():
+        if fit.diverged():
+            if not fit.one_signed():
+                raise NonConvergentError(
+                    f"integrand changes sign near the {'upper' if upper else 'lower'} end "
+                    f"without decaying (endpoint exponent {fit.gamma:.3f}): no limit")
             return QuadResult(math.inf, math.inf, True, 0, tail_exponent=fit.x_exponent())
     total = err = 0.0
     splits = 0
     for upper, fit in fits.items():
         m = min(60, max(2, math.ceil(3.0 / (fit.gamma + 1.0))))
         floor = fit.floor()
+        # Where h s ~ L^c, h ds/dw is far from 0 at the floor: start there.
+        start = (2.0 * floor) ** (1.0 / m) if fit.c == fit.c else 0.0
         ends = [1.0 - p if upper else p for p in kinks if (p > 0.5 if upper else p < 0.5)]
         try:
-            value, e, n = _adaptive(_half(g, qd, survival, upper, m, floor), 0.0, 1.0, ucfg,
+            value, e, n = _adaptive(_half(g, qd, survival, upper, m, floor), start, 1.0, ucfg,
                                     _U_PANELS, [(2.0 * s) ** (1.0 / m) for s in ends])
         except MaxSubdivisionsError as exc:  # the partial result covers both halves
             part = exc.partial

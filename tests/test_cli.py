@@ -60,13 +60,13 @@ class TestMeasure:
         # x units: the integrand falls as x^(-k/a) = x^(-0.5/0.6).
         assert row["tail_exponent"] == pytest.approx(-0.5 / 0.6, abs=0.01)
 
-    def test_gini_divergence_flag_exits_numeric(self, capsys):
-        code, out, err = run_cli(
+    def test_gini_at_small_rate(self, capsys):
+        # 1/2 at every rate; the x-axis tail screen once flagged this one.
+        code, payload, _ = run_json(
             capsys, ["measure", "--kind", "gini", "--dist", "exponential:rate=1e-4"]
         )
-        assert code == 2
-        assert out == ""
-        assert "Gini index integral diverges" in err
+        assert code == 0
+        assert payload["rows"][0]["value"] == pytest.approx(0.5, rel=1e-12)
 
     def test_gini_kind(self, capsys):
         code, payload, _ = run_json(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fracpast.distributions import (
     Beta,
+    Distribution,
     Degenerate,
     Exponential,
     Frechet,
@@ -33,7 +34,7 @@ from fracpast.entropy import (
     paired_phi_entropy,
     tau_alpha,
 )
-from fracpast.errors import DivergedError, DomainError, MaxSubdivisionsError, NonConvergentError
+from fracpast.errors import DivergedError, DomainError
 from fracpast.fraclog import LogMode, log_kernel
 from fracpast import quadrature
 from fracpast.quadrature import QuadConfig, integrate
@@ -137,36 +138,52 @@ class TestExactMode:
         assert exact >= approx
 
     def test_exact_runaway_at_small_order(self):
-        # For orders at or below one half the exact-mode integrand behaves
-        # like F**(1 - 1/alpha) near the lower endpoint, which is not
-        # integrable; the adaptive rule must give up rather than return a
-        # quietly wrong number.
+        # Exact -Ln_a p ~ 1 / (p Gamma(1 - a)) as p -> 0, so the integrand
+        # F (-Ln_a F)**(1/a) behaves like F**(1 - 1/a) at the lower end,
+        # which is not integrable for a <= 1/2: a diverged result whose
+        # exponent, in x units on the uniform law, is 1 - 1/a.
         cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=400)
-        with pytest.raises(MaxSubdivisionsError):
-            efcpe(Uniform(1.0), 0.4, LogMode.EXACT, cfg)
-
-    def test_unreachable_tolerance_refused_early(self):
-        # Panels at the width limit next to x = 0 keep 7.3e-10 of error
-        # against a tolerance of 3.2e-10; the integrator refuses as soon as
-        # the budget cannot clamp the rest, not after all 2000 subdivisions.
-        with pytest.raises(MaxSubdivisionsError, match="width limit") as excinfo:
-            efcpe(Uniform(1.0), 0.75, LogMode.EXACT)
-        assert excinfo.value.partial.subdivisions_used < 100
-
-    @pytest.mark.parametrize("X,alpha", [(Weibull(1.0, 2.0), 0.3), (Exponential(1.0), 0.3)])
-    def test_exact_residual_kernel_overflow_is_diverged(self, X, alpha):
-        # The kernel passes the float range on the tail probes; it reads as
-        # inf there, so the screen flags the divergence.
-        res = efcre(X, alpha, LogMode.EXACT)
+        res = efcpe(Uniform(1.0), 0.4, LogMode.EXACT, cfg)
         assert res.diverged
+        assert res.diagnostics.tail_exponent == pytest.approx(1.0 - 1.0 / 0.4, abs=1e-9)
 
-    @pytest.mark.parametrize("measure,alpha", [(efcre, 0.6), (efcre, 0.9),
-                                               (paired_phi_entropy, 0.9)])
-    def test_exact_residual_kernel_overflow_is_typed(self, measure, alpha):
-        # Here the kernel passes the float range inside the mapped tail, so
-        # the integrand is inf at a node: a typed refusal, not OverflowError.
-        with pytest.raises(NonConvergentError, match="integrand returned inf"):
-            measure(Weibull(1.0, 2.0), alpha, LogMode.EXACT)
+    def test_order_075_matches_mpmath(self):
+        # By parts, int_0^1 u (-Ln_a u)**(1/a) du = (1 / 2a) int_0^inf
+        # E_a(-t)^2 t^(1/a - 1) dt; mpmath at 30 digits, with E_a from its
+        # series below t = 40 and its large-argument expansion above, gives
+        # 0.31886174898413369. The u^(1 - 1/a) lower end once held this
+        # call at the x axis's width limit.
+        res = efcpe(Uniform(1.0), 0.75, LogMode.EXACT)
+        assert not res.diagnostics.low_confidence
+        assert abs(res.value - 0.31886174898413369) <= res.error_estimate
+
+    # Exact -Ln_a S ~ 1 / (S Gamma(1 - a)) as S -> 0, so the residual
+    # integrand S (-Ln_a S)**(1/a) ~ S**(1 - 1/a) grows without bound in the
+    # tail; on Weibull(1, 2), S**(1 - 1/a) = e^(x^2 (1/a - 1)).
+    @pytest.mark.parametrize("measure,X,alpha", [
+        pytest.param(efcre, Weibull(1.0, 2.0), 0.3, id="X0-0.3"),
+        pytest.param(efcre, Exponential(1.0), 0.3, id="X1-0.3"),
+        pytest.param(efcre, Weibull(1.0, 2.0), 0.6, id="efcre-0.6"),
+        pytest.param(efcre, Weibull(1.0, 2.0), 0.9, id="efcre-0.9"),
+        pytest.param(paired_phi_entropy, Weibull(1.0, 2.0), 0.9, id="paired_phi_entropy-0.9"),
+    ])
+    def test_exact_residual_kernel_overflow_is_diverged(self, measure, X, alpha):
+        res = measure(X, alpha, LogMode.EXACT)
+        assert res.diverged
+        assert math.isnan(res.value)
+
+    @pytest.mark.parametrize("law", ["uniform", "exponential"])
+    @pytest.mark.parametrize("alpha", [0.75, 0.9])
+    def test_scale_law(self, law, alpha):
+        make = SCALED_LAWS[law]
+        unit = efcpe(make(1.0), alpha, LogMode.EXACT).value
+        for c in (1e-8, 1e-4, 1e4, 1e8):
+            assert efcpe(make(c), alpha, LogMode.EXACT).value == pytest.approx(c * unit, rel=1e-12)
+
+    def test_shift_drops_out(self):
+        unit = efcpe(Exponential(1.0), 0.85, LogMode.EXACT).value
+        shifted = efcpe(affine(Exponential(1.0), 1.0, 1e9), 0.85, LogMode.EXACT).value
+        assert shifted == pytest.approx(unit, rel=1e-12)
 
 
     @pytest.mark.parametrize("alpha", [0.87, 0.9, 0.93])
@@ -390,11 +407,11 @@ class TestGini:
         with pytest.raises(DomainError):
             gini(ParetoType(0.5))
 
-    def test_flagged_divergence_is_a_numeric_failure(self):
-        # The true value is 1/2 at every rate; the tail screen flags this
-        # scale, which is a numeric failure, not a domain error.
-        with pytest.raises(DivergedError, match="Gini index integral diverges"):
-            gini(Exponential(1e-4))
+    @pytest.mark.parametrize("rate", [1e-8, 1e-4, 1e4, 1e8])
+    def test_exponential_is_one_half_at_every_rate(self, rate):
+        # 1 - E[min] / E[X] = 1 - (1 / 2 rate) / (1 / rate); the x-axis tail
+        # screen once flagged rate 1e-4 as diverged.
+        assert gini(Exponential(rate)) == pytest.approx(0.5, rel=1e-12)
 
     def test_degenerate_is_zero(self):
         assert gini(Degenerate(2.0)) == 0.0
@@ -545,6 +562,20 @@ SCALED_LAWS = {
 }
 
 
+# The truncated and tail measures as functions of (law, scale c), with the
+# time t placed at the unit law's level-0.6 quantile times c. Each one of
+# cX is c times that of X; gini is scale-free.
+TRUNCATED_MEASURES = {
+    "dynamic_0.1": lambda make, c: dynamic_efcpe(make(c), 0.1, c * make(1.0).quantile(0.6)).value,
+    "dynamic_0.8": lambda make, c: dynamic_efcpe(make(c), 0.8, c * make(1.0).quantile(0.6)).value,
+    "mean_inactivity_time": lambda make, c: mean_inactivity_time(make(c), c * make(1.0).quantile(0.6)),
+    "tau_0.5": lambda make, c: tau_alpha(make(c), 0.5, c * make(1.0).quantile(0.6)),
+    "W_0.5": lambda make, c: W_alpha(make(c), 0.5, c * make(1.0).quantile(0.6)),
+    "prhr_mean": lambda make, c: prhr(make(c), 2.0).mean(),
+    "gini_times_c": lambda make, c: c * gini(make(c)),
+}
+
+
 class TestScaleLaw:
     # A law's scale is a constant factor of its quantile density, so the
     # probability-space measures obey E*(cX) = c E*(X) to rounding.
@@ -557,11 +588,74 @@ class TestScaleLaw:
             for c in (1e-8, 1e-4, 1e4, 1e8):
                 assert measure(make(c), alpha).value == pytest.approx(c * unit, rel=1e-12)
 
+    @pytest.mark.parametrize("measure", sorted(TRUNCATED_MEASURES))
+    @pytest.mark.parametrize("name", sorted(SCALED_LAWS))
+    def test_truncated_measures_scale(self, name, measure):
+        make, run = SCALED_LAWS[name], TRUNCATED_MEASURES[measure]
+        unit = run(make, 1.0)
+        for c in (1e-8, 1e-4, 1e4, 1e8):
+            assert run(make, c) == pytest.approx(c * unit, rel=1e-12)
+
     @pytest.mark.parametrize("shift", [1e6, 1e9, 1e15, 1e17])
     def test_shift_drops_out(self, shift):
         # Gamma(3/2)^2 Gamma(3) (zeta(3) - 1) = 0.3173902412866...
         res = efcpe(affine(Exponential(1.0), 1.0, shift), 0.5)
         assert res.value == pytest.approx(0.3173902412866, rel=1e-12)
+
+
+class TestExactOrderOne:
+    # E_1 is exp, so -Ln_1 p = -log p in both modes, from q above p = 1/2.
+    @pytest.mark.parametrize("name", sorted(SCALED_LAWS))
+    def test_exact_equals_approx(self, name):
+        X = SCALED_LAWS[name](1.0)
+        for measure in (efcpe, efcre):
+            exact = measure(X, 1.0, LogMode.EXACT).value
+            assert exact == pytest.approx(measure(X, 1.0).value, rel=1e-12)
+
+
+class TestTruncatedReferences:
+    # 40-digit mpmath integrals over x: F(x) = 6x^2 - 8x^3 + 3x^4 for
+    # Beta(2, 3) and 1 - (1 + x)^-2 for ParetoType(2). The order-0.3
+    # kernel's (-log F)^(1/a) lower end once exhausted the x axis's budget.
+    @pytest.mark.parametrize("X,want", [(Beta(2.0, 3.0), 27.425892935318762),
+                                        (ParetoType(2.0), 3.555360955798948)], ids=repr)
+    def test_tau_at_order_03(self, X, want):
+        assert tau_alpha(X, 0.3, 0.0) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 1.0])
+    def test_frechet_lower_end_diverges(self, alpha, t):
+        # On Frechet(2, 1), -log F(x) = x^-2, so int_0 (-log F)^c dx diverges
+        # for every c >= 1/2: a divergence, not a subdivision-budget failure.
+        with pytest.raises(DivergedError):
+            tau_alpha(Frechet(2.0, 1.0), alpha, t)
+        with pytest.raises(DivergedError):
+            W_alpha(Frechet(2.0, 1.0), alpha, t)
+
+    def test_dynamic_uniform_at_small_scale(self):
+        # [U(0, 1e-8) | X <= t] is U(0, t): t times the closed form.
+        want = 3.5e-9 * efcpe_closed_form(Uniform(1.0), 0.1)
+        assert dynamic_efcpe(Uniform(1e-8), 0.1, 3.5e-9).value == pytest.approx(want, rel=1e-12)
+
+    def test_dynamic_beta_at_order_01(self):
+        # A 30-digit mpmath integral over x with mpmath's incomplete beta
+        # function gives 0.594229094863447; the x axis refused it at the
+        # width limit.
+        X = Beta(0.5, 3.2)
+        got = dynamic_efcpe(X, 0.1, X.quantile(0.3)).value
+        assert got == pytest.approx(0.594229094863447, rel=1e-12)
+
+    def test_frechet_mean_and_gini_at_the_lower_end(self):
+        # Near x = 0, S = 1 and the quantile density is ~ 1 / (p L^(1+1/k))
+        # with L = -log p; the core fits that power of L, so the
+        # survival-side integral keeps the closed-form mean.
+        X = Frechet(2.5, 3.0)
+        assert Distribution.mean(X) == pytest.approx(X.mean(), rel=1e-12)
+        assert classic_fractional(X, 0.0).value == pytest.approx(X.mean(), rel=1e-12)
+        # The larger of two copies, F^2 = exp(-6 x^-2.5), is Frechet(2.5, 6).
+        assert prhr(X, 2.0).mean() == pytest.approx(Frechet(2.5, 6.0).mean(), rel=1e-12)
+        # E[min] = 2 E[X] - E[max] = (2 - 2^(1/2.5)) E[X].
+        assert gini(X) == pytest.approx(2.0 ** 0.4 - 1.0, rel=1e-12)
 
 
 class TestProbabilitySpaceReferences:

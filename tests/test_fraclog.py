@@ -242,6 +242,20 @@ class TestFracLog:
     def test_exact_reference_values(self, alpha, p, expected):
         assert frac_log(alpha, p, LogMode.EXACT) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_exact_near_one_against_series_inversion(self, alpha, q):
+        # Above p = 1/2, -Ln_a p is the root t of 1 - E_a(-t) = 1 - p, and
+        # 1 - p is exact there. mpmath inverts the series at 40 digits. An
+        # absolute tolerance on t once read 0.0 at q = 1e-12.
+        mp = pytest.importorskip("mpmath")
+        p = 1.0 - q
+        with mp.workdps(40):
+            a, r = mp.mpf(alpha), 1 - mp.mpf(p)
+            rest = lambda t: -mp.nsum(lambda k: (-t) ** k / mp.gamma(a * k + 1), [1, mp.inf])
+            want = -mp.findroot(lambda t: rest(t) - r, mp.gamma(1 + a) * r)
+        assert frac_log(alpha, p, LogMode.EXACT) == pytest.approx(float(want), rel=1e-12)
+
     @given(alpha=st.floats(0.25, 1.0), p=st.floats(0.05, 0.999))
     def test_mlf_inverts_exact_log(self, alpha, p):
         x = frac_log(alpha, p, LogMode.EXACT)
