@@ -25,7 +25,7 @@ import re
 from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from .errors import DomainError, UnsupportedError
-from .quadrature import _MEASURE_CFG, integrate, integrate_quantile
+from .quadrature import integrate
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,10 +120,9 @@ class Distribution:
 
     def mean(self) -> float:
         """E[X] = lower + integral of the survival function over the support."""
-        if self.qd is None:
-            res = integrate(self.survival, self.lower, self.upper, _MEASURE_CFG)
-        else:
-            res = integrate_quantile(lambda p, q: p, self.qd, True, _MEASURE_CFG, self.qd_kinks)
+        from .entropy import _cumulative  # entropy imports this module
+
+        res = _cumulative(self, lambda p, q: p, survival=True)
         if res.diverged:
             return math.inf
         return self.lower + res.value

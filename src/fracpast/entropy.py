@@ -400,7 +400,10 @@ def gini(X: Distribution) -> float:
     mu = X.mean()
     if not math.isfinite(mu) or mu <= 0.0:
         raise DomainError("Gini index requires a finite positive mean")
-    return 1.0 - (X.lower + _cumulative(X, lambda p, q: p * p, survival=True).value) / mu
+    res = _cumulative(X, lambda p, q: p * p, survival=True)
+    if res.diverged:  # S^2 <= S, so only a false verdict comes here
+        raise DivergedError("Gini integral of S^2 reported diverged where the mean is finite")
+    return 1.0 - (X.lower + res.value) / mu
 
 
 def gini_lower_bound_check(X: Distribution, alpha) -> Tuple[float, bool]:

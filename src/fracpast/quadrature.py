@@ -10,7 +10,7 @@ substitution, all decided in ``u``, which has no units, so the scale law
 holds by construction. ``integrate`` over a bounded interval is the
 refinement loop alone; over ``[a, inf)`` it is the same core under the map
 ``x = a + p / q``, whose quantile density ``1 / q^2`` makes the endpoint fit
-at ``q -> 0`` the tail's power law.
+at ``q -> 0`` the tail's law, run to the caller's own tolerances.
 
 Rectangles are integrated as iterated 1-D integrals, each axis mapped onto
 [0, 1] by the graded map ``lo + w t^2 (3 - 2t)``, which flattens endpoint
@@ -75,13 +75,13 @@ _WG = (
 
 _WIDTH_CLAMP = 1e-12
 
-# The probability-space core: endpoint probes at u = 2^-k, k = 20, 40, ...,
-# 320; the endpoint exponent at or below which a half diverges; the panels
-# each half starts from; and the relative tolerance of each half.
+# The probability-space core: endpoint probes at u = 2^-k, k = 20, ..., 320,
+# and from 2^-900 where the endpoint exponent is at or below _U_DIVERGED;
+# and the panels each half starts from.
 _U_PROBES = tuple(2.0 ** -k for k in range(320, 0, -20))
+_U_DEEP = tuple(2.0 ** -k for k in range(900, 320, -20)) + _U_PROBES
 _U_DIVERGED = -0.98
 _U_PANELS = 4
-_U_REL_TOL = 1e-10
 # Where the integrand or the quantile density, extrapolated from the deepest
 # probe, would pass _U_BIG, and in any case below _U_FLOOR, the core stops
 # evaluating and completes the half from the endpoint fit: near an end
@@ -89,6 +89,10 @@ _U_REL_TOL = 1e-10
 # while the integral stays finite.
 _U_FLOOR = 2.0 ** -900
 _U_BIG = 1e300
+# A fitted c or delta within _U_FLAT of 0 counts as 0: that is far above
+# the fit's rounding, and L^c or s^delta then moves h by under 1e-3 at every
+# float s > 0 (L < 745).
+_U_FLAT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,8 @@ class QuadResult:
 _DEFAULT = QuadConfig()
 # The univariate measures' tolerances.
 _MEASURE_CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-9)
+# The probability-space core's own tolerances: relative only, so scale-free.
+_U_CFG = QuadConfig(abs_tol=0.0, rel_tol=1e-10)
 
 
 # _gk15's node pairs j = 0..6 as (abscissa, Kronrod weight, Gauss weight or
@@ -242,11 +248,11 @@ def integrate(
     """Integrate f over [a, b], where b may be math.inf.
 
     Bounded intervals never set the diverged flag. ``[a, inf)`` goes
-    through ``integrate_quantile`` under ``x = a + p / q``, to its relative
-    tolerance: a tail that decays no faster than ``x^-1`` with one sign
-    returns value=inf with the flag set and its exponent in
-    ``tail_exponent``, and one that changes sign without decaying that fast
-    raises NonConvergentError.
+    through the core of ``integrate_quantile`` under ``x = a + p / q``, to
+    cfg's own tolerances, half of abs_tol on each half of (0, 1): a tail
+    that decays no faster than ``x^-1`` with one sign returns value=inf with
+    the flag set and its exponent in ``tail_exponent``, and one that changes
+    sign without decaying that fast raises NonConvergentError.
     """
     cfg = cfg or _DEFAULT
     if math.isnan(a) or math.isnan(b):
@@ -257,7 +263,7 @@ def integrate(
         if a + 1.0 == a:
             raise UnsupportedError(
                 f"lower limit {a:g} is too large for the semi-infinite map: a + 1 rounds to a")
-        return integrate_quantile(lambda p, q: f(a + p / q), lambda p, q: 1.0 / q / q, cfg=cfg)
+        return _quantile(lambda p, q: f(a + p / q), lambda p, q: 1.0 / q / q, False, cfg)
     if a == b:
         return QuadResult(0.0, 0.0, False, 0)
     sign = 1.0
@@ -340,42 +346,62 @@ def _half(g, qd, survival: bool, upper: bool, m: int, floor: float) -> Callable[
 
 
 class _EndFit:
-    """The power laws h ~ s^gamma and qd ~ s^beta at one end of (0, 1), fitted
-    between the two deepest probes s1 < s2 of s = 2^-k where h is finite and
-    nonzero. Without two such probes gamma is inf if h vanished at every
-    probe, else NaN, and nothing else is set. Where beta is within 0.01 of
-    -1 and g = h / qd is flat (a Frechet law's lower end, under S near 1),
-    h s ~ L^c in L = -log s, a power of log s the slope in s cannot resolve:
-    c is fitted too, and decides the verdict and the rest; elsewhere c is NaN."""
+    """The law h s = A L^c s^delta at one end of (0, 1), s the distance to
+    it and L = -log s. The slopes gamma of log h and beta of log qd in log s
+    between the two deepest probes s1 < s2 of 2^-320 ... 2^-20 where h is
+    finite and nonzero give c = 0 and delta = gamma + 1. At gamma <= -0.98
+    that slope cannot tell s^delta from a power of L (a Frechet lower end, a
+    Weibull one of large shape, a kernel in -log p): c and delta are then
+    solved through the three deepest probes from 2^-900, the deepest
+    becoming s1, and delta is NaN without three. Without two probes gamma
+    and delta are inf if h vanished at every probe, else NaN."""
 
     def __init__(self, g, qd, survival: bool, upper: bool):
-        self.gamma = self.beta = self.c = math.nan
-        self.half = half = _half(g, qd, survival, upper, 1, 0.0)  # half(2s) = h(s) / 2
-        found = []
-        nonfinite = False
-        for s in _U_PROBES:
-            h = abs(2.0 * half(2.0 * s))
-            if h == 0.0:
-                continue
-            if not math.isfinite(h):
-                nonfinite = True
-                continue
-            found.append((s, h, qd(1.0 - s, s) if upper else qd(s, 1.0 - s)))
-            if len(found) == 2:
-                break
-        else:
-            self.gamma = math.nan if nonfinite else math.inf
+        self.gamma = self.beta = math.nan
+        self.c = 0.0
+        self.half = _half(g, qd, survival, upper, 1, 0.0)  # half(2s) = h(s) / 2
+        self.qd = (lambda s: qd(1.0 - s, s)) if upper else (lambda s: qd(s, 1.0 - s))
+        found = self._probe(_U_PROBES, 2)
+        if len(found) < 2:
+            nonfinite = any(not math.isfinite(self.half(2.0 * s)) for s in _U_PROBES)
+            self.gamma = self.delta = math.nan if nonfinite else math.inf
             return
         (self.s1, self.h1, self.q1), (s2, h2, q2) = found
         span = math.log(self.s1 / s2)
         self.gamma = math.log(self.h1 / h2) / span
         self.beta = math.log(self.q1 / q2) / span
-        if abs(self.beta + 1.0) < 0.01 and abs((self.gamma - self.beta) * span) < 1e-6:
-            self.c = (self.gamma + 1.0) * span / math.log(math.log(self.s1) / math.log(s2))
+        self.delta = self.gamma + 1.0 if self.gamma > _U_DIVERGED else math.nan
+        found = self._probe(_U_DEEP, 3) if self.gamma <= _U_DIVERGED else ()
+        if len(found) == 3:  # log(h s) = log A + c log L - delta L at each probe
+            self.s1, self.h1, self.q1 = found[0]
+            L = [-math.log(s) for s, _, _ in found]
+            l = list(map(math.log, L))
+            y = [math.log(h * s) if h * s > 0.0 else math.log(h) - x
+                 for (s, h, _), x in zip(found, L)]
+            dL, dl, dy = ([v[i] - v[i + 1] for i in (0, 1)] for v in (L, l, y))
+            det = dL[0] * dl[1] - dL[1] * dl[0]
+            self.c = (dL[0] * dy[1] - dL[1] * dy[0]) / det
+            self.delta = (dl[0] * dy[1] - dl[1] * dy[0]) / det
+            # A pure power of L or of s: its one exponent, which rounding moves less.
+            if abs(self.delta) <= _U_FLAT:
+                self.c, self.delta = (y[0] - y[2]) / (l[0] - l[2]), 0.0
+            elif abs(self.c) <= _U_FLAT:
+                self.c, self.delta = 0.0, (y[2] - y[0]) / (L[0] - L[2])
+
+    def _probe(self, ladder, n: int) -> list:
+        """The n deepest (s, |h|, qd) on ladder where h is finite and nonzero."""
+        found = []
+        for s in ladder:
+            h = abs(2.0 * self.half(2.0 * s))
+            if 0.0 < h < math.inf:
+                found.append((s, h, self.qd(s)))
+                if len(found) == n:
+                    break
+        return found
 
     def diverged(self) -> bool:
-        """gamma <= -0.98, or where c is fitted, c >= -1.02."""
-        return not (self.c < -2.0 - _U_DIVERGED if self.c == self.c else self.gamma > _U_DIVERGED)
+        """Unless h s decays in L: delta > 0, or delta = 0 and c < -1."""
+        return not (self.delta > _U_FLAT or self.delta >= -_U_FLAT and self.c < -1.0)
 
     def one_signed(self) -> bool:
         """Whether h has one sign at every probe where it is nonzero."""
@@ -408,14 +434,30 @@ class _EndFit:
         return min(floor, self.s1)
 
     def rest(self, floor: float) -> float:
-        """int_0^floor h ds under the fitted power law, in L where c is fitted."""
+        """int_0^floor h ds under the fitted law: with a = c + 1 and
+        Lf = -log floor, (h s)(Lf) Lf int_0^inf exp(a t - delta Lf (e^t - 1)) dt
+        in t = log(L / Lf), which is 1 / (delta Lf) where c = 0 and 1 / -a
+        where delta = 0."""
         if not math.isfinite(self.gamma):
             return 0.0
-        if self.c == self.c:
-            L1, e = -math.log(self.s1), self.c + 1.0
-            return self.h1 * self.s1 * L1 * (math.log(floor) / -L1) ** e / -e
-        e = self.gamma + 1.0
-        return self.h1 * self.s1 * (floor / self.s1) ** e / e
+        if self.c == 0.0:
+            return self.h1 * self.s1 * (floor / self.s1) ** self.delta / self.delta
+        L1, Lf = -math.log(self.s1), -math.log(floor)
+        a, x = self.c + 1.0, self.delta * Lf
+        hs = self.h1 * self.s1 * (Lf / L1) ** self.c * math.exp(self.delta * (L1 - Lf))
+        if abs(self.delta) <= _U_FLAT:
+            return hs * Lf / -a
+        # Past t = 700 the integrand is 0 for every delta above _U_FLAT.
+        t = lambda p, q: min(p / q, 700.0)
+        try:
+            rest = hs * Lf * _quantile(lambda p, q: math.exp(a * t(p, q) - x * math.expm1(t(p, q))),
+                                       lambda p, q: 1.0 / q / q, False, _U_CFG).value
+            if rest < math.inf:
+                return rest
+        except OverflowError:
+            pass
+        raise NonConvergentError(f"the end law h s ~ L^{self.c:.4g} s^{self.delta:.4g} "
+                                 "integrates past the float range")
 
 
 def integrate_quantile(
@@ -432,45 +474,50 @@ def integrate_quantile(
     (q, p), which gives int g(S(x)) dx. Both arguments of each pair are
     exact: the lower half of (0, 1) passes p = u, the upper half q = 1 - u.
 
-    On each half the endpoint exponent gamma (``h ~ s^gamma`` at distance
-    s from the end) is the slope of log|h| between the two deepest finite
-    probes at s = 2^-20, 2^-40, ..., 2^-320. gamma <= -0.98 is a diverged
-    result, value inf, if h has one sign at every probe of that end, and
-    NonConvergentError if it does not: a slow end that changes sign has no
-    limit the fit can see. Otherwise ``s = w^m / 2`` with
-    ``m = clamp(ceil(3 / (gamma + 1)), 2, 60)`` makes the endpoint smooth
-    and the refinement loop runs from 4 panels per half, to a relative
-    tolerance of 1e-10 or the caller's rel_tol if tighter, with no absolute
-    tolerance, each half under the caller's subdivision budget.
+    Each end is fitted as ``h s ~ L^c s^delta`` at distance s from it, with
+    L = -log s (``_EndFit``). A slow end, endpoint exponent gamma <= -0.98,
+    raises NonConvergentError if h changes sign among its probes: a slow end
+    that changes sign has no limit the fit can see. An end where h s does
+    not decay in L is a diverged result, value inf. Otherwise ``s = w^m / 2``
+    with ``m = clamp(ceil(3 / max(gamma + 1, 0.05)), 2, 60)`` makes the
+    endpoint smooth and the refinement loop runs from 4 panels per half, to
+    a relative tolerance of 1e-10 or the caller's rel_tol if tighter, with
+    no absolute tolerance, each half under the caller's subdivision budget.
 
     A panel holding one of the levels ``kinks``, where qd's slope jumps, is
     split there: a kink between a panel's outermost node and its end is
     invisible to the error estimate. Below the depth where h or qd would
     leave the float range (``_EndFit.floor``, 2^-900 at most) the fitted
-    power law, in s or in -log s, stands in for h; its integral is added to
-    the value and to the error estimate. ``tail_exponent`` is the diverged
-    end's exponent, or else the upper end's, in x units.
+    law stands in for h; its integral is added to the value and to the
+    error estimate. ``tail_exponent`` is the diverged end's exponent, or
+    else the upper end's, in x units.
     """
     cfg = cfg or _MEASURE_CFG
-    ucfg = QuadConfig(0.0, min(cfg.rel_tol, _U_REL_TOL), cfg.max_subdivisions)
+    return _quantile(g, qd, survival,
+                     QuadConfig(0.0, min(cfg.rel_tol, _U_CFG.rel_tol), cfg.max_subdivisions), kinks)
+
+
+def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> QuadResult:
+    """``integrate_quantile`` to cfg as it is, half its abs_tol per half."""
     fits = {upper: _EndFit(g, qd, survival, upper) for upper in (True, False)}
     for upper, fit in fits.items():
+        if not fit.gamma > _U_DIVERGED and not fit.one_signed():
+            raise NonConvergentError(
+                f"integrand changes sign near the {'upper' if upper else 'lower'} end "
+                f"without decaying (endpoint exponent {fit.gamma:.3f}): no limit")
         if fit.diverged():
-            if not fit.one_signed():
-                raise NonConvergentError(
-                    f"integrand changes sign near the {'upper' if upper else 'lower'} end "
-                    f"without decaying (endpoint exponent {fit.gamma:.3f}): no limit")
             return QuadResult(math.inf, math.inf, True, 0, tail_exponent=fit.x_exponent())
+    half_cfg = QuadConfig(0.5 * cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
     total = err = 0.0
     splits = 0
     for upper, fit in fits.items():
-        m = min(60, max(2, math.ceil(3.0 / (fit.gamma + 1.0))))
+        m = min(60, max(2, math.ceil(3.0 / max(fit.gamma + 1.0, 0.05))))
         floor = fit.floor()
-        # Where h s ~ L^c, h ds/dw is far from 0 at the floor: start there.
-        start = (2.0 * floor) ** (1.0 / m) if fit.c == fit.c else 0.0
+        # Where gamma <= -0.98, h ds/dw can be far from 0 at the floor: start there.
+        start = (2.0 * floor) ** (1.0 / m) if fit.gamma <= _U_DIVERGED else 0.0
         ends = [1.0 - p if upper else p for p in kinks if (p > 0.5 if upper else p < 0.5)]
         try:
-            value, e, n = _adaptive(_half(g, qd, survival, upper, m, floor), start, 1.0, ucfg,
+            value, e, n = _adaptive(_half(g, qd, survival, upper, m, floor), start, 1.0, half_cfg,
                                     _U_PANELS, [(2.0 * s) ** (1.0 / m) for s in ends])
         except MaxSubdivisionsError as exc:  # the partial result covers both halves
             part = exc.partial
@@ -482,4 +529,4 @@ def integrate_quantile(
         total += value + rest
         err += e + rest
         splits += n
-    return _checked(total, err, splits, ucfg, tail_exponent=fits[True].x_exponent())
+    return _checked(total, err, splits, cfg, tail_exponent=fits[True].x_exponent())

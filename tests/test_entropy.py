@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -656,6 +657,77 @@ class TestTruncatedReferences:
         assert prhr(X, 2.0).mean() == pytest.approx(Frechet(2.5, 6.0).mean(), rel=1e-12)
         # E[min] = 2 E[X] - E[max] = (2 - 2^(1/2.5)) E[X].
         assert gini(X) == pytest.approx(2.0 ** 0.4 - 1.0, rel=1e-12)
+
+
+def _beta_a2_gini(a: int) -> float:
+    """Exact Gini index of Beta(a, 2): S = 1 - (a+1) x^a + a x^(a+1) gives
+    int S^2 = (a+1)^2/(2a+1) + a^2/(2a+3) + 2a/(a+2) - a - 1, mean a/(a+2)."""
+    a = Fraction(a)
+    e_min = (a + 1) ** 2 / (2 * a + 1) + a ** 2 / (2 * a + 3) + 2 * a / (a + 2) - a - 1
+    return float(1 - e_min * (a + 2) / a)
+
+
+class TestSlowEnds:
+    # Ends where h s ~ L^c s^delta (L = -log s) with a slope in log s near
+    # -1, which the two-probe exponent alone called diverged: a Weibull or
+    # Beta lower end of large shape under S, a Frechet lower end, a kernel
+    # in -log F times either. Closed forms or mpmath references.
+    @pytest.mark.parametrize("k", [50, 60, 150, 300, 1000])
+    def test_gini_at_large_shapes(self, k):
+        # E[min] = 2^(-1/k) E[X] for Weibull, (2 - 2^(1/k)) E[X] for Frechet.
+        assert gini(Weibull(1.0, k)) == pytest.approx(1.0 - 2.0 ** (-1.0 / k), rel=1e-9)
+        assert gini(Frechet(k, 1.0)) == pytest.approx(2.0 ** (1.0 / k) - 1.0, rel=1e-8)
+
+    def test_gini_beta_large_shape(self):
+        # Below the deepest level the core evaluates, 2^-900, lie x < 0.0151
+        # of Beta(150, 2); the fitted end law stands in there and is 1.6e-4
+        # off in the Gini index (the result is low-confidence inside).
+        assert gini(Beta(60.0, 2.0)) == pytest.approx(_beta_a2_gini(60), rel=1e-8)
+        assert gini(Beta(150.0, 2.0)) == pytest.approx(_beta_a2_gini(150), rel=1e-3)
+
+    def test_false_divergence_verdict_is_refused(self, monkeypatch):
+        import fracpast.entropy as entropy_module
+
+        diverged = quadrature.QuadResult(math.inf, math.inf, True, 0)
+        monkeypatch.setattr(entropy_module, "_cumulative", lambda *args, **kw: diverged)
+        with pytest.raises(DivergedError):
+            gini(Exponential(1.0))
+
+    def test_frechet_lower_end_with_c_near_minus_one(self):
+        # S ~ 1 and qd ~ L^(-1 - 1/60) / (60 p): c = -1.0167 converges.
+        X = Frechet(60.0, 1.0)
+        res = classic_fractional(X, 0.0)
+        assert not res.diverged
+        assert res.value == pytest.approx(math.gamma(1.0 - 1.0 / 60.0), rel=1e-9)
+        assert prhr(X, 2.0).mean() == pytest.approx(Frechet(60.0, 2.0).mean(), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [60.0, 150.0])
+    def test_w_alpha_weibull_lower_end(self, k):
+        # int -log(1 - exp(-x^k)) dx = Gamma(1 + 1/k) zeta(1 + 1/k); mpmath at
+        # k = 60 gives 60.0120408109483270907.
+        want = {60.0: 60.0120408109483270907, 150.0: 150.004841073745819893}[k]
+        assert W_alpha(Weibull(1.0, k), 1.0, 0.0) == pytest.approx(want, rel=1e-10)
+
+    def test_tau_weibull_lower_end(self):
+        # Gamma(3/2)^2 int (-log F)^2 dx, 30-digit mpmath over x = e^-t.
+        got = tau_alpha(Weibull(1.0, 60.0), 0.5, 0.0)
+        assert got == pytest.approx(5654.88149935008030266, rel=1e-10)
+
+    @pytest.mark.parametrize("q,want", [(0.01, 99.0129232699504611146),
+                                        (0.0035, 284.718839646064273532)])
+    @pytest.mark.parametrize("rate", [1.0, 1e-6])
+    def test_classic_past_small_exponent(self, q, want, rate):
+        # F (-log F)^q ~ e^(-q x) past the mass: 1/q + int_0^1 [(1 - u)
+        # (-log(1 - u))^q / u - u^(q - 1)] du, in 30-digit mpmath.
+        res = classic_fractional(Exponential(rate), q, past=True)
+        assert not res.diverged
+        assert res.value * rate == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha,want", [(1.0, 10100.0), (0.5, 1602369.33296347404128)])
+    def test_pareto_residual_near_tail_index_one(self, alpha, want):
+        # S [Gamma(1+a) (-log S)]^(1/a) ~ x^-1.01 log(x)^(1/a): (k Gamma(1+a))^(1/a)
+        # Gamma(1/a + 1) / (k - 1)^(1/a + 1) at k = 1.01.
+        assert efcre(ParetoType(1.01), alpha).value == pytest.approx(want, rel=1e-10)
 
 
 class TestProbabilitySpaceReferences:

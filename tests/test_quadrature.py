@@ -129,6 +129,42 @@ class TestDivergenceScreen:
         with pytest.raises(NonConvergentError, match="changes sign"):
             integrate(lambda x: math.sin(x) / math.sqrt(1.0 + x), 0.0, math.inf)
 
+    @pytest.mark.parametrize("power", [0.5, 1.0])
+    def test_log_power_tail_diverged(self, power):
+        # int dx / ((1 + x) log(2 + x)^c) diverges for c <= 1.
+        res = integrate(lambda x: 1.0 / ((1.0 + x) * math.log(2.0 + x) ** power), 0.0, math.inf)
+        assert res.diverged
+
+    def test_log_power_tail_convergent(self):
+        # c = 2 converges; with y = log(2 + x) mpmath gives 1.99355968066536384786.
+        res = integrate(lambda x: 1.0 / ((1.0 + x) * math.log(2.0 + x) ** 2), 0.0, math.inf)
+        assert not res.diverged
+        assert res.value == pytest.approx(1.99355968066536384786, rel=1e-10)
+
+    def test_end_law_past_the_float_range_refused(self):
+        # h s = L^100 s^(5e-5) converges, to about Gamma(101) / (5e-5)^101.
+        g = lambda p, q: (-math.log(p)) ** 100 * p ** 5e-5 if p < 0.5 else 0.0
+        with pytest.raises(NonConvergentError, match="float range"):
+            integrate_quantile(g, lambda p, q: 1.0 / p)
+
+
+class TestCallerTolerances:
+    # The public semi-infinite map runs the core to the caller's own cfg.
+    def test_absolute_tolerance_kept(self):
+        res = integrate(lambda x: (1.0 - x) * math.exp(-x), 0.0, math.inf)
+        assert res.value == pytest.approx(0.0, abs=1e-9)
+        assert not res.low_confidence
+
+    def test_relative_tolerance_not_tightened(self):
+        f = lambda x: math.sin(x) ** 2 * math.exp(-0.1 * x)
+        loose = integrate(f, 0.0, math.inf, QuadConfig(abs_tol=0.0, rel_tol=1e-3))
+        tight = integrate(f, 0.0, math.inf, QuadConfig(abs_tol=0.0, rel_tol=1e-12))
+        # int sin^2 e^(-x/10) = 2 / (0.1 (0.01 + 4)) = 200 / 40.1.
+        assert loose.value == pytest.approx(200.0 / 40.1, rel=1e-3)
+        assert tight.value == pytest.approx(200.0 / 40.1, rel=1e-12)
+        assert loose.subdivisions_used < tight.subdivisions_used
+        assert not loose.low_confidence and not tight.low_confidence
+
 
 class TestBudget:
     def test_budget_exhaustion_carries_partial_result(self):
