@@ -22,37 +22,13 @@ order.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from dataclasses import replace
-from importlib import resources
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .chaos import LogisticConfig, bifurcation_sweep, efcpe_vs_s
-from .coherent import (
-    DistortionFunction,
-    distortion,
-    omega_bounds,
-    parallel_uniform_closed_form,
-    sandwich_check,
-    system_efcpe,
-)
-from .distributions import Uniform, _build, _read_spec, independent_sum, parse_spec
-from .empirical import Sample, empirical_efcpe, exp_spacing_moments, load_sample_csv, unif_spacing_moments
-from .entropy import (
-    _dynamic_boundary,
-    classic_fractional,
-    dynamic_efcpe,
-    efcpe,
-    efcpe_closed_form,
-    efcre,
-    gini,
-    modified_efcpe,
-    paired_phi_entropy,
-)
+# Each verb imports the modules it uses where it uses them, so a call loads
+# only those: the package's start-up is paid by every call.
 from .errors import (
     DivergedError,
     DomainError,
@@ -60,18 +36,11 @@ from .errors import (
     NonConvergentError,
     UnsupportedError,
 )
-from .fraclog import LogMode
-from .multivariate import (
-    BivariateLaw,
-    bivariate_efcpe,
-    fcpmi,
-    fgm_law,
-    independent_law,
-    modified_bivariate_efcpe,
-    triangle_law,
-)
-from .orders import _ordering_rows, dispersive_check
-from .quadrature import _MEASURE_CFG, QuadConfig
+
+if TYPE_CHECKING:
+    from .coherent import DistortionFunction
+    from .multivariate import BivariateLaw
+    from .quadrature import QuadConfig
 
 __all__ = ["main", "run"]
 
@@ -116,6 +85,10 @@ def _parse_alphas(args) -> List[float]:
 
 def _quad_config(args) -> Optional[QuadConfig]:
     """The measures' default tolerances, with each flag given in its place."""
+    from dataclasses import replace
+
+    from .quadrature import _MEASURE_CFG
+
     flags = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol, "max_subdivisions": args.max_subdiv}
     given = {field: value for field, value in flags.items() if value is not None}
     return replace(_MEASURE_CFG, **given) if given else None
@@ -132,6 +105,9 @@ def _jsonable(obj):
 
 
 def _rows_to_csv(payload: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     for key in sorted(payload):
         if key != "rows":
@@ -172,17 +148,21 @@ def _record_rows(args, payload: dict, compute) -> int:
     return EXIT_NUMERIC if diverged else EXIT_OK
 
 
-_LAWS = {"triangle": triangle_law, "fgm": fgm_law, "indep": independent_law}
-
-
 def _parse_law(spec: str) -> BivariateLaw:
     """``triangle``, ``fgm:theta=T`` or ``indep(<spec>,<spec>)``."""
+    from .distributions import _build, _read_spec, parse_spec
+    from .multivariate import fgm_law, independent_law, triangle_law
+
+    laws = {"triangle": triangle_law, "fgm": fgm_law, "indep": independent_law}
     name, inner, params = _read_spec(spec)
-    return _build(_LAWS, "bivariate law", name, *map(parse_spec, inner), **params)
+    return _build(laws, "bivariate law", name, *map(parse_spec, inner), **params)
 
 
 def _parse_system(spec: str) -> DistortionFunction:
     """``parallel:N`` (short for ``parallel:n=N``), ``koutofn:k=K,n=N``, ..."""
+    from .coherent import distortion
+    from .distributions import _read_spec
+
     s = spec.strip().lower()
     kind, colon, body = s.partition(":")
     if colon and "=" not in body:
@@ -198,6 +178,10 @@ def _parse_system(spec: str) -> DistortionFunction:
 
 
 def _cmd_measure(args) -> int:
+    from .distributions import parse_spec
+    from .entropy import classic_fractional, efcpe, efcre, gini, modified_efcpe, paired_phi_entropy
+    from .fraclog import LogMode
+
     X = parse_spec(args.dist)
     cfg = _quad_config(args)
     mode = LogMode(args.mode)
@@ -222,6 +206,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_empirical(args) -> int:
+    from .empirical import empirical_efcpe, load_sample_csv
+
     sample = load_sample_csv(args.file)
 
     def compute(alpha):
@@ -231,6 +217,8 @@ def _cmd_empirical(args) -> int:
 
 
 def _cmd_bivariate(args) -> int:
+    from .multivariate import bivariate_efcpe, fcpmi, modified_bivariate_efcpe
+
     law = _parse_law(args.law)
 
     def compute(alpha):
@@ -248,6 +236,10 @@ def _cmd_bivariate(args) -> int:
 
 
 def _cmd_dynamic(args) -> int:
+    from .distributions import parse_spec
+    from .entropy import _dynamic_boundary, dynamic_efcpe
+    from .fraclog import LogMode
+
     X = parse_spec(args.dist)
     cfg = _quad_config(args)
     mode = LogMode(args.mode)
@@ -267,6 +259,9 @@ def _cmd_dynamic(args) -> int:
 
 
 def _cmd_coherent(args) -> int:
+    from .coherent import sandwich_check, system_efcpe
+    from .distributions import parse_spec
+
     q = _parse_system(args.system)
     X = parse_spec(args.dist)
 
@@ -288,6 +283,9 @@ def _cmd_coherent(args) -> int:
 
 
 def _cmd_orders(args) -> int:
+    from .distributions import parse_spec
+    from .orders import _ordering_rows, dispersive_check
+
     X = parse_spec(args.dist_x)
     Y = parse_spec(args.dist_y)
     report = dispersive_check(X, Y, args.grid)
@@ -308,6 +306,8 @@ def _cmd_orders(args) -> int:
 
 
 def _write_csv_file(path: str, fields: Sequence[str], rows: Sequence[Sequence]) -> None:
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
@@ -316,6 +316,8 @@ def _write_csv_file(path: str, fields: Sequence[str], rows: Sequence[Sequence]) 
 
 
 def _cmd_chaos(args) -> int:
+    from .chaos import LogisticConfig, bifurcation_sweep, efcpe_vs_s
+
     wrote = []
     cfg = LogisticConfig(s=4.0, x0=args.x0, burn_in=args.burn_in, length=args.length)
     if args.steps is not None:
@@ -342,15 +344,44 @@ def _cmd_chaos(args) -> int:
 
 
 def _load_fixture(name: str) -> dict:
+    from importlib import resources
+
     path = resources.files("fracpast").joinpath(f"fixtures/{name}.json")
     with path.open("r") as fh:
         return json.load(fh)
 
 
 def _compute_cell(op: dict, fixture: dict):
-    """Evaluate one fixture cell: an EntropyResult, or a float that cannot diverge."""
+    """Evaluate one fixture cell: an EntropyResult, or a float that cannot diverge.
+
+    The spacing-moment and sample cells run without the laws or the quadrature.
+    """
     kind = op["kind"]
     alpha = op.get("alpha")
+    if kind in ("exp_mean", "exp_var", "unif_mean", "unif_var"):
+        from .empirical import exp_spacing_moments, unif_spacing_moments
+
+        if kind.startswith("exp_"):
+            moments = exp_spacing_moments(op["n"], op["rate"], alpha)
+        else:
+            moments = unif_spacing_moments(op["n"], alpha)
+        return moments.mean if kind.endswith("_mean") else moments.variance
+    if kind in ("empirical", "empirical_argmin"):
+        from .empirical import Sample, empirical_efcpe
+
+        sample = Sample(fixture["data"])
+        if kind == "empirical":
+            return empirical_efcpe(sample, alpha)
+        grid = [round(0.05 * k, 2) for k in range(1, 21)]
+        values = {a: empirical_efcpe(sample, a) for a in grid}
+        return min(values, key=values.get)
+    if kind == "modified_bivariate":
+        from .multivariate import modified_bivariate_efcpe
+
+        return modified_bivariate_efcpe(_parse_law(op["law"]), alpha)
+    from .distributions import Uniform, independent_sum, parse_spec
+    from .entropy import efcpe, efcpe_closed_form, modified_efcpe
+
     if kind == "efcpe":
         return efcpe(parse_spec(op["dist"]), alpha)
     if kind == "efcpe_closed":
@@ -364,21 +395,8 @@ def _compute_cell(op: dict, fixture: dict):
         return efcpe(Uniform(1.0), alpha)
     if kind == "sum_cdf":
         return independent_sum(Uniform(1.0), Uniform(1.0)).cdf(op["x"])
-    if kind == "exp_mean":
-        return exp_spacing_moments(op["n"], op["rate"], alpha).mean
-    if kind == "exp_var":
-        return exp_spacing_moments(op["n"], op["rate"], alpha).variance
-    if kind == "unif_mean":
-        return unif_spacing_moments(op["n"], alpha).mean
-    if kind == "unif_var":
-        return unif_spacing_moments(op["n"], alpha).variance
-    if kind == "empirical":
-        return empirical_efcpe(Sample(fixture["data"]), alpha)
-    if kind == "empirical_argmin":
-        sample = Sample(fixture["data"])
-        grid = [round(0.05 * k, 2) for k in range(1, 21)]
-        values = {a: empirical_efcpe(sample, a) for a in grid}
-        return min(values, key=values.get)
+    from .coherent import omega_bounds, parallel_uniform_closed_form, system_efcpe
+
     if kind == "omega1":
         return omega_bounds(_parse_system(op["system"]), alpha)[0]
     if kind == "omega2":
@@ -390,8 +408,6 @@ def _compute_cell(op: dict, fixture: dict):
         return parallel_uniform_closed_form(op["n"], alpha)
     if kind == "system_quad":
         return system_efcpe(_parse_system(op["system"]), parse_spec(op["dist"]), alpha)
-    if kind == "modified_bivariate":
-        return modified_bivariate_efcpe(_parse_law(op["law"]), alpha)
     raise DomainError(f"unknown fixture op {kind!r}")
 
 

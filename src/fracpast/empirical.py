@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .distributions import Distribution
-from .entropy import efcpe
 from .errors import DomainError
 from .fraclog import as_order
+
+if TYPE_CHECKING:
+    from .distributions import Distribution
 
 __all__ = [
     "MomentPair",
@@ -164,8 +164,10 @@ def confidence_interval(S: Sample, alpha, gamma: float, variance: float) -> Tupl
         raise DomainError(f"confidence level gamma must lie in (0, 1), got {gamma}")
     if variance < 0.0:
         raise DomainError(f"variance must be nonnegative, got {variance}")
+    from statistics import NormalDist
+
     point = empirical_efcpe(S, alpha)
-    z = statistics.NormalDist().inv_cdf(1.0 - gamma / 2.0)
+    z = NormalDist().inv_cdf(1.0 - gamma / 2.0)
     half = z * math.sqrt(variance)
     return point - half, point + half
 
@@ -212,6 +214,8 @@ def convergence_study(
     Each row reports the average |estimate - analytic| over the seeded
     replications, plus the mean estimate itself.
     """
+    from .entropy import efcpe  # the estimator itself runs without the laws and quadrature
+
     a = as_order(alpha)
     truth = efcpe(X, a).value
     if not math.isfinite(truth):

@@ -309,6 +309,12 @@ def paired_phi_entropy(
     return _result(combined, MeasureTag.PAIRED_PHI, a.alpha, mode)
 
 
+def _check_time(t: float) -> None:
+    """Refuse a NaN truncation time, which every comparison with t would pass over."""
+    if math.isnan(t):
+        raise DomainError("truncation time t must not be NaN")
+
+
 def dynamic_efcpe(
     X: Distribution,
     alpha,
@@ -323,6 +329,7 @@ def dynamic_efcpe(
     the full past measure.
     """
     a = as_order(alpha)
+    _check_time(t)
     Ft = X.cdf(t)
     # A degenerate support is measured as zero whatever t is.
     if Ft <= 0.0 and X.upper - X.lower >= _DEGENERATE_WIDTH:
@@ -332,6 +339,7 @@ def dynamic_efcpe(
 
 def mean_inactivity_time(X: Distribution, t: float) -> float:
     """mu(t) = int_0^t F(x) dx / F(t), the mean of t - X given X <= t."""
+    _check_time(t)
     Ft = X.cdf(t)
     if Ft <= 0.0:
         raise DomainError(f"mean inactivity time needs F(t) > 0; F({t}) = {Ft}")
@@ -365,6 +373,7 @@ def _dynamic_boundary(X: Distribution, alpha, t: float, mode: LogMode) -> float:
 def _tail_integral(X: Distribution, t: float, k: _Kernel, what: str, factor: float = 1.0) -> float:
     """factor * int_t^upper k(F(x)) dx over the levels (F(t), 1), k read as 0
     where F is 0 or 1; DivergedError on a divergent integral."""
+    _check_time(t)
     if t >= X.upper or X.cdf(max(t, X.lower)) == 1.0:
         # F is nondecreasing, so F = 1 and the integrand is 0 from t on.
         return 0.0

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .errors import MaxSubdivisionsError, NonConvergentError, UnsupportedError
+from .errors import DomainError, MaxSubdivisionsError, NonConvergentError, UnsupportedError
 
 __all__ = [
     "QuadConfig",
@@ -97,11 +97,17 @@ _U_FLAT = 1e-6
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budgets for the adaptive integrator."""
+    """Tolerances and budgets for the adaptive integrator; a NaN or negative
+    tolerance is refused here, since no error estimate could ever meet it."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
+
+    def __post_init__(self):
+        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
+            raise DomainError(f"tolerances must be >= 0; got abs_tol={self.abs_tol}, "
+                              f"rel_tol={self.rel_tol}")
 
 
 @dataclass(frozen=True)

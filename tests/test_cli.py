@@ -133,6 +133,9 @@ class TestUsageErrors:
             ["chaos"],
             ["chaos", "--s-list", "3.6"],
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--format", "text"],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--rel-tol", "nan"],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--abs-tol", "0", "--rel-tol", "-1"],
+            ["dynamic", "--dist", "uniform:a=1", "--t", "nan", "--alpha", "0.5"],
         ],
     )
     def test_exit_one_with_message(self, capsys, argv):
@@ -219,7 +222,6 @@ class TestDynamic:
         )
 
     def test_decomposition_computes_the_measure_once(self, capsys, monkeypatch):
-        import fracpast.cli
         import fracpast.entropy
 
         calls = []
@@ -229,7 +231,6 @@ class TestDynamic:
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fracpast.cli, "dynamic_efcpe", counted)
         monkeypatch.setattr(fracpast.entropy, "dynamic_efcpe", counted)
         code, _, _ = run_json(
             capsys,
@@ -325,7 +326,6 @@ class TestOrders:
     def test_rows_follow_the_verdict_at_the_requested_grid(self, capsys, monkeypatch):
         # Two levels certify this pair; 4096 do not. The rows follow the
         # verdict the payload reports, from one check at --grid.
-        import fracpast.cli
         import fracpast.orders
 
         calls = []
@@ -334,7 +334,6 @@ class TestOrders:
             calls.append(grid)
             return dispersive_check(X, Y, grid)
 
-        monkeypatch.setattr(fracpast.cli, "dispersive_check", counted)
         monkeypatch.setattr(fracpast.orders, "dispersive_check", counted)
         code, payload, _ = run_json(
             capsys,

@@ -285,6 +285,22 @@ class TestDynamicMeasure:
         with pytest.raises(DomainError):
             dynamic_efcpe(Uniform(1.0), 0.5, -0.1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: dynamic_efcpe(Uniform(1.0), 0.5, t),
+            lambda t: tau_alpha(Uniform(1.0), 0.5, t),
+            lambda t: W_alpha(Uniform(1.0), 0.5, t),
+            lambda t: mean_inactivity_time(Uniform(1.0), t),
+        ],
+        ids=["dynamic_efcpe", "tau_alpha", "W_alpha", "mean_inactivity_time"],
+    )
+    def test_nan_time_refused(self, call):
+        # Every comparison with NaN is false, so no check on F(t) or the
+        # support catches it.
+        with pytest.raises(DomainError, match="NaN"):
+            call(math.nan)
+
     @pytest.mark.parametrize("scale,shift", [(0.5, 0.0), (2.0, 3.0), (7.0, 0.0)])
     def test_affine_law(self, scale, shift):
         X = Beta(2.0, 2.0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracpast.errors import MaxSubdivisionsError, NonConvergentError, UnsupportedError
+from fracpast.errors import DomainError, MaxSubdivisionsError, NonConvergentError, UnsupportedError
 from fracpast.quadrature import (
     _MEASURE_CFG,
     QuadConfig,
@@ -164,6 +164,14 @@ class TestCallerTolerances:
         assert tight.value == pytest.approx(200.0 / 40.1, rel=1e-12)
         assert loose.subdivisions_used < tight.subdivisions_used
         assert not loose.low_confidence and not tight.low_confidence
+
+    @pytest.mark.parametrize("tols", [{"rel_tol": math.nan}, {"abs_tol": math.nan},
+                                      {"abs_tol": 0.0, "rel_tol": -1.0}, {"abs_tol": -1e-9}])
+    def test_nan_or_negative_tolerance_refused(self, tols):
+        # No error estimate meets such a tolerance, so it is refused before
+        # any integral spends the subdivision budget on it.
+        with pytest.raises(DomainError, match="tolerances"):
+            QuadConfig(**tols)
 
 
 class TestBudget:
