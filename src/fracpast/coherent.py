@@ -1,15 +1,18 @@
 """System-lifetime measures through distortion functions.
 
 For a coherent system of iid components, the system lifetime CDF is a
-distortion q of the component CDF. The system past measure is then the
-u-substituted integral
+distortion q of the component CDF, F_T = q(F). The system past measure
 
-    E*(T) = int_0^1 phi_a(q(u)) / f(F^{-1}(u)) du,
+    E*(T) = int phi_a(q(F(x))) dx,
 
-with phi_a(u) = u * [-Ln_a u]**(1/a) the universal kernel. The module also
-provides the inf/sup ratio bounds around the component measure, bounds that
-need only a density envelope, and system-vs-system and system-vs-component
-comparison reports.
+with phi_a(u) = u * [-Ln_a u]**(1/a) the universal kernel, is then one more
+kernel on the core that every cumulative measure shares
+(``entropy._measure``), with its end fit, divergence verdict and scale-free
+tolerance. A distortion maps the exact pair (p, 1 - p) to (q, 1 - q), each
+side formed from the exact side, so the kernel keeps its relative accuracy
+at both ends. The module also provides the inf/sup ratio bounds around the
+component measure, bounds that need only a density envelope, and
+system-vs-system and system-vs-component comparison reports.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .distributions import Distribution, _build
-from .entropy import EntropyResult, MeasureTag, _integral, _phi, _result, efcpe
+from .entropy import EntropyResult, MeasureTag, _measure, _phi, efcpe
 from .errors import DomainError
 from .fraclog import FracOrder, LogMode, as_order
-from .quadrature import _MEASURE_CFG, integrate
+from .quadrature import integrate_quantile
 
 __all__ = [
     "ComponentReport",
@@ -45,65 +48,82 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DistortionFunction:
-    """Continuous nondecreasing map q of [0, 1] onto itself."""
+    """Continuous nondecreasing map q of [0, 1] onto itself, as the pair map
+    (p, r) -> (v, w) with r = 1 - p, v = q(p) and w = 1 - v, each side
+    formed from the exact side of its argument."""
 
-    q: Callable[[float], float]
+    pair: Callable[[float, float], Tuple[float, float]]
     label: str
 
     def __call__(self, u: float) -> float:
-        return self.q(u)
+        return self.pair(u, 1.0 - u)[0]
+
+
+def _power_pair(n: int, p: float, r: float) -> Tuple[float, float]:
+    """(p**n, 1 - p**n), the complement formed from r = 1 - p above p = 1/2;
+    below it p**n <= 1/2, and 1 - p**n loses nothing."""
+    v = p**n
+    return v, -math.expm1(n * math.log1p(-r)) if p > 0.5 else 1.0 - v
 
 
 def parallel(n: int) -> DistortionFunction:
     """Largest of n iid lifetimes: q(u) = u**n."""
     _check_n(n)
-    return DistortionFunction(lambda u: u**n, f"parallel:{n}")
+    return DistortionFunction(lambda p, r: _power_pair(n, p, r), f"parallel:{n}")
 
 
 def series_system(n: int) -> DistortionFunction:
-    """Smallest of n iid lifetimes: q(u) = 1 - (1-u)**n."""
+    """Smallest of n iid lifetimes: q(u) = 1 - (1-u)**n, parallel's mirror."""
     _check_n(n)
-    return DistortionFunction(lambda u: 1.0 - (1.0 - u) ** n, f"series:{n}")
+    return DistortionFunction(lambda p, r: _power_pair(n, r, p)[::-1], f"series:{n}")
 
 
 def k_out_of_n(k: int, n: int) -> DistortionFunction:
     """Lifetime of a system needing k of n components.
 
     The system fails at the (n-k+1)-th component failure, so
-    q(u) = sum_{j=n-k+1}^{n} C(n, j) u**j (1-u)**(n-j).
+    q(u) = sum_{j=n-k+1}^{n} C(n, j) u**j (1-u)**(n-j), and 1 - q(u) is
+    the same sum below n-k+1.
     """
     _check_n(n)
     if not isinstance(k, int) or not 1 <= k <= n:
         raise DomainError(f"need integer 1 <= k <= n, got k={k}, n={n}")
     j_lo = n - k + 1
 
-    def q(u: float) -> float:
-        return math.fsum(
-            math.comb(n, j) * u**j * (1.0 - u) ** (n - j) for j in range(j_lo, n + 1)
-        )
+    def pair(p: float, r: float) -> Tuple[float, float]:
+        terms = [math.comb(n, j) * p**j * r ** (n - j) for j in range(n + 1)]
+        return math.fsum(terms[j_lo:]), math.fsum(terms[:j_lo])
 
-    return DistortionFunction(q, f"koutofn:{k},{n}")
+    return DistortionFunction(pair, f"koutofn:{k},{n}")
 
 
 def two_out_of_four() -> DistortionFunction:
-    """The quartic distortion 6u**4 - 8u**3 + 3u**2.
+    """The quartic distortion 6u**4 - 8u**3 + 3u**2, whose complement in
+    r = 1 - u is r(6 - 15r + 16r**2 - 6r**3).
 
     Its derivative 6u(2u - 1)**2 is nonnegative, so it is a valid
     distortion. Note the coefficient pattern is the power-transpose of the
     binomial form of k_out_of_n(2, 4); the two do not coincide pointwise
     (0.125 versus 0.3125 at u = 0.5).
     """
-    return DistortionFunction(
-        lambda u: u * u * (3.0 + u * (-8.0 + 6.0 * u)), "twooutoffour"
-    )
+    return DistortionFunction(lambda p, r: (p * p * (3.0 + p * (-8.0 + 6.0 * p)),
+                                            r * (6.0 + r * (-15.0 + r * (16.0 - 6.0 * r)))),
+                              "twooutoffour")
 
 
 def identity_distortion() -> DistortionFunction:
-    return DistortionFunction(lambda u: u, "identity")
+    return DistortionFunction(lambda p, r: (p, r), "identity")
 
 
 def custom(fn: Callable[[float], float], label: str = "custom") -> DistortionFunction:
-    return DistortionFunction(fn, label)
+    """A distortion from q alone; its complement 1 - q(p) loses the digits
+    of q near 1."""
+
+    def pair(p: float, r: float) -> Tuple[float, float]:
+        v = fn(p)
+        return v, 1.0 - v
+
+    return DistortionFunction(pair, label)
 
 
 def _check_n(n: int):
@@ -134,33 +154,10 @@ def phi_alpha(u: float, alpha, mode: LogMode = LogMode.APPROX) -> float:
 
 
 def system_efcpe(q: DistortionFunction, X: Distribution, alpha) -> EntropyResult:
-    """System past measure by the quantile-substituted integral.
-
-    Requires a strictly positive component density on the support interior;
-    vanishing density at isolated probe points raises DomainError.
-    """
+    """System past measure int phi_a(q(F(x))) dx, on the path of ``efcpe``."""
     a = as_order(alpha)
-    for probe in (0.2, 0.35, 0.5, 0.65, 0.8):
-        fv = X.pdf(X.quantile(probe))
-        if not (math.isfinite(fv) and fv > 0.0):
-            raise DomainError(
-                f"component density must be positive on the interior; "
-                f"f(F^-1({probe})) = {fv}"
-            )
-
-    k = a._kernels[LogMode.APPROX]
-
-    def integrand(u: float) -> float:
-        quv = q(u)
-        if quv <= 0.0 or quv >= 1.0:
-            return 0.0
-        fv = X.pdf(X.quantile(u))
-        if fv <= 0.0:
-            raise DomainError(f"density vanished at quantile level {u}")
-        return quv * k(quv, 1.0 - quv) / fv
-
-    res = integrate(integrand, 0.0, 1.0, _MEASURE_CFG)
-    return _result(res, MeasureTag.SYSTEM_EFCPE, a.alpha)
+    phi = _phi(a)
+    return _measure(X, lambda p, r: phi(*q.pair(p, r)), MeasureTag.SYSTEM_EFCPE, a.alpha)
 
 
 def parallel_uniform_closed_form(n: int, alpha) -> float:
@@ -178,16 +175,7 @@ def parallel_uniform_closed_form(n: int, alpha) -> float:
     )
 
 
-def _ratio_grid(grid: int) -> list:
-    """512-style uniform grid plus geometric tails near both endpoints."""
-    pts = [(i + 0.5) / grid for i in range(grid)]
-    tail = [2.0 ** (-k) for k in range(10, 74)]
-    pts.extend(tail)
-    pts.extend(1.0 - t for t in tail)
-    return sorted(p for p in pts if 0.0 < p < 1.0)
-
-
-def _golden_refine(fn, lo: float, hi: float, maximize: bool, iters: int = 80):
+def _golden_refine(fn, lo: float, hi: float, maximize: bool, iters: int = 80) -> float:
     """Golden-section search for an interior extremum of fn on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -203,50 +191,55 @@ def _golden_refine(fn, lo: float, hi: float, maximize: bool, iters: int = 80):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fn(d)
-    u = 0.5 * (a + b)
-    return u, fn(u)
+    return fn(0.5 * (a + b))
 
 
-def _ratio_bounds(num: Callable[[float], float], den: Callable[[float], float], a: FracOrder,
+def _ratio_bounds(num: DistortionFunction, den: DistortionFunction, a: FracOrder,
                   what: str = "ratio") -> Tuple[float, float]:
     """Infimum and supremum of phi_a(num(u)) / phi_a(den(u)) on (0, 1).
 
-    The ratio is scanned on the 512-point grid with geometric end tails; a
-    golden-section pass then refines around the best grid points. Endpoint
-    degeneracies (0/0) are approached but never evaluated at 0 or 1.
+    The ratio is scanned on a 512-point uniform grid plus geometric tails
+    2^-k, k = 10..73, at both ends; a golden-section pass then refines
+    between the neighbours of the best grid points. The end limits,
+    q_num / q_den at u -> 0 and ((1 - q_num) / (1 - q_den))**(1/a) at
+    u -> 1, are approached only logarithmically, so no grid reaches them:
+    each is read from the pairs at distance 2^-200 from its end, and counts
+    only where it reads finite and positive there.
     """
     phi = _phi(a)
 
     def ratio(u: float) -> float:
-        dv = den(u)
-        d = phi(dv, 1.0 - dv)
+        r = 1.0 - u
+        d = phi(*den.pair(u, r))
         if d <= 0.0:
             return math.nan
-        nv = num(u)
-        return phi(nv, 1.0 - nv) / d
+        return phi(*num.pair(u, r)) / d
 
-    pts = _ratio_grid(512)
-    vals = [(ratio(u), u) for u in pts]
-    vals = [(r, u) for r, u in vals if math.isfinite(r)]
+    tail = [2.0 ** (-k) for k in range(10, 74)]
+    grid = [(i + 0.5) / 512 for i in range(512)] + tail + [1.0 - t for t in tail]
+    pts = sorted(u for u in grid if u < 1.0)
+    vals = [(r, u) for r, u in ((ratio(u), u) for u in pts) if math.isfinite(r)]
     if not vals:
         raise DomainError(f"{what} undefined on the whole grid")
 
-    lo_r, lo_u = min(vals)
-    hi_r, hi_u = max(vals)
+    def refined(r0: float, u0: float, maximize: bool) -> float:
+        i = pts.index(u0)
+        left = pts[i - 1] if i > 0 else pts[0] / 2.0
+        right = pts[i + 1] if i + 1 < len(pts) else (1.0 + pts[-1]) / 2.0
+        r1 = _golden_refine(ratio, left, right, maximize)
+        return (max if maximize else min)(r0, r1 if math.isfinite(r1) else r0)
 
-    def neighbors(u0: float) -> Tuple[float, float]:
-        idx = pts.index(u0)
-        left = pts[idx - 1] if idx > 0 else pts[0] / 2.0
-        right = pts[idx + 1] if idx + 1 < len(pts) else (1.0 + pts[-1]) / 2.0
-        return left, right
-
-    l, r = neighbors(lo_u)
-    _, refined_lo = _golden_refine(ratio, l, r, maximize=False)
-    l, r = neighbors(hi_u)
-    _, refined_hi = _golden_refine(ratio, l, r, maximize=True)
-    lower = min(lo_r, refined_lo if math.isfinite(refined_lo) else lo_r)
-    upper = max(hi_r, refined_hi if math.isfinite(refined_hi) else hi_r)
-    return lower, upper
+    limits = []
+    for side, end, power in ((0, (2.0**-200, 1.0), 1.0), (1, (1.0, 2.0**-200), 1.0 / a.alpha)):
+        d = den.pair(*end)[side]
+        limit = num.pair(*end)[side] / d if d > 0.0 else math.nan
+        if 0.0 < limit < math.inf:
+            try:
+                limits.append(limit**power)
+            except OverflowError:  # the ratio grows past the float range
+                limits.append(math.inf)
+    return (min([refined(*min(vals), False)] + limits),
+            max([refined(*max(vals), True)] + limits))
 
 
 def _slack(*values: float) -> float:
@@ -256,7 +249,7 @@ def _slack(*values: float) -> float:
 
 def omega_bounds(q: DistortionFunction, alpha) -> Tuple[float, float]:
     """Infimum and supremum of phi_a(q(u)) / phi_a(u) on (0, 1)."""
-    return _ratio_bounds(q, lambda u: u, as_order(alpha))
+    return _ratio_bounds(q, identity_distortion(), as_order(alpha))
 
 
 @dataclass(frozen=True)
@@ -306,7 +299,8 @@ def density_bounds(
             raise DomainError(f"M={M} is below the density value {fv} at level {probe}")
         if L is not None and 0.0 < fv < L * (1.0 - 1e-9):
             raise DomainError(f"L={L} exceeds the density value {fv} at level {probe}")
-    I = _integral(_phi(a), q, 0.0, 1.0).value
+    phi = _phi(a)
+    I = integrate_quantile(lambda p, r: phi(*q.pair(p, r)), lambda p, r: 1.0).value
     lower = I / M if M is not None else None
     upper = I / L if L is not None else None
     return lower, upper

@@ -152,8 +152,8 @@ def _first_power(p: float, q: float) -> float:
 
 def _integral(g: _Kernel, side: Callable[[float], float], lo: float, hi: float,
               cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """int_lo^hi g(side(x)) dx on the x axis, where side is a CDF, survival or
-    distortion."""
+    """int_lo^hi g(side(x)) dx on the x axis, where side is a CDF or a
+    survival function."""
 
     def f(x: float) -> float:
         p = side(x)

@@ -98,16 +98,17 @@ _U_FLAT = 1e-6
 @dataclass(frozen=True)
 class QuadConfig:
     """Tolerances and budgets for the adaptive integrator; a NaN or negative
-    tolerance is refused here, since no error estimate could ever meet it."""
+    tolerance, which no error estimate could ever meet, or a negative
+    subdivision budget is refused here."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0):
-            raise DomainError(f"tolerances must be >= 0; got abs_tol={self.abs_tol}, "
-                              f"rel_tol={self.rel_tol}")
+        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0 and self.max_subdivisions >= 0):
+            raise DomainError(f"tolerances and budget must be >= 0; got abs_tol={self.abs_tol}, "
+                              f"rel_tol={self.rel_tol}, max_subdivisions={self.max_subdivisions}")
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,7 @@ class TestUsageErrors:
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--rel-tol", "nan"],
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--abs-tol", "0", "--rel-tol", "-1"],
             ["dynamic", "--dist", "uniform:a=1", "--t", "nan", "--alpha", "0.5"],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--max-subdiv", "-5"],
         ],
     )
     def test_exit_one_with_message(self, capsys, argv):
@@ -265,6 +266,16 @@ class TestCoherent:
         assert row["upper"] == pytest.approx(0.7853981633980079, rel=1e-6)
         assert 0.0 <= row["omega1"] < 1e-6
         assert row["sandwich_holds"] is True
+
+    def test_divergent_system_exits_numeric(self, capsys):
+        code, payload, _ = run_json(
+            capsys,
+            ["coherent", "--system", "parallel:2", "--dist", "pareto:k=0.5", "--alpha", "0.5"],
+        )
+        assert code == 2
+        (row,) = payload["rows"]
+        assert row["diverged"] is True
+        assert row["value"] is None
 
     @pytest.mark.parametrize("system", ["series:3", "koutofn:k=2,n=4", "twooutoffour"])
     def test_other_systems_run(self, capsys, system):

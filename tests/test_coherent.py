@@ -21,11 +21,17 @@ from fracpast.coherent import (
     two_out_of_four,
 )
 from fracpast.distributions import (
+    _FACTORIES,
     Beta,
     Distribution,
+    Exponential,
+    Frechet,
     LogUniform,
     ParetoType,
     Uniform,
+    affine,
+    make,
+    prhr,
 )
 from fracpast.entropy import efcpe
 from fracpast.errors import DomainError
@@ -33,11 +39,30 @@ from fracpast.errors import DomainError
 UNIFORM_PAST = {0.3: 0.320312119422, 0.5: 0.196349540849, 0.7: 0.205049744261}
 
 
-class _FlatSpot(Distribution):
-    """Uniform CDF whose reported density vanishes on [0.4, 0.6].
+# The four distortion kinds with a closed-form complement.
+KINDS = {"p2": parallel(2), "s3": series_system(3), "k24": k_out_of_n(2, 4),
+         "q24": two_out_of_four()}
 
-    The quantile substitution needs 1/f, so the interior probe must reject
-    this before integrating.
+# One law per catalog family, plus the two wrappers.
+FAMILY_PARAMS = {
+    "uniform": {"scale": 2.0},
+    "exponential": {"rate": 1.5},
+    "frechet": {"shape": 2.0, "scale": 1.0},
+    "pareto": {"k": 2.0},
+    "weibull": {"scale": 1.0, "shape": 0.8},
+    "loguniform": {"a": 1.0, "b": 2.0},
+    "beta": {"p": 2.0, "q": 3.0},
+    "triangularsum": {},
+    "degenerate": {"c": 1.0},
+}
+IDENTITY_LAWS = {name: make(name, **kw) for name, kw in FAMILY_PARAMS.items()}
+IDENTITY_LAWS["affine"] = affine(Beta(2.0, 3.0), 3.0, 1.0)
+IDENTITY_LAWS["prhr"] = prhr(Exponential(1.0), 0.4)
+
+
+class _FlatSpot(Distribution):
+    """Uniform CDF whose reported density vanishes on [0.4, 0.6], with no
+    quantile density, so its measures run on the x axis, where f is not used.
     """
 
     family = "flat_spot"
@@ -113,6 +138,20 @@ class TestDistortionShapes:
         with pytest.raises(DomainError):
             k_out_of_n(0, 4)
 
+    # Each side of the pair is exact where it is small: at u = 1e-30 the
+    # value, at u = 1 - 1e-30 (the pair (1, 1e-30)) the complement.
+    @pytest.mark.parametrize("q,v,w", [(parallel(2), 1e-60, 2e-30),
+                                       (series_system(3), 3e-30, 1e-90),
+                                       (k_out_of_n(2, 4), 4e-90, 6e-60),
+                                       (k_out_of_n(4, 4), 4e-30, 1e-120),
+                                       (two_out_of_four(), 3e-60, 6e-30),
+                                       (identity_distortion(), 1e-30, 1e-30)],
+                             ids=["p2", "s3", "k24", "k44", "q24", "id"])
+    def test_both_sides_exact_at_the_ends(self, q, v, w):
+        low, high = q.pair(1e-30, 1.0), q.pair(1.0, 1e-30)
+        assert low[0] == pytest.approx(v, rel=1e-12) and low[1] == 1.0
+        assert high[0] == 1.0 and high[1] == pytest.approx(w, rel=1e-12)
+
     def test_dispatch_constructor(self):
         assert distortion("parallel", n=2)(0.5) == 0.25
         assert distortion("series", n=2)(0.5) == 0.75
@@ -158,9 +197,45 @@ class TestSystemMeasure:
         got = system_efcpe(parallel(2), Uniform(2.0), 0.5).value
         assert got == pytest.approx(2.0 * parallel_uniform_closed_form(2, 0.5), rel=1e-7)
 
-    def test_zero_density_gap_rejected(self):
-        with pytest.raises(DomainError):
-            system_efcpe(parallel(2), _FlatSpot(), 0.5)
+    def test_flat_spot_runs_on_the_x_axis(self):
+        # No quantile density: int phi(q(F(x))) dx on the x axis never reads f.
+        got = system_efcpe(parallel(2), _FlatSpot(), 0.5).value
+        assert got == pytest.approx(parallel_uniform_closed_form(2, 0.5), rel=1e-7)
+
+    @pytest.mark.parametrize("q", KINDS.values(), ids=KINDS.keys())
+    @pytest.mark.parametrize("X", [Uniform(1.0), Exponential(1.0), Frechet(2.0, 1.0),
+                                   ParetoType(1.5)], ids=["unif", "exp", "frechet", "pareto"])
+    def test_scale_law_and_density_bounds(self, q, X):
+        unit = system_efcpe(q, X, 0.5).value
+        lower, _ = density_bounds(q, X, 0.5, M=10.0)
+        for c in (1e-8, 1.0, 1e8):
+            assert system_efcpe(q, affine(X, c), 0.5).value == pytest.approx(c * unit, rel=1e-12)
+            got, _ = density_bounds(q, affine(X, c), 0.5, M=10.0 / c)
+            assert got == pytest.approx(c * lower, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    @pytest.mark.parametrize("name", sorted(IDENTITY_LAWS))
+    def test_identity_is_efcpe_bit_for_bit(self, name, alpha):
+        X = IDENTITY_LAWS[name]
+        system, component = system_efcpe(identity_distortion(), X, alpha), efcpe(X, alpha)
+        assert system.value == component.value
+        assert system.error_estimate == component.error_estimate
+
+    def test_identity_laws_cover_the_catalog(self):
+        assert set(FAMILY_PARAMS) == set(_FACTORIES)
+
+    # 40-digit mpmath integrals over the survival level s = (1 + x)^-k.
+    @pytest.mark.parametrize("n,k,alpha,want", [(3, 0.4, 1.0, 4.52947104284029159),
+                                                (2, 0.6, 0.9, 2.48440621916297412)])
+    def test_heavy_tailed_series(self, n, k, alpha, want):
+        res = system_efcpe(series_system(n), ParetoType(k), alpha)
+        assert not res.diverged
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+    def test_divergent_system_reports_a_verdict(self):
+        res = system_efcpe(parallel(2), ParetoType(0.5), 0.5)
+        assert res.diverged
+        assert math.isnan(res.value)
 
     def test_closed_form_count_validated(self):
         with pytest.raises(DomainError):
@@ -182,6 +257,14 @@ class TestOmegaBounds:
         # u -> 1 limit; the grid value may overshoot by float rounding.
         _, w2 = omega_bounds(parallel(2), 0.1)
         assert w2 == pytest.approx(1024.0, rel=1e-4)
+
+    # The suprema are the end limits 3 (q/u at u -> 0) and 6**(1/a) (from
+    # (1 - q)/(1 - u) at u -> 1), 30-digit mpmath for the second.
+    @pytest.mark.parametrize("q,alpha,want", [(series_system(3), 0.4, 3.0),
+                                              (two_out_of_four(), 0.55, 25.99084834959287699)],
+                             ids=["s3", "q24"])
+    def test_supremum_at_an_end_limit(self, q, alpha, want):
+        assert omega_bounds(q, alpha)[1] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("q", [parallel(2), series_system(3)], ids=["p2", "s3"])
     def test_supremum_bounds_kernel_pointwise(self, q):
