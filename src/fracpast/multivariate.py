@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .distributions import Distribution, Uniform, prhr
 from .entropy import (
@@ -67,7 +67,11 @@ class BivariateLaw:
     support.
 
     ``conditional_cdf_y_given_x`` takes (y, x). ``supports`` is
-    ((x_lo, x_hi), (y_lo, y_hi)).
+    ((x_lo, x_hi), (y_lo, y_hi)). ``y_kinks(x)`` gives the y at which the
+    joint and conditional CDFs are not smooth in y at that x, such as the
+    edge ``y = x`` of a wedge support; the 2-D measures end an inner panel
+    there. It is data about the law, like ``Distribution.qd_kinks``; None,
+    the default, names no kinks.
     """
 
     joint_cdf: Callable[[float, float], float]
@@ -76,6 +80,7 @@ class BivariateLaw:
     conditional_cdf_y_given_x: Callable[[float, float], float]
     supports: Tuple[Tuple[float, float], Tuple[float, float]]
     label: str = "bivariate"
+    y_kinks: Optional[Callable[[float], Tuple[float, ...]]] = None
 
     @property
     def bounded(self) -> bool:
@@ -124,7 +129,7 @@ def triangle_law() -> BivariateLaw:
     """Uniform density 2 on the wedge 0 < y < x < 1.
 
     Joint CDF: 2xy - y**2 for y <= x, else x**2. Given X = x, Y is uniform
-    on (0, x).
+    on (0, x). Both CDFs have a kink at y = x, the law's ``y_kinks``.
     """
 
     def joint(x: float, y: float) -> float:
@@ -148,6 +153,7 @@ def triangle_law() -> BivariateLaw:
         conditional_cdf_y_given_x=conditional,
         supports=((0.0, 1.0), (0.0, 1.0)),
         label="triangle",
+        y_kinks=lambda x: (x,),
     )
 
 
@@ -286,13 +292,14 @@ def _zero_row(_y: float) -> float:
 
 def _rectangle_integral(J: BivariateLaw, row: Callable[[float], Callable[[float], float]],
                         what: str) -> QuadResult:
-    """iint row(x)(y) dy dx over the support rectangle; exactly zero on a degenerate one."""
+    """iint row(x)(y) dy dx over the support rectangle, each row split at the
+    law's y_kinks; exactly zero on a degenerate one."""
     if not J.bounded:
         raise DomainError(f"{what} requires bounded supports, got {J.supports}")
     (x_lo, x_hi), (y_lo, y_hi) = J.supports
     if (x_hi - x_lo) < _DEGENERATE_WIDTH or (y_hi - y_lo) < _DEGENERATE_WIDTH:
         return _ZERO
-    return integrate_2d(row, x_lo, x_hi, y_lo, y_hi)
+    return integrate_2d(row, x_lo, x_hi, y_lo, y_hi, J.y_kinks)
 
 
 def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:

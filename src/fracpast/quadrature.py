@@ -15,7 +15,8 @@ at ``q -> 0`` the tail's law, run to the caller's own tolerances.
 Rectangles are integrated as iterated 1-D integrals, each axis mapped onto
 [0, 1] by the graded map ``lo + w t^2 (3 - 2t)``, which flattens endpoint
 singularities; the tolerances then apply to the dimensionless integral, so
-the value scales exactly with the area of the rectangle.
+the value scales exactly with the area of the rectangle. Each inner row can
+be split at the y where the caller says it has a kink.
 
 The engine reports diagnostics (error estimate, subdivision count, divergence
 flag) rather than silently degrading. Every QuadResult built here either
@@ -32,7 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import DomainError, MaxSubdivisionsError, NonConvergentError, UnsupportedError
 
@@ -192,7 +193,8 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8, kinks=(
     exhausting the budget; it raises MaxSubdivisionsError at once instead.
     """
     step = (hi - lo) / n_init
-    edges = sorted([lo + i * step for i in range(n_init)] + [k for k in kinks if lo < k < hi])
+    edges = [lo + i * step for i in range(n_init)]
+    edges = sorted(edges + [k for k in set(kinks) if lo < k < hi and k not in edges])
     heap = []
     counter = 0
     total = 0.0
@@ -285,11 +287,15 @@ _2D_PANELS = 2
 
 
 def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, x_hi: float,
-                 y_lo: float, y_hi: float) -> QuadResult:
+                 y_lo: float, y_hi: float,
+                 y_kinks: Optional[Callable[[float], Iterable[float]]] = None) -> QuadResult:
     """Iterated integral of f(x, y) = row(x)(y) over [x_lo, x_hi] x [y_lo, y_hi].
 
     ``row(x)`` is called once per outer node and returns the inner integrand
     in y, so a factor of x alone is computed once per row, not per point.
+    ``y_kinks(x)``, if given, names the y where that row is not smooth; each
+    one strictly inside (y_lo, y_hi) becomes a panel edge of the row, so no
+    Gauss-Kronrod panel straddles it. Others, and NaN, are ignored.
 
     Each axis is integrated over t in [0, 1] through the graded map
     ``lo + w t^2 (3 - 2t)``, w the axis width, with weight ``6t (1 - t)``;
@@ -308,12 +314,16 @@ def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, 
 
     def outer(s: float) -> float:
         nonlocal inner_err, inner_subs
-        f = row(x_lo + wx * (s * s * (3.0 - 2.0 * s)))
+        x = x_lo + wx * (s * s * (3.0 - 2.0 * s))
+        f = row(x)
 
         def inner(t: float) -> float:
             return f(y_lo + wy * (t * t * (3.0 - 2.0 * t))) * (6.0 * t * (1.0 - t))
 
-        value, err, splits = _adaptive(inner, 0.0, 1.0, _2D_CFG, _2D_PANELS)
+        # The graded coordinate of each kink: t^2 (3 - 2t) = u inverted.
+        kinks = [0.5 - math.sin(math.asin(1.0 - 2.0 * (y - y_lo) / wy) / 3.0)
+                 for y in y_kinks(x) if y_lo < y < y_hi] if y_kinks else ()
+        value, err, splits = _adaptive(inner, 0.0, 1.0, _2D_CFG, _2D_PANELS, kinks)
         inner_err = max(inner_err, err)
         inner_subs = max(inner_subs, splits)
         return value * (6.0 * s * (1.0 - s))

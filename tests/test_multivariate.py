@@ -95,6 +95,21 @@ def mirrored_triangle_law() -> BivariateLaw:
         conditional_cdf_y_given_x=conditional,
         supports=((0.0, 1.0), (0.0, 1.0)),
         label="mirrored-triangle",
+        y_kinks=lambda x: (x,),
+    )
+
+
+def scaled_triangle_law(c: float) -> BivariateLaw:
+    """triangle_law with both coordinates scaled by c: density 2/c**2 on 0 < y < x < c."""
+    tri = triangle_law()
+    return BivariateLaw(
+        joint_cdf=lambda x, y: tri.joint_cdf(x / c, y / c),
+        marginal_x=affine(tri.marginal_x, c, 0.0),
+        marginal_y=affine(tri.marginal_y, c, 0.0),
+        conditional_cdf_y_given_x=lambda y, x: tri.conditional_cdf_y_given_x(y / c, x / c),
+        supports=((0.0, c), (0.0, c)),
+        label=f"triangle*{c}",
+        y_kinks=lambda x: (x,),
     )
 
 
@@ -160,25 +175,43 @@ class TestBivariateMeasure:
         assert abs(res.value - reference) <= res.error_estimate
         assert repr(bivariate_efcpe(law, alpha).value) == repr(res.value)
 
+    # The triangle law names its kink y = x, so every inner row has a panel
+    # edge there. References from outside fracpast: 2 pi / 27 and 2 / 9 in
+    # closed form; the modified measure and the mutual information at order
+    # 1 from 40-digit mpmath double quadratures split at y = x.
+    @pytest.mark.parametrize("measure,alpha,reference", [
+        (bivariate_efcpe, 0.5, 2.0 * math.pi / 27.0),
+        (bivariate_efcpe, 1.0, 2.0 / 9.0),
+        (modified_bivariate_efcpe, 1.0, 0.22728427314668489686),
+        (fcpmi, 1.0, -0.032839828702240452416),
+    ], ids=["bivariate-0.5", "bivariate-1", "modified-1", "fcpmi-1"])
+    def test_triangle_against_closed_form(self, measure, alpha, reference):
+        res = measure(triangle_law(), alpha)
+        value = getattr(res, "value", res)
+        assert value == pytest.approx(reference, rel=1e-10)
+
     @pytest.mark.parametrize("measure", [bivariate_efcpe, modified_bivariate_efcpe])
     @pytest.mark.parametrize("law", [
         lambda c: independent_law(affine(Beta(2.0, 3.0), c, 0.0), Uniform(3.0 * c)),
         lambda c: independent_law(Uniform(c), Uniform(c)),
-    ], ids=["beta-uniform", "uniform-uniform"])
+        scaled_triangle_law,
+    ], ids=["beta-uniform", "uniform-uniform", "triangle-kink"])
     def test_scale_law_at_every_scale(self, measure, law):
         # The 2-D tolerance is relative to the support rectangle, so scaling
-        # both coordinates by c scales the value by c**2 to rounding.
+        # both coordinates by c scales the value by c**2 to rounding; the
+        # triangle's kink hint y = x scales with it.
         unit = measure(law(1.0), 0.6).value
         for c in (1e-8, 3.7e-6, 1e-3, 0.37, 45.0, 6.1e5, 1e8):
             assert measure(law(c), 0.6).value == pytest.approx(c * c * unit, rel=1e-12)
 
     @pytest.mark.parametrize("law,alpha,budget", [
-        (triangle_law(), 0.5, 40_000),
+        (triangle_law(), 0.5, 8_000),
         (fgm_law(-0.6), 0.7, 8_000),
     ], ids=["triangle-0.5", "fgm-0.7"])
     def test_conditional_cdf_calls_bounded(self, law, alpha, budget):
         # A host-independent cost: the graded map resolves the kernel's
-        # endpoint behaviour in a few panels per row.
+        # endpoint behaviour in a few panels per row, and the triangle's
+        # kink hint puts a panel edge on y = x.
         calls = 0
         conditional = law.conditional_cdf_y_given_x
 
@@ -359,7 +392,7 @@ class TestDecompositionTheorem:
     def test_triangle_split(self):
         lhs, rhs = decomposition_theorem_check(triangle_law(), 0.5)
         assert lhs == pytest.approx(TRIANGLE_BIVARIATE[0.5], abs=5e-7)
-        assert lhs == pytest.approx(rhs, rel=2e-4)
+        assert abs(lhs - rhs) <= 1e-10
 
     def test_independent_split(self):
         J = independent_law(Uniform(1.0), Uniform(1.0))

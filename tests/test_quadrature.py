@@ -248,6 +248,32 @@ class TestErrorInvariant:
         smooth = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert not smooth.low_confidence
 
+    def test_two_dimensional_kink_hint(self):
+        # With the kink y = x named, a panel edge of every row lands on it.
+        res = integrate_2d(lambda x: lambda y: min(x, y) ** 0.5, 0.0, 1.0, 0.0, 1.0,
+                           lambda x: (x,))
+        assert not res.low_confidence
+        assert abs(res.value - 8.0 / 15.0) <= 1e-12
+
+    def test_two_dimensional_hints_off_the_open_interval_ignored(self):
+        # Hints on or outside the edges, NaN, and one on the grid's own edge
+        # at y = 1/2 leave the points evaluated exactly as without a hint.
+        points = []
+
+        def row(x):
+            def f(y):
+                points.append((x, y))
+                return min(x, y) ** 0.5
+            return f
+
+        plain = integrate_2d(row, 0.0, 1.0, 0.0, 1.0)
+        plain_points = points[:]
+        points.clear()
+        hinted = integrate_2d(row, 0.0, 1.0, 0.0, 1.0,
+                              lambda x: (0.0, 1.0, -2.0, 3.0, math.nan, 0.5, math.inf))
+        assert repr(hinted) == repr(plain)
+        assert points == plain_points
+
     def test_budget_partial_is_low_confidence(self):
         cfg = QuadConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
         with pytest.raises(MaxSubdivisionsError) as excinfo:
