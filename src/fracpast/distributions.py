@@ -401,8 +401,8 @@ class Beta(Distribution):
         self.params = {"p": self.p, "q": self.q}
         self.lower, self.upper = 0.0, 1.0
         self._log_beta = math.lgamma(self.p) + math.lgamma(self.q) - math.lgamma(self.p + self.q)
-        # scipy costs about 0.3 s to import, and only this law and EXACT mode
-        # use it, so it loads with the first Beta, not with the package.
+        # scipy costs about 0.3 s to import, and only this law uses it, so
+        # it loads with the first Beta, not with the package.
         # Bound once per law, so cdf and quantile pay no import per call.
         from scipy.special import betainc, betaincinv
 

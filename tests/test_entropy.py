@@ -158,6 +158,12 @@ class TestExactMode:
         assert not res.diagnostics.low_confidence
         assert abs(res.value - 0.31886174898413369) <= res.error_estimate
 
+    def test_order_075_value_to_1e14(self):
+        # The same mpmath value; the EXACT kernel's roots are exact to
+        # about 1e-16, so the measure is too, well inside its estimate.
+        res = efcpe(Uniform(1.0), 0.75, LogMode.EXACT)
+        assert res.value == pytest.approx(0.31886174898413369, rel=1e-14, abs=0.0)
+
     # Exact -Ln_a S ~ 1 / (S Gamma(1 - a)) as S -> 0, so the residual
     # integrand S (-Ln_a S)**(1/a) ~ S**(1 - 1/a) grows without bound in the
     # tail; on Weibull(1, 2), S**(1 - 1/a) = e^(x^2 (1/a - 1)).

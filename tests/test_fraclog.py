@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fracpast import fraclog
 from fracpast.errors import DomainError, NonConvergentError
 from fracpast.fraclog import (
     FracOrder,
@@ -309,6 +310,93 @@ class TestPowerFormIdentities:
         alpha, p, b = 0.5, 0.5, 2.0
         ratio = frac_log(alpha, p**b, LogMode.EXACT) / frac_log(alpha, p, LogMode.EXACT)
         assert abs(ratio - b**alpha) > 0.3
+
+
+# The EXACT root grid: orders 0.45 to 0.97, and p from 1e-9 to 1/2 at every
+# half decade.
+ROOT_ORDERS = [0.45, 0.55, 0.65, 0.75, 0.85, 0.9, 0.93, 0.95, 0.97]
+ROOT_LEVELS = [10.0 ** (-9 + 0.5 * j) for j in range(18)] + [0.5]
+
+
+def _mlf_mp(alpha, t):
+    """E_a(-t) in mpmath, for 0 < a < 1 and t > 0.
+
+    With T = t^(1/a), the series terms grow to about e^T before they fall,
+    so up to T = 200 the series runs at 30 + T/2 digits. Beyond it the
+    large-argument expansion runs until its envelope Gamma(a k) / t^k falls
+    below 1e-35 of the sum, which it does long before the terms turn.
+    """
+    mp = pytest.importorskip("mpmath")
+    big_t = t ** (1.0 / alpha)
+    if big_t <= 200.0:
+        with mp.workdps(30 + int(big_t / 2)):
+            a, z = mp.mpf(alpha), -mp.mpf(t)
+            total, k = mp.mpf(0), 0
+            while True:
+                term = z**k * mp.rgamma(a * k + 1)
+                total += term
+                if k * alpha > 2 * big_t and abs(term) < mp.mpf(10) ** -35:
+                    return total
+                k += 1
+    with mp.workdps(30):
+        a, tt = mp.mpf(alpha), mp.mpf(t)
+        total, k = mp.mpf(0), 1
+        while True:
+            total += (-1) ** (k + 1) * mp.rgamma(1 - a * k) / tt**k
+            if k > 4 and mp.gamma(a * k) / tt**k < mp.mpf(10) ** -35 * total:
+                return total
+            k += 1
+
+
+class TestExactRoot:
+    """-Ln_a p for p <= 1/2: Newton's method on E_a(-t) = p from Simon's
+    lower bound, stopped at a relative step of 1e-8."""
+
+    @pytest.mark.parametrize("alpha", ROOT_ORDERS)
+    def test_root_against_mpmath(self, alpha):
+        # The error left after the last step is of the order of its square,
+        # 1e-16 relative, so E_a at the root is p to within the evaluator's
+        # own error. The 17-node contour rule is off by up to 2.5e-15
+        # absolute at orders near 0.97 (2.4e-13 relative at a = 0.97,
+        # p = 1e-3, and 1.2e-13 with its weights summed exactly in mpmath),
+        # which no root of it can beat.
+        for p in ROOT_LEVELS:
+            y = frac_log(alpha, p, LogMode.EXACT)
+            assert abs(float(_mlf_mp(alpha, -y)) - p) <= 1e-13 * p + 2.5e-15, p
+
+    def test_few_evaluations_per_root(self, monkeypatch):
+        # Each Newton step is one evaluation of E_a(-t) and its derivative;
+        # from Simon's bound the root takes about 3 on average.
+        evaluations = []
+        pair = fraclog._mlf_pair
+
+        def counted(order, t):
+            evaluations.append(t)
+            return pair(order, t)
+
+        monkeypatch.setattr(fraclog, "_mlf_pair", counted)
+        roots = 0
+        for alpha in ROOT_ORDERS:
+            for p in ROOT_LEVELS:
+                frac_log(alpha, p, LogMode.EXACT)
+                roots += 1
+        assert len(evaluations) <= 4 * roots
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8987, 0.9, 0.97])
+    @pytest.mark.parametrize("p", [1e-160, 1e-300, 5e-309])
+    def test_root_past_the_first_term_threshold(self, alpha, p):
+        # From t = 1e154 on E_a(-t) is 1 / (t Gamma(1 - a)) to rounding, so
+        # the root is its inverse, finite while it fits a float: at the
+        # subnormal p = 5e-309, where 1/p overflows, it is about 2.1e307 for
+        # a = 0.9.
+        y = frac_log(alpha, p, LogMode.EXACT)
+        assert y == pytest.approx(-1.0 / (p * math.gamma(1.0 - alpha)), rel=1e-14)
+        assert mlf(alpha, y) == pytest.approx(p, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1e-320, 5e-324])
+    def test_root_past_the_float_range(self, p):
+        assert frac_log(0.9, p, LogMode.EXACT) == -math.inf
+        assert log_kernel(0.9, p, LogMode.EXACT) == math.inf
 
 
 class TestLogKernel:

@@ -3,9 +3,9 @@
 ``import fracpast`` loads no submodule: each public name imports its home
 module on first access. ``import fracpast.cli`` loads only the error
 taxonomy, and each verb loads the modules it uses. Loading every module
-loads neither scipy nor numpy. The two call sites that need scipy, the
-``Beta`` law and EXACT mode's root search, load it on first use, and so do
-the few functions that need numpy.
+loads neither scipy nor numpy. The one call site that needs scipy, the
+``Beta`` law, loads it on first use, and so do the few functions that need
+numpy; EXACT mode never loads scipy.
 
 Each check runs in a fresh interpreter, because the test session itself
 loads every module, scipy and numpy (its ``Beta`` laws and quadrature
@@ -119,16 +119,16 @@ def test_every_public_name_resolves():
     assert out.returncode == 0, out.stderr
 
 
-def test_beta_and_exact_mode_load_scipy_on_first_use():
+def test_beta_loads_scipy_on_first_use_and_exact_mode_never():
     out = _run(
         "import math, sys\n"
-        "from fracpast import LogMode, frac_log\n"
+        "from fracpast import LogMode, Uniform, efcpe, frac_log\n"
         "from fracpast.distributions import Beta\n"
+        "ys = [frac_log(0.7, p, LogMode.EXACT) for p in (1e-300, 0.01, 0.5, 0.9)]\n"
+        "assert all(math.isfinite(y) and y < 0.0 for y in ys), ys\n"
+        "assert math.isfinite(efcpe(Uniform(1.0), 0.75, LogMode.EXACT).value)\n"
         "assert 'scipy' not in sys.modules\n"
         "assert abs(Beta(2, 1).cdf(0.3) - 0.09) <= 1e-15\n"
         "assert 'scipy.special' in sys.modules and 'scipy.optimize' not in sys.modules\n"
-        "y = frac_log(0.7, 0.5, LogMode.EXACT)\n"
-        "assert math.isfinite(y) and y < 0.0, y\n"
-        "assert 'scipy.optimize' in sys.modules\n"
     )
     assert out.returncode == 0, out.stderr
