@@ -89,7 +89,7 @@ def _quad_config(args) -> Optional[QuadConfig]:
 
     from .quadrature import _MEASURE_CFG
 
-    flags = {"abs_tol": args.abs_tol, "rel_tol": args.rel_tol, "max_subdivisions": args.max_subdiv}
+    flags = {"rel_tol": args.rel_tol, "max_subdivisions": args.max_subdiv}
     given = {field: value for field, value in flags.items() if value is not None}
     return replace(_MEASURE_CFG, **given) if given else None
 
@@ -523,8 +523,9 @@ def _add_common(sub, alphas=True, dist=False, quad=True, formats=("json", "csv")
         sub.add_argument("--dist", required=True, help="distribution spec, e.g. uniform:a=1")
     if quad:
         sub.add_argument("--mode", choices=("approx", "exact"), default="approx")
-        sub.add_argument("--abs-tol", type=float, default=None)
-        sub.add_argument("--rel-tol", type=float, default=None)
+        sub.add_argument("--rel-tol", type=float, default=None,
+                         help="relative tolerance; the measures already run to 1e-10, "
+                              "so only a smaller value changes them")
         sub.add_argument("--max-subdiv", type=int, default=None)
 
 

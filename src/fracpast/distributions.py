@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 _QUANTILE_TOL = 1e-10
-_NORMAL_MIN = 2.2250738585072014e-308  # smallest positive normal float
 
 
 def _positive(what: str, *values) -> None:
@@ -588,25 +587,11 @@ class UniformSum(Distribution):
         self.params = {"a": self.a, "b": self.b}
         self.lower, self.upper = 0.0, self.a + self.b
 
-    # The products y*y, 2ab and ab leave the normal float range at widths
-    # near 1e+-150; there the ratios y/a and y/b take their place. Where the
-    # products are normal floats the product form is kept, so its values do
-    # not move.
+    # y^2 / (2ab) and y / (ab) in ratios: the products y*y and ab leave the
+    # float range at widths near 1e+-150, the ratios y/a and y/b do not.
 
     def _half_square(self, y):
-        """y^2 / (2ab)."""
-        a, b = self.a, self.b
-        num, den = y * y, 2.0 * a * b
-        if _NORMAL_MIN <= num < math.inf and _NORMAL_MIN <= den < math.inf:
-            return num / den
-        return 0.5 * (y / a) * (y / b)
-
-    def _over_ab(self, y):
-        """y / (ab)."""
-        ab = self.a * self.b
-        if _NORMAL_MIN <= ab < math.inf:
-            return y / ab
-        return y / self.a / self.b
+        return 0.5 * (y / self.a) * (y / self.b)
 
     def cdf(self, x):
         a, b = self.a, self.b
@@ -625,10 +610,10 @@ class UniformSum(Distribution):
         if x < 0.0 or x > a + b:
             return 0.0
         if x <= a:
-            return self._over_ab(x)
+            return x / a / b
         if x <= b:
             return 1.0 / b
-        return self._over_ab(a + b - x)
+        return (a + b - x) / a / b
 
     @property
     def qd_kinks(self):

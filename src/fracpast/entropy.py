@@ -294,17 +294,21 @@ def paired_phi_entropy(
     mode: LogMode = LogMode.APPROX,
     cfg: Optional[QuadConfig] = None,
 ) -> EntropyResult:
-    """Two-sided measure: past plus residual halves of the same order."""
+    """Two-sided measure: past plus residual halves of the same order.
+
+    ``tail_exponent`` is the diverged half's: the past half's when only it
+    diverged, else the residual half's. Subdivisions add over the halves.
+    """
     a = as_order(alpha)
-    past = efcpe(X, a, mode, cfg)
-    residual = efcre(X, a, mode, cfg)
+    past = efcpe(X, a, mode, cfg).diagnostics
+    residual = efcre(X, a, mode, cfg).diagnostics
     combined = QuadResult(
-        past.diagnostics.value + residual.diagnostics.value,
+        past.value + residual.value,
         past.error_estimate + residual.error_estimate,
         past.diverged or residual.diverged,
-        max(past.diagnostics.subdivisions_used, residual.diagnostics.subdivisions_used),
-        past.diagnostics.low_confidence or residual.diagnostics.low_confidence,
-        residual.diagnostics.tail_exponent,
+        past.subdivisions_used + residual.subdivisions_used,
+        past.low_confidence or residual.low_confidence,
+        (past if past.diverged and not residual.diverged else residual).tail_exponent,
     )
     return _result(combined, MeasureTag.PAIRED_PHI, a.alpha, mode)
 

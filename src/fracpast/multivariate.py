@@ -13,6 +13,12 @@ joint-CDF form F * (-log F); for independent coordinates it reproduces the
 marginal decomposition E*(X)[s2 - EY] + E*(Y)[s1 - EX] exactly at every
 order, which is the identity the decomposition routines check.
 
+This measure and the three terms of its decomposition theorem share one
+chain form, with C = F_{Y|X}(y|x) and a weight triple fixed by F_X alone:
+
+    iint w C (u + s k(C)) dy dx,   (w, u, s) = weights(F_X, k(F_X)):
+    E* (F_X, k(F_X), 1),  T1 (F_X, k(F_X), 0),  T2 (1, 0, 1),  T3 (1 - F_X, 0, 1).
+
 The modified bivariate measure and the mutual information integrate the true
 joint CDF directly.
 """
@@ -286,10 +292,6 @@ def from_density(
     )
 
 
-def _zero_row(_y: float) -> float:
-    return 0.0
-
-
 def _rectangle_integral(J: BivariateLaw, row: Callable[[float], Callable[[float], float]],
                         what: str) -> QuadResult:
     """iint row(x)(y) dy dx over the support rectangle, each row split at the
@@ -302,34 +304,46 @@ def _rectangle_integral(J: BivariateLaw, row: Callable[[float], Callable[[float]
     return integrate_2d(row, x_lo, x_hi, y_lo, y_hi, J.y_kinks)
 
 
+def _chain(J: BivariateLaw, k, weights: Callable[[float, float], Tuple[float, float, float]],
+           what: str) -> QuadResult:
+    """iint w C (u + s k(C)) dy dx along the conditioning chain.
+
+    C = F_{Y|X}(y|x), and (w, u, s) = weights(F_X(x), k(F_X(x))) is fixed
+    per row, with k(p) taken as 0 at p <= 0 and p >= 1. A row with w = 0 or
+    u = s = 0 is zero and never calls the conditional CDF; one with s = 0
+    never evaluates k(C).
+    """
+    conditional, cdf_x = J.conditional_cdf_y_given_x, J.marginal_x.cdf
+
+    def row(x: float) -> Callable[[float], float]:
+        Fx = cdf_x(x)
+        w, u, s = weights(Fx, k(Fx, 1.0 - Fx) if 0.0 < Fx < 1.0 else 0.0)
+        if w == 0.0 or (u == 0.0 and s == 0.0):
+            return lambda _y: 0.0
+
+        def integrand(y: float) -> float:
+            C = conditional(y, x)
+            if C <= 0.0:
+                return 0.0
+            kC = k(C, 1.0 - C) if s and C < 1.0 else 0.0
+            return w * C * (u + s * kC)
+
+        return integrand
+
+    return _rectangle_integral(J, row, what)
+
+
 def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
     """Bivariate past measure in the factorized-kernel form.
 
     Integrand: F_X(x) F_{Y|X}(y|x) [k(F_X(x)) + k(F_{Y|X}(y|x))] over the
-    support rectangle, with k the order-alpha kernel. Reduces to the joint
-    F (-log F) form at alpha = 1 and to the marginal decomposition under
-    independence.
+    support rectangle, with k the order-alpha kernel: the chain row with
+    (w, u, s) = (F_X, k(F_X), 1). Reduces to the joint F (-log F) form at
+    alpha = 1 and to the marginal decomposition under independence.
     """
     a = as_order(alpha)
-    k = a._kernels[LogMode.APPROX]
-    conditional = J.conditional_cdf_y_given_x
-
-    def row(x: float) -> Callable[[float], float]:
-        Fx = J.marginal_x.cdf(x)
-        if Fx <= 0.0:
-            return _zero_row
-        kx = k(Fx, 1.0 - Fx) if Fx < 1.0 else 0.0
-
-        def integrand(y: float) -> float:
-            Fyx = conditional(y, x)
-            if Fyx <= 0.0:
-                return 0.0
-            ky = k(Fyx, 1.0 - Fyx) if Fyx < 1.0 else 0.0
-            return Fx * Fyx * (kx + ky)
-
-        return integrand
-
-    res = _rectangle_integral(J, row, "bivariate past measure")
+    res = _chain(J, a._kernels[LogMode.APPROX], lambda Fx, kx: (Fx, kx, 1.0),
+                 "bivariate past measure")
     return _result(res, MeasureTag.BIVARIATE_EFCPE, a.alpha)
 
 
@@ -422,7 +436,7 @@ def fcpmi(J: BivariateLaw, alpha) -> float:
     def row(x: float) -> Callable[[float], float]:
         Fx = J.marginal_x.cdf(x)
         if Fx <= 0.0:
-            return _zero_row
+            return lambda _y: 0.0
 
         def integrand(y: float) -> float:
             Fy = cdf_y(y)
@@ -467,36 +481,10 @@ def decomposition_theorem_check(J: BivariateLaw, alpha) -> Tuple[float, float]:
     """
     a = as_order(alpha)
     k = a._kernels[LogMode.APPROX]
-    conditional = J.conditional_cdf_y_given_x
-
-    def t1(x: float) -> Callable[[float], float]:
-        Fx = J.marginal_x.cdf(x)
-        if Fx <= 0.0 or Fx >= 1.0:
-            return _zero_row
-        kx = k(Fx, 1.0 - Fx)
-        return lambda y: conditional(y, x) * Fx * kx
-
-    def t2(x: float) -> Callable[[float], float]:
-        def integrand(y: float) -> float:
-            C = conditional(y, x)
-            if C <= 0.0 or C >= 1.0:
-                return 0.0
-            return C * k(C, 1.0 - C)
-
-        return integrand
-
-    def t3(x: float) -> Callable[[float], float]:
-        survival = 1.0 - J.marginal_x.cdf(x)
-
-        def integrand(y: float) -> float:
-            C = conditional(y, x)
-            if C <= 0.0 or C >= 1.0:
-                return 0.0
-            return survival * C * k(C, 1.0 - C)
-
-        return integrand
-
+    # The chain row's (w, u, s) for T1, T2 and T3.
+    weights = (lambda Fx, kx: (Fx, kx, 0.0),
+               lambda Fx, kx: (1.0, 0.0, 1.0),
+               lambda Fx, kx: (1.0 - Fx, 0.0, 1.0))
     # The three terms go first, so an unbounded law is refused under this check's name.
-    T1, T2, T3 = (_rectangle_integral(J, t, "decomposition check").value
-                  for t in (t1, t2, t3))
+    T1, T2, T3 = (_chain(J, k, w, "decomposition check").value for w in weights)
     return bivariate_efcpe(J, a).value, T1 + T2 - T3

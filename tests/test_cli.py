@@ -95,8 +95,6 @@ class TestMeasure:
                 "0.75",
                 "--mode",
                 "exact",
-                "--abs-tol",
-                "1e-7",
                 "--rel-tol",
                 "1e-6",
                 "--max-subdiv",
@@ -134,9 +132,10 @@ class TestUsageErrors:
             ["chaos", "--s-list", "3.6"],
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--format", "text"],
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--rel-tol", "nan"],
-            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--abs-tol", "0", "--rel-tol", "-1"],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--rel-tol", "-1"],
             ["dynamic", "--dist", "uniform:a=1", "--t", "nan", "--alpha", "0.5"],
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--max-subdiv", "-5"],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--abs-tol", "1e-9"],
         ],
     )
     def test_exit_one_with_message(self, capsys, argv):
@@ -213,7 +212,7 @@ class TestDynamic:
             capsys,
             [
                 "dynamic", "--dist", "weibull:scale=1,shape=0.6", "--t", "0.5", "--alpha", "0.35",
-                "--decompose", "--rel-tol", "1e-2", "--abs-tol", "1e-2",
+                "--decompose", "--rel-tol", "1e-2",
             ],
         )
         assert code == 0

@@ -258,6 +258,23 @@ class TestSymmetryAndPairing:
         want = efcpe(X, alpha).value + efcre(X, alpha).value
         assert paired_phi_entropy(X, alpha).value == pytest.approx(want, rel=1e-10)
 
+    def test_paired_subdivisions_add_over_halves(self):
+        X = Beta(2.0, 3.0)
+        past, residual = efcpe(X, 0.6), efcre(X, 0.6)
+        assert paired_phi_entropy(X, 0.6).diagnostics.subdivisions_used == (
+            past.diagnostics.subdivisions_used + residual.diagnostics.subdivisions_used)
+
+    def test_paired_exponent_is_the_diverged_half(self):
+        # Beta(5, 2)'s past half diverges at the lower end under EXACT 0.75;
+        # its residual half converges, so the pair reports the past's exponent.
+        X = Beta(5.0, 2.0)
+        paired = paired_phi_entropy(X, 0.75, LogMode.EXACT)
+        past = efcpe(X, 0.75, LogMode.EXACT)
+        residual = efcre(X, 0.75, LogMode.EXACT)
+        assert paired.diverged and past.diverged and not residual.diverged
+        assert paired.diagnostics.tail_exponent == past.diagnostics.tail_exponent
+        assert paired.record()["tail_exponent"] == past.diagnostics.tail_exponent
+
     def test_exponential_sides_differ(self):
         past = efcpe(Exponential(1.0), 0.5).value
         residual = efcre(Exponential(1.0), 0.5).value

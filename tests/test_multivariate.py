@@ -398,3 +398,25 @@ class TestDecompositionTheorem:
         J = independent_law(Uniform(1.0), Uniform(1.0))
         lhs, rhs = decomposition_theorem_check(J, 0.75)
         assert lhs == pytest.approx(rhs, rel=2e-4)
+
+    def test_dependent_split_against_reference(self):
+        # The FGM conditional moves with x, so each term's chain weights and
+        # its conditional CDF both vary across rows. The reference is the
+        # mpmath double integral of the bivariate measure itself.
+        _, rhs = decomposition_theorem_check(fgm_law(-0.6), 0.7)
+        assert rhs == pytest.approx(0.19338473387527116982, rel=1e-10)
+
+    def test_conditional_cdf_calls_bounded(self):
+        # Three separate chain integrals plus the bivariate measure; a row
+        # whose weights vanish never calls the conditional CDF.
+        calls = 0
+        law = triangle_law()
+        conditional = law.conditional_cdf_y_given_x
+
+        def counted(y, x):
+            nonlocal calls
+            calls += 1
+            return conditional(y, x)
+
+        decomposition_theorem_check(dataclasses.replace(law, conditional_cdf_y_given_x=counted), 0.5)
+        assert calls <= 20_000
