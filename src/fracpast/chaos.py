@@ -9,8 +9,7 @@ trace of attractor complexity against the control parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .empirical import Sample, empirical_efcpe
 from .errors import DomainError
@@ -24,20 +23,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LogisticConfig:
+class _LogisticConfigFields(NamedTuple):
+    s: float
+    x0: float = 0.1
+    burn_in: int = 1000
+    length: int = 5000
+
+
+class LogisticConfig(_LogisticConfigFields):
     """Parameters of one logistic-map run.
 
     ``burn_in`` iterations are discarded before ``length`` values are
     collected, so transients do not contaminate the attractor sample.
     """
 
-    s: float
-    x0: float = 0.1
-    burn_in: int = 1000
-    length: int = 5000
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (isinstance(self.s, (int, float)) and math.isfinite(self.s)):
             raise DomainError(f"control parameter must be finite, got {self.s!r}")
         if not 0.0 <= self.s <= 4.0:
@@ -50,6 +53,10 @@ class LogisticConfig:
             raise DomainError(f"burn_in must be nonnegative, got {self.burn_in}")
         if self.length < 2:
             raise DomainError(f"length must be at least 2, got {self.length}")
+        return self
+
+    # _replace builds through _make, so it checks its fields too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _iterate(s: float, x: float, count: int) -> List[float]:
@@ -80,7 +87,7 @@ def efcpe_vs_s(
     """
     rows = []
     for s in s_values:
-        series = logistic_series(replace(cfg, s=float(s)))
+        series = logistic_series(cfg._replace(s=float(s)))
         for alpha in alpha_grid:
             a = as_order(alpha)
             rows.append(
@@ -108,7 +115,7 @@ def bifurcation_sweep(
     points = []
     for i in range(steps):
         s = s_min + (s_max - s_min) * i / (steps - 1)
-        run = replace(cfg, s=float(s), length=max(retain, 2))
+        run = cfg._replace(s=float(s), length=max(retain, 2))
         series = logistic_series(run)
         tail = series.data[-retain:] if retain <= series.n else series.data
         for v in tail:

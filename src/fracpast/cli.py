@@ -85,13 +85,11 @@ def _parse_alphas(args) -> List[float]:
 
 def _quad_config(args) -> Optional[QuadConfig]:
     """The measures' default tolerances, with each flag given in its place."""
-    from dataclasses import replace
-
     from .quadrature import _MEASURE_CFG
 
     flags = {"rel_tol": args.rel_tol, "max_subdivisions": args.max_subdiv}
     given = {field: value for field, value in flags.items() if value is not None}
-    return replace(_MEASURE_CFG, **given) if given else None
+    return _MEASURE_CFG._replace(**given) if given else None
 
 
 def _jsonable(obj):

@@ -18,8 +18,7 @@ system-vs-system and system-vs-component comparison reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .distributions import Distribution, _build
 from .entropy import EntropyResult, MeasureTag, _measure, _phi, efcpe
@@ -46,8 +45,8 @@ __all__ = [
     "two_out_of_four",
 ]
 
-@dataclass(frozen=True)
-class DistortionFunction:
+
+class DistortionFunction(NamedTuple):
     """Continuous nondecreasing map q of [0, 1] onto itself, as the pair map
     (p, r) -> (v, w) with r = 1 - p, v = q(p) and w = 1 - v, each side
     formed from the exact side of its argument."""
@@ -252,8 +251,7 @@ def omega_bounds(q: DistortionFunction, alpha) -> Tuple[float, float]:
     return _ratio_bounds(q, identity_distortion(), as_order(alpha))
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     lower: float
     system: float
     upper: float
@@ -306,8 +304,7 @@ def density_bounds(
     return lower, upper
 
 
-@dataclass(frozen=True)
-class CrossSystemReport:
+class CrossSystemReport(NamedTuple):
     inf_ratio: float
     sup_ratio: float
     value_first: float
@@ -338,8 +335,7 @@ def compare_systems(
     )
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     direction: str  # "ge", "le", or "inconclusive"
     system: float
     component: float

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .fraclog import as_order
@@ -38,19 +37,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Sample:
-    """Sorted nonnegative observations, at least two of them."""
-
+class _SampleFields(NamedTuple):
     data: Tuple[float, ...]
 
-    def __init__(self, values: Sequence[float]):
+
+class Sample(_SampleFields):
+    """Sorted nonnegative observations, at least two of them."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: Sequence[float]):
         vals = [float(v) for v in values]
         if len(vals) < 2:
             raise DomainError(f"sample needs at least 2 observations, got {len(vals)}")
         if any((not math.isfinite(v)) or v < 0.0 for v in vals):
             raise DomainError("observations must be finite and nonnegative")
-        object.__setattr__(self, "data", tuple(sorted(vals)))
+        return super().__new__(cls, tuple(sorted(vals)))
+
+    # _replace builds through _make, so it checks and sorts its data too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n(self) -> int:
@@ -62,16 +67,24 @@ class Sample:
         return tuple(d[i + 1] - d[i] for i in range(len(d) - 1))
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    """Mean and variance of the estimator under a sampling model."""
-
+class _MomentPairFields(NamedTuple):
     mean: float
     variance: float
 
-    def __post_init__(self):
-        if self.variance < 0.0:
+
+class MomentPair(_MomentPairFields):
+    """Mean and variance of the estimator under a sampling model."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.variance >= 0.0:
             raise DomainError(f"variance must be nonnegative, got {self.variance}")
+        return self
+
+    # _replace builds through _make, so it checks its fields too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def load_sample_csv(path: str) -> Sample:
@@ -162,7 +175,7 @@ def confidence_interval(S: Sample, alpha, gamma: float, variance: float) -> Tupl
     """Normal interval: point estimate +/- z_{gamma/2} * sqrt(variance)."""
     if not (math.isfinite(gamma) and 0.0 < gamma < 1.0):
         raise DomainError(f"confidence level gamma must lie in (0, 1), got {gamma}")
-    if variance < 0.0:
+    if not variance >= 0.0:
         raise DomainError(f"variance must be nonnegative, got {variance}")
     from statistics import NormalDist
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .distributions import Distribution, Frechet, Uniform
 from .errors import DivergedError, DomainError
@@ -67,8 +66,7 @@ class MeasureTag(enum.Enum):
     EMPIRICAL_EFCPE = "empirical_efcpe"
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(NamedTuple):
     """Measure value with quadrature diagnostics.
 
     A diverged result carries value NaN; the fitted tail exponent lives in
@@ -119,7 +117,7 @@ def _result(
 
 def _scaled(res: QuadResult, factor: float) -> QuadResult:
     """Multiply value and error estimate by a constant, keeping every diagnostic."""
-    return replace(res, value=factor * res.value, error_estimate=factor * res.error_estimate)
+    return res._replace(value=factor * res.value, error_estimate=factor * res.error_estimate)
 
 
 _Kernel = Callable[[float, float], float]

@@ -45,7 +45,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, NonConvergentError
 
@@ -106,25 +106,32 @@ class _per_order:
         return value
 
 
-@dataclass(frozen=True)
-class FracOrder:
+class _FracOrderFields(NamedTuple):
+    alpha: float
+
+
+class FracOrder(_FracOrderFields):
     """Validated fractional order, the single parameter of every measure.
 
     The admissible range is 0 < alpha <= 1; alpha = 1 recovers the classical
-    (non-fractional) measures.
+    (non-fractional) measures. It keeps an instance ``__dict__``, which
+    ``_per_order`` fills with its per-order constants; assignment is refused.
     """
 
-    alpha: float
+    def __new__(cls, alpha):
+        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
+            raise DomainError(f"fractional order must be a real number, got {alpha!r}")
+        if not math.isfinite(alpha):
+            raise DomainError(f"fractional order must be finite, got {alpha}")
+        if not 0.0 < alpha <= 1.0:
+            raise DomainError(f"fractional order must lie in (0, 1], got {alpha}")
+        return super().__new__(cls, float(alpha))
 
-    def __post_init__(self):
-        a = self.alpha
-        if not isinstance(a, (int, float)) or isinstance(a, bool):
-            raise DomainError(f"fractional order must be a real number, got {a!r}")
-        if not math.isfinite(a):
-            raise DomainError(f"fractional order must be finite, got {a}")
-        if not 0.0 < a <= 1.0:
-            raise DomainError(f"fractional order must lie in (0, 1], got {a}")
-        object.__setattr__(self, "alpha", float(a))
+    # _replace builds through _make, so it checks its fields too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     # Per-order constants of the kernel, each computed on first use and then
     # shared by every point evaluated at this order.

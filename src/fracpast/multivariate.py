@@ -26,8 +26,7 @@ joint CDF directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
 from .distributions import Distribution, Uniform, prhr
 from .entropy import (
@@ -67,8 +66,7 @@ __all__ = [
 _RATIO_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class BivariateLaw:
+class BivariateLaw(NamedTuple):
     """Joint law of a nonnegative pair with bounded or unbounded rectangle
     support.
 

@@ -12,8 +12,7 @@ rather than comparing truncation artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .distributions import Distribution
 from .entropy import efcpe
@@ -26,23 +25,31 @@ _LEVEL_EPS = 1e-4
 _MARGIN = 1e-10
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class _OrderReportFields(NamedTuple):
+    holds: str
+    witness: Optional[float]
+    grid_size: int
+
+
+class OrderReport(_OrderReportFields):
     """Verdict of a stochastic-order check.
 
     ``holds`` is "Yes", "No", or "Inconclusive"; a "No" always carries the
     level at which the defining inequality failed.
     """
 
-    holds: str
-    witness: Optional[float]
-    grid_size: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.holds not in ("Yes", "No", "Inconclusive"):
             raise DomainError(f"invalid verdict {self.holds!r}")
         if self.holds == "No" and self.witness is None:
             raise DomainError("a No verdict requires a witness level")
+        return self
+
+    # _replace builds through _make, so it checks its fields too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def dispersive_check(X: Distribution, Y: Distribution, grid: int = 4096) -> OrderReport:

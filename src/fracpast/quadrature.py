@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import DomainError, MaxSubdivisionsError, NonConvergentError, UnsupportedError
 
@@ -96,24 +95,31 @@ _U_BIG = 1e300
 _U_FLAT = 1e-6
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and budgets for the adaptive integrator; a NaN or negative
-    tolerance, which no error estimate could ever meet, or a negative
-    subdivision budget is refused here."""
-
+class _QuadConfigFields(NamedTuple):
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
 
-    def __post_init__(self):
+
+class QuadConfig(_QuadConfigFields):
+    """Tolerances and budgets for the adaptive integrator; a NaN or negative
+    tolerance, which no error estimate could ever meet, or a negative
+    subdivision budget is refused here."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0 and self.max_subdivisions >= 0):
             raise DomainError(f"tolerances and budget must be >= 0; got abs_tol={self.abs_tol}, "
                               f"rel_tol={self.rel_tol}, max_subdivisions={self.max_subdivisions}")
+        return self
+
+    # _replace builds through _make, so it checks its fields too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Integral value plus the diagnostics callers are expected to inspect."""
 
     value: float
@@ -538,9 +544,9 @@ def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> Quad
                                     _U_PANELS, [(2.0 * s) ** (1.0 / m) for s in ends])
         except MaxSubdivisionsError as exc:  # the partial result covers both halves
             part = exc.partial
-            exc.partial = replace(part, value=total + part.value,
-                                  error_estimate=err + part.error_estimate,
-                                  subdivisions_used=splits + part.subdivisions_used)
+            exc.partial = part._replace(value=total + part.value,
+                                        error_estimate=err + part.error_estimate,
+                                        subdivisions_used=splits + part.subdivisions_used)
             raise
         rest = fit.rest(floor)
         total += value + rest

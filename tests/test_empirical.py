@@ -151,6 +151,10 @@ class TestMomentFormulas:
         with pytest.raises(DomainError):
             MomentPair(1.0, -0.1)
 
+    def test_moment_pair_rejects_nan_variance(self):
+        with pytest.raises(DomainError, match="variance must be nonnegative"):
+            MomentPair(1.0, math.nan)
+
 
 class TestConfidenceInterval:
     def test_centered_on_estimate(self):
@@ -179,6 +183,10 @@ class TestConfidenceInterval:
     def test_variance_validation(self):
         with pytest.raises(DomainError):
             confidence_interval(Sample([1.0, 2.0]), 0.5, 0.05, -1.0)
+
+    def test_nan_variance_is_refused(self):
+        with pytest.raises(DomainError, match="variance must be nonnegative"):
+            confidence_interval(Sample([1, 2, 3, 5]), 0.5, 0.05, math.nan)
 
 
 class TestCsvLoading:

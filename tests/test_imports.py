@@ -33,25 +33,26 @@ def _run(code: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def _loaded(code: str, *argv: str, package: str = "fracpast") -> list:
-    """The modules of package in sys.modules after running code."""
+def _loaded(code: str, *argv: str, packages: tuple = ("fracpast",)) -> list:
+    """The modules of the packages in sys.modules after running code."""
     out = _run(
         code + "\nimport sys, json\n"
-        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))\n",
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r})))\n",
         *argv,
     )
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def _loaded_by_verb(*argv: str) -> list:
-    """The fracpast modules a CLI call loads; the call itself must succeed."""
+def _loaded_by_verb(*argv: str, packages: tuple = ("fracpast",)) -> list:
+    """The modules of the packages a CLI call loads; the call itself must succeed."""
     return _loaded(
         "import contextlib, io, sys\n"
         "from fracpast.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(sys.argv[1:]) == 0\n",
         *argv,
+        packages=packages,
     )
 
 
@@ -60,11 +61,41 @@ _EVERY_MODULE = "import fracpast, fracpast.cli\nfor name in fracpast.__all__: ge
 
 
 def test_package_and_cli_import_without_scipy():
-    assert _loaded(_EVERY_MODULE, package="scipy") == []
+    assert _loaded(_EVERY_MODULE, packages=("scipy",)) == []
 
 
 def test_package_and_cli_import_without_numpy():
-    assert _loaded(_EVERY_MODULE, package="numpy") == []
+    assert _loaded(_EVERY_MODULE, packages=("numpy",)) == []
+
+
+# The record types are named tuples, so nothing loads dataclasses, nor the
+# inspect, ast and dis modules behind it.
+_RECORD_BUILDERS = ("dataclasses", "inspect")
+
+
+def test_every_module_loads_no_dataclasses():
+    assert _loaded(_EVERY_MODULE, packages=_RECORD_BUILDERS) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--dist", "uniform:a=1", "--alpha", "0.5"),
+        ("empirical", "--file", DATA_FILE, "--alpha", "0.5"),
+        ("bivariate", "--law", "triangle", "--alpha", "0.5"),
+        ("dynamic", "--dist", "uniform:a=1", "--t", "0.5", "--alpha", "0.5", "--decompose"),
+        ("coherent", "--system", "parallel:2", "--dist", "uniform:a=1", "--alpha", "0.5", "--bounds"),
+        ("orders", "--dist-x", "uniform:a=1", "--dist-y", "uniform:a=2", "--alphas", "0.3"),
+        ("chaos", "--steps", "20", "--s-min", "2.5", "--s-max", "4.0", "--s-list", "3.6",
+         "--alphas", "0.5", "--out-dir"),
+        ("reproduce", "--table", "6"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_verb_loads_dataclasses(argv, tmp_path):
+    if argv[-1] == "--out-dir":
+        argv += (str(tmp_path),)
+    assert _loaded_by_verb(*argv, packages=_RECORD_BUILDERS) == []
 
 
 def test_package_import_loads_no_submodule():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -220,7 +219,7 @@ class TestBivariateMeasure:
             calls += 1
             return conditional(y, x)
 
-        bivariate_efcpe(dataclasses.replace(law, conditional_cdf_y_given_x=counted), alpha)
+        bivariate_efcpe(law._replace(conditional_cdf_y_given_x=counted), alpha)
         assert calls <= budget
 
 
@@ -418,5 +417,5 @@ class TestDecompositionTheorem:
             calls += 1
             return conditional(y, x)
 
-        decomposition_theorem_check(dataclasses.replace(law, conditional_cdf_y_given_x=counted), 0.5)
+        decomposition_theorem_check(law._replace(conditional_cdf_y_given_x=counted), 0.5)
         assert calls <= 20_000
