@@ -15,7 +15,7 @@ quantile density ``qd``: a closure ``(p, q) -> 1/f(Q(p))``, ``q = 1 - p``,
 that the probability-space measures bind once per call. It reads p where p
 is the small side and q where q is, so neither end loses digits, and it may
 raise OverflowError where its value passes the float range. A law with no
-closed form (a numeric convolution) leaves ``qd`` at None.
+closed form (a numeric convolution, a point mass) leaves ``qd`` at None.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ class Distribution:
         return self._quantile(p)
 
     def _quantile(self, p: float) -> float:
-        """Inverse CDF for 0 < p < 1 by bracketed bisection (subclasses
-        override with closed forms where available)."""
+        """Inverse CDF for 0 < p < 1 by bracketed bisection to a relative
+        width, or until no float lies between the ends (subclasses override
+        with closed forms where available)."""
         lo = self.lower
         if math.isinf(self.upper):
             hi = max(lo + 1.0, 1.0)
@@ -109,13 +110,14 @@ class Distribution:
                 raise DomainError(f"could not bracket quantile({p})")
         else:
             hi = self.upper
-        while hi - lo > _QUANTILE_TOL * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        while hi - lo > _QUANTILE_TOL * max(abs(lo), abs(hi)) and lo < mid < hi:
             if self.cdf(mid) < p:
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)
+        return mid
 
     def mean(self) -> float:
         """E[X] = lower + integral of the survival function over the support."""

@@ -16,8 +16,9 @@ runs through one helper, ``_cumulative``, as int g(u) qd(u) du over a range
 of levels with the law's quantile density (``quadrature.integrate_quantile``):
 the whole of (0, 1), or the levels below or above F(t) for the truncated
 measures. A divergence is reported through the result diagnostics, not
-reproduced as a large truncation artifact. Laws with no quantile density
-(numeric convolutions, tabulated marginals) are integrated on the x axis.
+reproduced as a large truncation artifact. A law with no quantile density
+(a convolution, a tabulated or wedge marginal, a point mass, a subclass) is
+integrated on the x axis in units of its support width, so scale-free too.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ __all__ = [
     "paired_phi_entropy",
     "tau_alpha",
 ]
-
-_DEGENERATE_WIDTH = 1e-12
-_ZERO = QuadResult(0.0, 0.0, False, 0)
-
 
 class MeasureTag(enum.Enum):
     EFCPE = "efcpe"
@@ -148,16 +145,22 @@ def _first_power(p: float, q: float) -> float:
     return p * _neg_log(p, q)
 
 
-def _integral(g: _Kernel, side: Callable[[float], float], lo: float, hi: float,
-              cfg: Optional[QuadConfig] = None) -> QuadResult:
-    """int_lo^hi g(side(x)) dx on the x axis, where side is a CDF or a
-    survival function."""
+def _integral(g: _Kernel, side: Callable[[float], float], support: Tuple[float, float],
+              lo: float, hi: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
+    """int_lo^hi g(side(x)) dx, side a CDF or a survival function, in
+    t = (x - start) / width on the unit interval, (start, start + width) the
+    whole support: cfg applies in units of width, which then multiplies the
+    value and the error estimate. A point mass or an infinite end stays in x."""
+    start, width = support[0], support[1] - support[0]
+    if not 0.0 < width < math.inf:
+        start, width = 0.0, 1.0
 
-    def f(x: float) -> float:
-        p = side(x)
+    def f(t: float) -> float:
+        p = side(start + width * t)
         return g(p, 1.0 - p)
 
-    return integrate(f, lo, hi, cfg or _MEASURE_CFG)
+    res = integrate(f, (lo - start) / width, (hi - start) / width, cfg or _MEASURE_CFG)
+    return _scaled(res, width)
 
 
 def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional[float] = None,
@@ -179,7 +182,7 @@ def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional
             side, hi = (lambda x: X.cdf(x) / F), min(t, hi)
         elif t is not None:
             lo = max(t, lo)
-        return _integral(g, side, lo, hi, cfg)
+        return _integral(g, side, (X.lower, X.upper), lo, hi, cfg)
     if t is not None:
         l, d, r = (0.0, X.cdf(t), X.survival(t)) if below else (X.cdf(t), X.survival(t), 0.0)
         qd0, g0 = qd, g
@@ -193,9 +196,7 @@ def _measure(X: Distribution, g: _Kernel, tag: MeasureTag, alpha: float,
              mode: LogMode = LogMode.APPROX, survival: bool = False, t: Optional[float] = None,
              factor: Optional[float] = None, cfg: Optional[QuadConfig] = None) -> EntropyResult:
     """``_cumulative(X, g, survival, t)`` as an EntropyResult, times factor;
-    exactly zero on a degenerate support."""
-    if X.upper - X.lower < _DEGENERATE_WIDTH:
-        return _result(_ZERO, tag, alpha, mode)
+    exactly zero, with no subdivision, on a point mass (lower == upper)."""
     res = _cumulative(X, g, survival, t, cfg=cfg)
     return _result(res if factor is None else _scaled(res, factor), tag, alpha, mode)
 
@@ -208,7 +209,7 @@ def efcpe(
 ) -> EntropyResult:
     """Fractional cumulative past measure int F * [-Ln_a F]**(1/a) dx.
 
-    Degenerate supports give exactly zero. Each end of the levels goes
+    A point mass gives exactly zero. Each end of the levels goes
     through the divergence screen; a diverged end is reported, not integrated.
     """
     a = as_order(alpha)
@@ -327,14 +328,14 @@ def dynamic_efcpe(
     """Past measure of the truncated lifetime [X | X <= t].
 
     Integrates (F(x)/F(t)) * kernel(F(x)/F(t)) from the lower support bound
-    to t, over the levels (0, F(t)). As t reaches the upper bound this is
-    the full past measure.
+    to t, over the levels (0, F(t)), or on the x axis for a law with no
+    quantile density. As t reaches the upper bound this is the full past
+    measure. F(t) = 0 is refused with DomainError, a point mass included.
     """
     a = as_order(alpha)
     _check_time(t)
     Ft = X.cdf(t)
-    # A degenerate support is measured as zero whatever t is.
-    if Ft <= 0.0 and X.upper - X.lower >= _DEGENERATE_WIDTH:
+    if Ft <= 0.0:
         raise DomainError(f"dynamic measure needs F(t) > 0; F({t}) = {Ft}")
     return _measure(X, _phi(a, mode), MeasureTag.DYNAMIC_EFCPE, a.alpha, mode, t=t, cfg=cfg)
 
@@ -404,10 +405,8 @@ def W_alpha(X: Distribution, alpha, t: float) -> float:
 
 
 def gini(X: Distribution) -> float:
-    """Gini concentration index 1 - E[min(X1, X2)] / E[X] in [0, 1]:
-    E[min(X1, X2)] = lower + int S(x)^2 dx, finite wherever the mean is."""
-    if X.upper - X.lower < _DEGENERATE_WIDTH:
-        return 0.0
+    """Gini concentration index 1 - E[min(X1, X2)] / E[X] in [0, 1], with
+    E[min(X1, X2)] = lower + int S(x)^2 dx; DomainError unless 0 < E[X] < inf."""
     mu = X.mean()
     if not math.isfinite(mu) or mu <= 0.0:
         raise DomainError("Gini index requires a finite positive mean")

@@ -30,8 +30,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
 from .distributions import Distribution, Uniform, prhr
 from .entropy import (
-    _DEGENERATE_WIDTH,
-    _ZERO,
     EntropyResult,
     MeasureTag,
     _first_power,
@@ -293,12 +291,10 @@ def from_density(
 def _rectangle_integral(J: BivariateLaw, row: Callable[[float], Callable[[float], float]],
                         what: str) -> QuadResult:
     """iint row(x)(y) dy dx over the support rectangle, each row split at the
-    law's y_kinks; exactly zero on a degenerate one."""
+    law's y_kinks; zero on a rectangle of zero area."""
     if not J.bounded:
         raise DomainError(f"{what} requires bounded supports, got {J.supports}")
     (x_lo, x_hi), (y_lo, y_hi) = J.supports
-    if (x_hi - x_lo) < _DEGENERATE_WIDTH or (y_hi - y_lo) < _DEGENERATE_WIDTH:
-        return _ZERO
     return integrate_2d(row, x_lo, x_hi, y_lo, y_hi, J.y_kinks)
 
 
@@ -459,8 +455,8 @@ def conditional_efcpe(J: BivariateLaw, alpha, x: float) -> float:
     (x_lo, x_hi), (y_lo, y_hi) = J.supports
     if not x_lo < x <= x_hi:
         raise DomainError(f"conditioning point {x} outside ({x_lo}, {x_hi}]")
-    res = _integral(_phi(a), lambda y: J.conditional_cdf_y_given_x(y, x), y_lo, y_hi,
-                    cfg=_DEFAULT)
+    res = _integral(_phi(a), lambda y: J.conditional_cdf_y_given_x(y, x), (y_lo, y_hi),
+                    y_lo, y_hi, _DEFAULT)
     return res.value
 
 

@@ -55,8 +55,8 @@ class OrderReport(_OrderReportFields):
 def dispersive_check(X: Distribution, Y: Distribution, grid: int = 4096) -> OrderReport:
     """Grid test of f(F^{-1}(v)) >= g(G^{-1}(v)) on v in (eps, 1 - eps).
 
-    Equality within the 1e-10 margin counts toward Yes; undefined density
-    values anywhere on the grid yield Inconclusive.
+    Equality within 1e-10 of the larger density counts toward Yes, at any
+    scale; undefined density values anywhere on the grid yield Inconclusive.
     """
     if grid < 2:
         raise DomainError(f"grid must have at least 2 points, got {grid}")
@@ -69,7 +69,7 @@ def dispersive_check(X: Distribution, Y: Distribution, grid: int = 4096) -> Orde
         if not (math.isfinite(fx) and math.isfinite(gy)):
             return OrderReport("Inconclusive", None, grid)
         gap = fx - gy
-        if gap < -_MARGIN and gap < worst_gap:
+        if gap < worst_gap and gap < -_MARGIN * max(fx, gy):
             worst_gap = gap
             worst_v = v
     if worst_v is not None:
@@ -109,7 +109,7 @@ def _ordering_rows(X: Distribution, Y: Distribution, alpha_grid: Sequence[float]
                 "value_y": None if ry.diverged else ry.value,
                 "x_diverged": rx.diverged,
                 "y_diverged": ry.diverged,
-                "holds": None if skipped else bool(rx.value <= ry.value + 1e-9),
+                "holds": None if skipped else bool(rx.value <= ry.value + 1e-9 * abs(ry.value)),
             }
         )
     return rows

@@ -315,6 +315,8 @@ def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, 
     """
     wx = x_hi - x_lo
     wy = y_hi - y_lo
+    if wx == 0.0 or wy == 0.0:  # zero area: exactly zero, as integrate's a == b
+        return QuadResult(0.0, 0.0, False, 0)
     inner_err = 0.0
     inner_subs = 0
 

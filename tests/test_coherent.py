@@ -209,9 +209,10 @@ class TestSystemMeasure:
         unit = system_efcpe(q, X, 0.5).value
         lower, _ = density_bounds(q, X, 0.5, M=10.0)
         for c in (1e-8, 1.0, 1e8):
-            assert system_efcpe(q, affine(X, c), 0.5).value == pytest.approx(c * unit, rel=1e-12)
+            got = system_efcpe(q, affine(X, c), 0.5).value
+            assert got == pytest.approx(c * unit, rel=1e-12, abs=0.0)
             got, _ = density_bounds(q, affine(X, c), 0.5, M=10.0 / c)
-            assert got == pytest.approx(c * lower, rel=1e-12)
+            assert got == pytest.approx(c * lower, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.8])
     @pytest.mark.parametrize("name", sorted(IDENTITY_LAWS))

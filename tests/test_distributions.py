@@ -352,6 +352,17 @@ class TestQuantileFallback:
             assert Distribution._quantile(s, p) == pytest.approx(x, abs=1e-9)
             assert conv.cdf(conv.quantile(p)) == pytest.approx(p, abs=1e-8)
 
+    def test_bisection_is_relative_at_every_scale(self):
+        # The bisection once stopped at an absolute width of 1e-10 below
+        # |x| = 1: at c = 1e-8 this quantile was 3e-4 off, with F(q) 0.94986.
+        make = lambda c: independent_sum(affine(Beta(2.0, 3.0), c), Uniform(c))
+        unit = make(1.0).quantile(0.95)
+        for c in (1e-8, 1.0, 1e4):
+            X = make(c)
+            q = X.quantile(0.95)
+            assert q == pytest.approx(c * unit, rel=1e-9, abs=0.0)
+            assert X.cdf(q) == pytest.approx(0.95, abs=1e-9)
+
     def test_wedge_marginal_closed_forms(self):
         # Second coordinate of the wedge law: F(y) = y(2 - y), f(y) = 2(1 - y).
         wedge = triangle_law().marginal_y

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,10 @@ from fracpast.distributions import (
     UniformSum,
     Weibull,
     affine,
+    independent_sum,
     prhr,
 )
+from fracpast.coherent import series_system, system_efcpe
 from fracpast.entropy import (
     W_alpha,
     classic_fractional,
@@ -112,6 +115,7 @@ class TestPastMeasure:
         res = efcpe(Degenerate(3.0), 0.5)
         assert res.value == 0.0
         assert not res.diverged
+        assert res.diagnostics.subdivisions_used == 0
 
     def test_heavy_tail_divergence_flagged(self):
         res = efcpe(ParetoType(0.5), 0.5)
@@ -185,7 +189,8 @@ class TestExactMode:
         make = SCALED_LAWS[law]
         unit = efcpe(make(1.0), alpha, LogMode.EXACT).value
         for c in (1e-8, 1e-4, 1e4, 1e8):
-            assert efcpe(make(c), alpha, LogMode.EXACT).value == pytest.approx(c * unit, rel=1e-12)
+            got = efcpe(make(c), alpha, LogMode.EXACT).value
+            assert got == pytest.approx(c * unit, rel=1e-12, abs=0.0)
 
     def test_shift_drops_out(self):
         unit = efcpe(Exponential(1.0), 0.85, LogMode.EXACT).value
@@ -307,6 +312,17 @@ class TestDynamicMeasure:
     def test_needs_positive_cdf(self):
         with pytest.raises(DomainError):
             dynamic_efcpe(Uniform(1.0), 0.5, -0.1)
+
+    def test_point_mass_needs_positive_cdf(self):
+        # F(1) = 0 below the point at 2, as for every other law.
+        with pytest.raises(DomainError):
+            dynamic_efcpe(Degenerate(2.0), 0.5, 1.0)
+
+    @pytest.mark.parametrize("t", [2.0, 3.0])
+    def test_point_mass_at_or_below_t_is_zero(self, t):
+        res = dynamic_efcpe(Degenerate(2.0), 0.5, t)
+        assert res.value == 0.0
+        assert res.diagnostics.subdivisions_used == 0
 
     @pytest.mark.parametrize(
         "call",
@@ -455,6 +471,11 @@ class TestGini:
 
     def test_degenerate_is_zero(self):
         assert gini(Degenerate(2.0)) == 0.0
+
+    def test_point_mass_at_zero_refused(self):
+        # E[min] / E[X] is 0 / 0.
+        with pytest.raises(DomainError):
+            gini(Degenerate(0.0))
 
     def test_lower_bound_frozen(self):
         bound, holds = gini_lower_bound_check(Uniform(1.0), 0.5)
@@ -616,6 +637,15 @@ TRUNCATED_MEASURES = {
 }
 
 
+# Every 1-D measure as a function of (law, scale c): c times its unit value.
+ONE_D_MEASURES = dict(
+    TRUNCATED_MEASURES,
+    **{name: (lambda make, c, run=run: run(make(c)).value)
+       for name, (run, _, _) in SHARED_CONTRACT_CASES.items()},
+    system_efcpe=lambda make, c: system_efcpe(series_system(3), make(c), 0.6).value,
+)
+
+
 class TestScaleLaw:
     # A law's scale is a constant factor of its quantile density, so the
     # probability-space measures obey E*(cX) = c E*(X) to rounding.
@@ -626,7 +656,7 @@ class TestScaleLaw:
         for alpha in (0.3, 0.8):
             unit = measure(make(1.0), alpha).value
             for c in (1e-8, 1e-4, 1e4, 1e8):
-                assert measure(make(c), alpha).value == pytest.approx(c * unit, rel=1e-12)
+                assert measure(make(c), alpha).value == pytest.approx(c * unit, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("measure", sorted(TRUNCATED_MEASURES))
     @pytest.mark.parametrize("name", sorted(SCALED_LAWS))
@@ -634,13 +664,49 @@ class TestScaleLaw:
         make, run = SCALED_LAWS[name], TRUNCATED_MEASURES[measure]
         unit = run(make, 1.0)
         for c in (1e-8, 1e-4, 1e4, 1e8):
-            assert run(make, c) == pytest.approx(c * unit, rel=1e-12)
+            assert run(make, c) == pytest.approx(c * unit, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-100])
+    @pytest.mark.parametrize("name", ["uniform", "beta"])
+    def test_every_measure_on_a_narrow_support(self, name, c):
+        # A support narrower than 1e-12 was once measured as exactly zero.
+        make = SCALED_LAWS[name]
+        for measure, run in ONE_D_MEASURES.items():
+            assert run(make, c) == pytest.approx(c * run(make, 1.0), rel=1e-12, abs=0.0), measure
+
+    def test_sum_law_on_the_x_axis(self):
+        # A numeric convolution has no quantile density, so it runs on the x
+        # axis, in units of its support width; below c = 1e-4 it once came
+        # back 1.3e-10 off with 0 subdivisions.
+        make = lambda c: independent_sum(affine(Beta(2.0, 3.0), c), Uniform(c))
+        unit = efcpe(make(1.0), 0.5).value
+        for c in (1e-8, 1e-4, 1e4, 1e8):
+            assert efcpe(make(c), 0.5).value == pytest.approx(c * unit, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("shift", [1e6, 1e9, 1e15, 1e17])
     def test_shift_drops_out(self, shift):
         # Gamma(3/2)^2 Gamma(3) (zeta(3) - 1) = 0.3173902412866...
         res = efcpe(affine(Exponential(1.0), 1.0, shift), 0.5)
         assert res.value == pytest.approx(0.3173902412866, rel=1e-12)
+
+
+class _XAxisUniform(Uniform):
+    """Uniform(0, scale) with no quantile density, so every measure of it
+    runs on the x axis."""
+
+    family = "x_axis_uniform"
+    qd = None
+
+
+class TestXAxisBranch:
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("measure", ["dynamic_0.1", "dynamic_0.8", "mean_inactivity_time",
+                                         "tau_0.5", "W_0.5"])
+    def test_truncated_measures_match_the_levels(self, measure, c):
+        # The x axis's truncated ranges, below and above t, against the
+        # same measures of Uniform over the levels.
+        run = TRUNCATED_MEASURES[measure]
+        assert run(_XAxisUniform, c) == pytest.approx(run(Uniform, c), rel=1e-9, abs=0.0)
 
 
 class TestExactOrderOne:
@@ -675,7 +741,8 @@ class TestTruncatedReferences:
     def test_dynamic_uniform_at_small_scale(self):
         # [U(0, 1e-8) | X <= t] is U(0, t): t times the closed form.
         want = 3.5e-9 * efcpe_closed_form(Uniform(1.0), 0.1)
-        assert dynamic_efcpe(Uniform(1e-8), 0.1, 3.5e-9).value == pytest.approx(want, rel=1e-12)
+        got = dynamic_efcpe(Uniform(1e-8), 0.1, 3.5e-9).value
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_dynamic_beta_at_order_01(self):
         # A 30-digit mpmath integral over x with mpmath's incomplete beta
@@ -684,6 +751,22 @@ class TestTruncatedReferences:
         X = Beta(0.5, 3.2)
         got = dynamic_efcpe(X, 0.1, X.quantile(0.3)).value
         assert got == pytest.approx(0.594229094863447, rel=1e-12)
+
+    def test_w_on_a_convolution_at_every_scale(self):
+        # U(0, c) + c Beta(2, 2) has 0.95 quantile 1.603433176933322 c. A
+        # 30-digit mpmath integral of -log F, with the closed-form CDF of
+        # U(0, 1) + Beta(2, 2), gives W = 0.0047172445414350 at c = 1. On the
+        # x axis in x units this took 6 s at c = 1 and burned the subdivision
+        # budget at c = 100.
+        values = []
+        for c in (1.0, 100.0, 1e4):
+            X = independent_sum(Uniform(c), affine(Beta(2.0, 2.0), c))
+            start = time.perf_counter()
+            values.append(W_alpha(X, 0.6, X.quantile(0.95)) / c)
+            assert time.perf_counter() - start < 2.0
+        for value in values:
+            assert value == pytest.approx(values[0], rel=1e-9)
+            assert value == pytest.approx(0.0047172445414350, rel=1e-7)
 
     def test_frechet_mean_and_gini_at_the_lower_end(self):
         # Near x = 0, S = 1 and the quantile density is ~ 1 / (p L^(1+1/k))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fracpast.distributions import Beta, Distribution, Exponential, Uniform, affine
+from fracpast.distributions import Beta, Degenerate, Distribution, Exponential, Uniform, affine
 from fracpast.entropy import efcpe
 from fracpast.errors import DomainError
 from fracpast.multivariate import (
@@ -155,6 +155,15 @@ class TestBivariateMeasure:
         large = bivariate_efcpe(independent_law(Uniform(2.0), Uniform(2.0)), 0.5).value
         assert large == pytest.approx(4.0 * small, rel=1e-5)
 
+    @pytest.mark.parametrize("measure", [bivariate_efcpe, modified_bivariate_efcpe])
+    def test_point_mass_marginal_is_zero(self, measure):
+        # A support rectangle of zero area is integrate_2d's exact zero.
+        for J in (independent_law(Degenerate(1.0), Uniform(1.0)),
+                  independent_law(Uniform(1.0), Degenerate(1.0))):
+            res = measure(J, 0.5)
+            assert res.value == 0.0
+            assert res.diagnostics.subdivisions_used == 0
+
     def test_unbounded_support_rejected(self):
         J = independent_law(Uniform(1.0), Exponential(1.0))
         with pytest.raises(DomainError):
@@ -198,10 +207,11 @@ class TestBivariateMeasure:
     def test_scale_law_at_every_scale(self, measure, law):
         # The 2-D tolerance is relative to the support rectangle, so scaling
         # both coordinates by c scales the value by c**2 to rounding; the
-        # triangle's kink hint y = x scales with it.
+        # triangle's kink hint y = x scales with it. A rectangle with a side
+        # below 1e-12 was once measured as exactly zero.
         unit = measure(law(1.0), 0.6).value
-        for c in (1e-8, 3.7e-6, 1e-3, 0.37, 45.0, 6.1e5, 1e8):
-            assert measure(law(c), 0.6).value == pytest.approx(c * c * unit, rel=1e-12)
+        for c in (1e-13, 1e-8, 3.7e-6, 1e-3, 0.37, 45.0, 6.1e5, 1e8):
+            assert measure(law(c), 0.6).value == pytest.approx(c * c * unit, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("law,alpha,budget", [
         (triangle_law(), 0.5, 8_000),
@@ -338,6 +348,15 @@ class TestConditionalMeasure:
     def test_independent_fgm_conditional_is_uniform(self):
         got = conditional_efcpe(fgm_law(0.0), 0.5, 0.3)
         assert got == pytest.approx(efcpe(Uniform(1.0), 0.5).value, rel=1e-9)
+
+    def test_scale_law_on_the_x_axis(self):
+        # The conditional runs on the x axis in units of the y support's
+        # width; in x units it was 1.6e-6 off at c = 1e-8.
+        law = lambda c: independent_law(affine(Beta(2.0, 3.0), c), Uniform(c))
+        unit = conditional_efcpe(law(1.0), 0.5, 0.5)
+        for c in (1e-8, 1e8):
+            got = conditional_efcpe(law(c), 0.5, 0.5 * c)
+            assert got == pytest.approx(c * unit, rel=1e-12, abs=0.0)
 
     def test_conditioning_point_validated(self):
         with pytest.raises(DomainError):

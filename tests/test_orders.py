@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from fracpast.distributions import Beta, Distribution, ParetoType, Uniform
+from fracpast.distributions import Beta, Distribution, ParetoType, Uniform, affine
 from fracpast.errors import DomainError
-from fracpast.orders import OrderReport, dispersive_check, ordering_validation
+from fracpast.orders import OrderReport, _ordering_rows, dispersive_check, ordering_validation
 
 
 class _UndefinedDensity(Distribution):
@@ -97,6 +97,14 @@ class TestDispersiveCheck:
         assert 0.4 < forward.witness < 0.6
         assert backward.witness > 0.99
 
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_verdicts_do_not_change_with_scale(self, c):
+        # The margin is relative to the densities, which scale as 1 / c: a
+        # shift leaves the spread equal, and a narrower copy spreads less.
+        X = affine(Beta(2.0, 3.0), c)
+        assert dispersive_check(X, affine(Beta(2.0, 3.0), c, c)).holds == "Yes"
+        assert dispersive_check(X, affine(Beta(2.0, 3.0), c * (1.0 - 1e-6))).holds == "No"
+
     def test_undefined_density_inconclusive(self):
         report = dispersive_check(_UndefinedDensity(), Uniform(1.0))
         assert report.holds == "Inconclusive"
@@ -133,6 +141,13 @@ class TestOrderingValidation:
             assert not row["y_diverged"]
             # Doubling the scale doubles the past measure.
             assert row["value_y"] == pytest.approx(2.0 * row["value_x"], rel=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-10, 1.0])
+    def test_row_margin_is_relative(self, c):
+        # A pair in the wrong order fails its rows at every scale; an
+        # absolute margin of 1e-9 passed every measure below 1e-9.
+        rows = _ordering_rows(Uniform(2.0 * c), Uniform(c), [0.5])
+        assert rows[0]["holds"] is False
 
     def test_divergent_order_skipped_not_compared(self):
         rows = ordering_validation(ParetoType(0.7), ParetoType(0.5), [0.4, 0.5])
