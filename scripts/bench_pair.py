@@ -13,12 +13,19 @@ comes from ``BENCHMARK.json``. Results for one workload and trace setting
 are stored in ``--out`` under the key ``<workload>`` or
 ``<workload>.trace``, so one file can hold several workloads; a later run
 with the same key adds its pairs to those already stored there.
+
+Each key also records whether the runs could cache bytecode: the children
+inherit this process's environment, and with ``PYTHONDONTWRITEBYTECODE`` set
+every fresh CLI process compiles each module it imports, about 30 ms of a
+75 ms ``cli`` call. A run is refused before it starts if its key holds pairs
+recorded with the other setting, or with none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -83,6 +90,13 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    key = args.workload + (".trace" if args.trace else "")
+    stored = doc.get(key, {"pairs": []})
+    cache = not os.environ.get("PYTHONDONTWRITEBYTECODE")
+    if stored["pairs"] and stored.get("bytecode_cache") != cache:
+        ap.error(f"{args.out} key {key!r} holds pairs with bytecode_cache="
+                 f"{stored.get('bytecode_cache')}; this run has bytecode_cache={cache}")
     pairs = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -93,10 +107,8 @@ def main(argv=None) -> int:
                   f"wall_s {pair[side]['metrics'].get('wall_s')}", file=sys.stderr)
         pairs.append(pair)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    key = args.workload + (".trace" if args.trace else "")
-    pairs = doc.get(key, {}).get("pairs", []) + pairs
-    doc[key] = {"seconds": args.seconds, "trace": args.trace,
+    pairs = stored["pairs"] + pairs
+    doc[key] = {"seconds": args.seconds, "trace": args.trace, "bytecode_cache": cache,
                 "summary": summarise(pairs, better), "pairs": pairs}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

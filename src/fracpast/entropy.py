@@ -17,8 +17,9 @@ of levels with the law's quantile density (``quadrature.integrate_quantile``):
 the whole of (0, 1), or the levels below or above F(t) for the truncated
 measures. A divergence is reported through the result diagnostics, not
 reproduced as a large truncation artifact. A law with no quantile density
-(a convolution, a tabulated or wedge marginal, a point mass, a subclass) is
-integrated on the x axis in units of its support width, so scale-free too.
+(a numeric convolution, or a subclass that gives none) is integrated on the
+x axis in units of its support width, so scale-free too; a point mass has
+none either, and its range of zero width is integrate's exact zero.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional
     as level l + d v with complement r + d w, w = 1 - v exact: (l, d, r) is
     (0, F(t), S(t)) below t, where g reads (v, w), and (F(t), S(t), 0)
     above, where g reads the level; qd gains the factor d, and the kinks
-    move with the range. A law with no quantile density runs on the x axis.
+    move with the range. A law with no quantile density (a numeric
+    convolution, a point mass, a subclass that gives none) runs on the x axis.
     """
     qd, kinks = X.qd, X.qd_kinks
     if qd is None:

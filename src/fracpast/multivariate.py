@@ -26,7 +26,7 @@ joint CDF directly.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .distributions import Distribution, Uniform, prhr
 from .entropy import (
@@ -43,16 +43,12 @@ from .errors import DomainError
 from .fraclog import LogMode, as_order
 from .quadrature import _DEFAULT, QuadResult, integrate_2d
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "BivariateLaw",
     "bivariate_efcpe",
     "conditional_efcpe",
     "decomposition_theorem_check",
     "fcpmi",
-    "from_density",
     "fgm_law",
     "independence_decomposition",
     "independent_law",
@@ -102,7 +98,11 @@ def independent_law(X: Distribution, Y: Distribution) -> BivariateLaw:
 
 
 class _WedgeSecond(Distribution):
-    """Law with CDF 2y - y**2 on [0, 1] (second coordinate of the wedge)."""
+    """Law with CDF 2y - y**2 on [0, 1] (second coordinate of the wedge).
+
+    Q(p) = 1 - sqrt(q), q = 1 - p, so its quantile density is the closed
+    form 1 / (2 sqrt(q)), read from q so that it stays exact near y = 1.
+    """
 
     family = "wedge_second"
 
@@ -122,6 +122,11 @@ class _WedgeSecond(Distribution):
 
     def _quantile(self, p):
         return 1.0 - math.sqrt(1.0 - p)
+
+    @property
+    def qd(self):
+        sqrt = math.sqrt
+        return lambda p, q: 0.5 / sqrt(q)
 
     def mean(self):
         return 1.0 / 3.0
@@ -187,104 +192,6 @@ def fgm_law(theta: float) -> BivariateLaw:
         conditional_cdf_y_given_x=conditional,
         supports=((0.0, 1.0), (0.0, 1.0)),
         label=f"fgm(theta={theta})",
-    )
-
-
-class _GridDistribution(Distribution):
-    """Marginal recovered from a tabulated CDF by linear interpolation."""
-
-    family = "grid"
-
-    def __init__(self, xs: np.ndarray, cdf_values: np.ndarray):
-        super().__init__()
-        import numpy as np  # loaded by from_density's tabulation, not with the package
-
-        self._interp = np.interp
-        self._xs = xs
-        self._cdf = np.clip(cdf_values, 0.0, 1.0)
-        self._cdf[-1] = 1.0
-        self.params = {"points": len(xs)}
-        self.lower, self.upper = float(xs[0]), float(xs[-1])
-
-    def cdf(self, x):
-        return float(self._interp(x, self._xs, self._cdf))
-
-    def pdf(self, x):
-        h = (self.upper - self.lower) * 1e-6
-        return (self.cdf(x + h) - self.cdf(x - h)) / (2.0 * h)
-
-
-def from_density(
-    pdf: Callable[[float, float], float],
-    x_support: Tuple[float, float],
-    y_support: Tuple[float, float],
-    grid: int = 256,
-    label: str = "density",
-) -> BivariateLaw:
-    """Tabulate a joint density on a grid and interpolate the law contract.
-
-    The density is integrated by the trapezoid rule into conditional rows
-    and the joint CDF, then renormalized so the far corner is exactly 1.
-    """
-    import numpy as np
-
-    x_lo, x_hi = x_support
-    y_lo, y_hi = y_support
-    if not (math.isfinite(x_hi) and math.isfinite(y_hi)):
-        raise DomainError("density construction requires bounded supports")
-    xs = np.linspace(x_lo, x_hi, grid + 1)
-    ys = np.linspace(y_lo, y_hi, grid + 1)
-    dx = (x_hi - x_lo) / grid
-    dy = (y_hi - y_lo) / grid
-    P = np.array([[max(0.0, pdf(float(x), float(y))) for y in ys] for x in xs])
-
-    # Row-wise cumulative mass in y: R[i, j] ~ int_{y_lo}^{y_j} p(x_i, t) dt.
-    R = np.zeros_like(P)
-    R[:, 1:] = np.cumsum(0.5 * (P[:, 1:] + P[:, :-1]) * dy, axis=1)
-    # Joint CDF by cumulating the rows in x.
-    J = np.zeros_like(P)
-    J[1:, :] = np.cumsum(0.5 * (R[1:, :] + R[:-1, :]) * dx, axis=0)
-    total = J[-1, -1]
-    if total <= 0.0:
-        raise DomainError("density integrates to zero on the given rectangle")
-    J /= total
-
-    row_mass = R[:, -1]
-    C = np.divide(R, row_mass[:, None], out=np.zeros_like(R), where=row_mass[:, None] > 0)
-
-    def joint(x: float, y: float) -> float:
-        xi = min(max(x, x_lo), x_hi)
-        yi = min(max(y, y_lo), y_hi)
-        fx = (xi - x_lo) / dx
-        fy = (yi - y_lo) / dy
-        i = min(int(fx), grid - 1)
-        j = min(int(fy), grid - 1)
-        tx, ty = fx - i, fy - j
-        return float(
-            J[i, j] * (1 - tx) * (1 - ty)
-            + J[i + 1, j] * tx * (1 - ty)
-            + J[i, j + 1] * (1 - tx) * ty
-            + J[i + 1, j + 1] * tx * ty
-        )
-
-    def conditional(y: float, x: float) -> float:
-        if not x_lo <= x <= x_hi:
-            raise DomainError(f"conditioning point {x} outside [{x_lo}, {x_hi}]")
-        yi = min(max(y, y_lo), y_hi)
-        fx = (x - x_lo) / dx
-        i = min(int(fx), grid - 1)
-        tx = fx - i
-        lowrow = float(np.interp(yi, ys, C[i]))
-        highrow = float(np.interp(yi, ys, C[i + 1]))
-        return (1 - tx) * lowrow + tx * highrow
-
-    return BivariateLaw(
-        joint_cdf=joint,
-        marginal_x=_GridDistribution(xs, J[:, -1].copy()),
-        marginal_y=_GridDistribution(ys, J[-1, :].copy()),
-        conditional_cdf_y_given_x=conditional,
-        supports=((x_lo, x_hi), (y_lo, y_hi)),
-        label=label,
     )
 
 

@@ -149,8 +149,8 @@ class TestDistortionShapes:
                              ids=["p2", "s3", "k24", "k44", "q24", "id"])
     def test_both_sides_exact_at_the_ends(self, q, v, w):
         low, high = q.pair(1e-30, 1.0), q.pair(1.0, 1e-30)
-        assert low[0] == pytest.approx(v, rel=1e-12) and low[1] == 1.0
-        assert high[0] == 1.0 and high[1] == pytest.approx(w, rel=1e-12)
+        assert low[0] == pytest.approx(v, rel=1e-12, abs=0.0) and low[1] == 1.0
+        assert high[0] == 1.0 and high[1] == pytest.approx(w, rel=1e-12, abs=0.0)
 
     def test_dispatch_constructor(self):
         assert distortion("parallel", n=2)(0.5) == 0.25

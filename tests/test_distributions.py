@@ -27,7 +27,7 @@ from fracpast.distributions import (
     prhr,
 )
 from fracpast.errors import DomainError, UnsupportedError
-from fracpast.multivariate import from_density, triangle_law
+from fracpast.multivariate import fgm_law, triangle_law
 from fracpast.quadrature import integrate
 
 BOUNDED_FAMILIES = [
@@ -176,7 +176,7 @@ class TestSpecificValues:
         assert UniformSum(1e-200, 1e-200).cdf(5e-201) == pytest.approx(0.125, rel=1e-15)
         assert UniformSum(1e-200, 1e-200).pdf(5e-201) == pytest.approx(5e199, rel=1e-15)
         assert UniformSum(1e200, 1e200).cdf(1e200) == pytest.approx(0.5, rel=1e-15)
-        assert UniformSum(1e200, 1e200).pdf(1e200) == pytest.approx(1e-200, rel=1e-15)
+        assert UniformSum(1e200, 1e200).pdf(1e200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e-8, 1e8, 1e150, 1e200])
     def test_uniform_sum_scale_law(self, c):
@@ -376,7 +376,6 @@ class TestQuantileFallback:
         # support ends, and p outside [0, 1] or NaN raises DomainError.
         # LogUniform(0.3, 0.7) is a law where a * (b / a) is not b.
         tri = triangle_law()
-        grid = from_density(lambda x, y: x + y, (0.0, 1.0), (0.0, 2.0), grid=16)
         laws = [make(family, **EXTREME_PARAMS[family]) for family in sorted(_FACTORIES)] + [
             LogUniform(0.3, 0.7),
             affine(Exponential(1.0), 2.0, 3.0),
@@ -385,7 +384,6 @@ class TestQuantileFallback:
             independent_sum(Uniform(1.0), Beta(2.0, 2.0)),
             tri.marginal_x,
             tri.marginal_y,
-            grid.marginal_x,
         ]
         for dist in laws:
             assert dist.quantile(0.0) == dist.lower, dist
@@ -393,6 +391,26 @@ class TestQuantileFallback:
             for p in (-0.5, 1.5, math.nan):
                 with pytest.raises(DomainError):
                     dist.quantile(p)
+
+
+class TestQuantileDensity:
+    def test_every_built_in_law_but_two_has_a_closed_form(self):
+        # The README names the two built-in laws with no qd; every other family,
+        # wrapper and joint-law marginal runs in levels, on a qd that is 1/f(Q).
+        catalog = [make(family, **EXTREME_PARAMS[family]) for family in sorted(_FACTORIES)]
+        wrapped = [w for d in catalog if d.family != "degenerate"
+                   for w in (affine(d, 2.0, 3.0), prhr(d, 0.5))]
+        tri, fgm = triangle_law(), fgm_law(-0.5)
+        laws = catalog + wrapped + [
+            UniformSum(1.0, 2.0), independent_sum(Uniform(1.0), Beta(2.0, 2.0)),
+            tri.marginal_x, tri.marginal_y, fgm.marginal_x, fgm.marginal_y,
+        ]
+        assert [d.family for d in laws if d.qd is None] == ["degenerate", "sum"]
+        for d in laws:
+            if d.qd is not None:
+                for p in (0.1, 0.5, 0.9):
+                    assert d.qd(p, 1.0 - p) * d.pdf(d.quantile(p)) == pytest.approx(
+                        1.0, rel=1e-9, abs=0.0), (d, p)
 
 
 @given(

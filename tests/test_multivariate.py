@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from scipy import integrate
 
 from fracpast.distributions import Beta, Degenerate, Distribution, Exponential, Uniform, affine
-from fracpast.entropy import efcpe
+from fracpast.entropy import _phi, efcpe
 from fracpast.errors import DomainError
+from fracpast.fraclog import as_order
 from fracpast.multivariate import (
     BivariateLaw,
     bivariate_efcpe,
@@ -12,7 +14,6 @@ from fracpast.multivariate import (
     decomposition_theorem_check,
     fcpmi,
     fgm_law,
-    from_density,
     iid_n_efcpe,
     independence_decomposition,
     independent_law,
@@ -134,6 +135,17 @@ class TestTriangleLaw:
         tri = triangle_law()
         assert tri.marginal_x.mean() == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert tri.marginal_y.mean() == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    def test_second_marginal_measure_against_quadpack(self, alpha):
+        # The wedge marginal runs in levels on its closed-form qd = 1/(2 sqrt(q)).
+        # Reference: QUADPACK on the x axis, where F = y(2 - y) and 1 - F = (1 - y)**2.
+        phi = _phi(as_order(alpha))
+        want, _ = integrate.quad(lambda y: phi(y * (2.0 - y), (1.0 - y) ** 2), 0.0, 1.0,
+                                 epsabs=0.0, epsrel=1e-13)
+        wedge = triangle_law().marginal_y
+        assert wedge.qd is not None
+        assert efcpe(wedge, alpha).value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBivariateMeasure:
@@ -363,47 +375,6 @@ class TestConditionalMeasure:
             conditional_efcpe(triangle_law(), 0.5, 0.0)
         with pytest.raises(DomainError):
             conditional_efcpe(triangle_law(), 0.5, 1.2)
-
-
-@pytest.fixture(scope="module")
-def grid_triangle():
-    return from_density(
-        lambda x, y: 2.0 if y < x else 0.0,
-        (0.0, 1.0),
-        (0.0, 1.0),
-        grid=256,
-        label="grid-triangle",
-    )
-
-
-class TestFromDensity:
-    def test_joint_cdf_agrees_pointwise(self, grid_triangle):
-        tri = triangle_law()
-        for i in range(9):
-            for j in range(9):
-                x, y = (i + 1) / 10.0, (j + 1) / 10.0
-                assert grid_triangle.joint_cdf(x, y) == pytest.approx(
-                    tri.joint_cdf(x, y), abs=1.5e-3
-                )
-
-    def test_marginals_agree(self, grid_triangle):
-        for u in (0.1, 0.4, 0.7, 0.95):
-            assert grid_triangle.marginal_x.cdf(u) == pytest.approx(u * u, abs=1.5e-3)
-            assert grid_triangle.marginal_y.cdf(u) == pytest.approx(
-                2.0 * u - u * u, abs=1.5e-3
-            )
-
-    def test_conditional_measure_agrees(self, grid_triangle):
-        got = conditional_efcpe(grid_triangle, 0.5, 0.5)
-        assert got == pytest.approx(0.5 * UNIFORM_PAST, rel=1e-2)
-
-    def test_zero_density_rejected(self):
-        with pytest.raises(DomainError):
-            from_density(lambda x, y: 0.0, (0.0, 1.0), (0.0, 1.0), grid=16)
-
-    def test_unbounded_support_rejected(self):
-        with pytest.raises(DomainError):
-            from_density(lambda x, y: 1.0, (0.0, math.inf), (0.0, 1.0))
 
 
 class TestDecompositionTheorem:

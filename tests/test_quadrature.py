@@ -204,7 +204,7 @@ class TestBudget:
         res = integrate(lambda x: 1.0 if x > step else 0.0, lo, lo + 1e-10, cfg)
         assert res.subdivisions_used < cfg.max_subdivisions
         assert res.error_estimate > cfg.abs_tol
-        assert res.value == pytest.approx(lo + 1e-10 - step, rel=1e-3)
+        assert res.value == pytest.approx(lo + 1e-10 - step, rel=1e-3, abs=0.0)
 
 
 class TestTwoDimensional:
