@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from .distributions import Distribution, _build
+from .distributions import Distribution, Uniform, _build
 from .entropy import EntropyResult, MeasureTag, _measure, _phi, efcpe
 from .errors import DomainError
 from .fraclog import FracOrder, LogMode, as_order
-from .quadrature import integrate_quantile
 
 __all__ = [
     "ComponentReport",
@@ -283,8 +282,9 @@ def density_bounds(
 ) -> Tuple[Optional[float], Optional[float]]:
     """Bounds needing only a density envelope: (1/M) I <= E*(T) <= (1/L) I,
 
-    with I = int_0^1 phi_a(q(u)) du, M an upper and L a positive lower
-    bound on the component density. Either side may be omitted.
+    with I = int_0^1 phi_a(q(u)) du, the system measure on Uniform(0, 1),
+    M an upper and L a positive lower bound on the component density.
+    Either side may be omitted.
     """
     a = as_order(alpha)
     if M is None and L is None:
@@ -297,8 +297,7 @@ def density_bounds(
             raise DomainError(f"M={M} is below the density value {fv} at level {probe}")
         if L is not None and 0.0 < fv < L * (1.0 - 1e-9):
             raise DomainError(f"L={L} exceeds the density value {fv} at level {probe}")
-    phi = _phi(a)
-    I = integrate_quantile(lambda p, r: phi(*q.pair(p, r)), lambda p, r: 1.0).value
+    I = system_efcpe(q, Uniform(1.0), a).value
     lower = I / M if M is not None else None
     upper = I / L if L is not None else None
     return lower, upper

@@ -1,0 +1,42 @@
+"""Every ``approx`` in an audited test file names its absolute tolerance.
+
+``pytest.approx(x, rel=r)`` without ``abs`` also accepts anything within
+1e-12 of x, which swamps ``rel`` once |x| is below 1e-12 / r, so an assert
+can pass on 0.0. A file joins AUDITED once each of its ``approx`` calls
+names ``abs``: 0.0 where the reference is exact, or a stated bound where the
+quantity is absolute.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+AUDITED = ("test_multivariate.py", "test_coherent.py", "test_chaos.py")
+
+
+def _approx_without_abs(source: str):
+    """Line numbers of the ``approx(...)`` calls with no ``abs`` keyword."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name == "approx" and not any(k.arg == "abs" for k in node.keywords):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_finds_a_missing_abs():
+    source = ("assert a == pytest.approx(1.0, rel=1e-9)\n"
+              "assert b == approx(2.0)\n"
+              "assert c == pytest.approx(3.0, rel=1e-9, abs=0.0)\n"
+              "assert d == pytest.approx(4.0, **tol)\n")
+    assert _approx_without_abs(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_every_approx_names_abs(name):
+    source = Path(__file__).with_name(name).read_text()
+    assert _approx_without_abs(source) == []

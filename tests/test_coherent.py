@@ -90,34 +90,35 @@ class TestDistortionShapes:
 
     def test_series_pointwise(self):
         q = series_system(3)
-        assert q(0.5) == pytest.approx(0.875)
+        assert q(0.5) == pytest.approx(0.875, rel=1e-6, abs=0.0)
         assert q(0.0) == 0.0
         assert q(1.0) == 1.0
 
     def test_k_out_of_n_pointwise(self):
         q = k_out_of_n(2, 4)
         # Fails at the third component failure: 4u^3 - 3u^4.
-        assert q(0.5) == pytest.approx(0.3125, rel=1e-13)
+        assert q(0.5) == pytest.approx(0.3125, rel=1e-13, abs=0.0)
         for u in (0.1, 0.4, 0.9):
-            assert q(u) == pytest.approx(4.0 * u**3 - 3.0 * u**4, rel=1e-12)
+            assert q(u) == pytest.approx(4.0 * u**3 - 3.0 * u**4, rel=1e-12, abs=0.0)
 
     def test_two_out_of_four_pointwise(self):
         q = two_out_of_four()
-        assert q(0.5) == pytest.approx(0.125, rel=1e-13)
+        assert q(0.5) == pytest.approx(0.125, rel=1e-13, abs=0.0)
         for u in (0.2, 0.6, 0.9):
-            assert q(u) == pytest.approx(3.0 * u**2 - 8.0 * u**3 + 6.0 * u**4, rel=1e-12)
+            assert q(u) == pytest.approx(3.0 * u**2 - 8.0 * u**3 + 6.0 * u**4, rel=1e-12, abs=0.0)
 
     def test_two_out_of_four_is_monotone_distortion(self):
         q = two_out_of_four()
         grid = [i / 200.0 for i in range(201)]
         values = [q(u) for u in grid]
-        assert values[0] == 0.0 and values[-1] == pytest.approx(1.0)
+        assert values[0] == 0.0 and values[-1] == pytest.approx(1.0, rel=1e-6, abs=0.0)
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_two_out_of_four_differs_from_binomial_form(self):
         # The quartic is NOT the 2-of-4 binomial distortion; they disagree
         # by 0.1875 at the midpoint.
-        assert abs(two_out_of_four()(0.5) - k_out_of_n(2, 4)(0.5)) == pytest.approx(0.1875)
+        gap = abs(two_out_of_four()(0.5) - k_out_of_n(2, 4)(0.5))
+        assert gap == pytest.approx(0.1875, rel=1e-6, abs=0.0)
 
     def test_two_out_of_four_is_transposed_order_statistic(self):
         # Reversing the coefficients of the 3-of-4 binomial distortion
@@ -126,7 +127,7 @@ class TestDistortionShapes:
         P = two_out_of_four()
         B = k_out_of_n(3, 4)
         for u in (0.2, 0.35, 0.5, 0.8, 0.95):
-            assert P(u) == pytest.approx(u**6 * B(1.0 / u), rel=1e-10)
+            assert P(u) == pytest.approx(u**6 * B(1.0 / u), rel=1e-10, abs=0.0)
 
     def test_counts_validated(self):
         with pytest.raises(DomainError):
@@ -155,8 +156,8 @@ class TestDistortionShapes:
     def test_dispatch_constructor(self):
         assert distortion("parallel", n=2)(0.5) == 0.25
         assert distortion("series", n=2)(0.5) == 0.75
-        assert distortion("koutofn", k=2, n=4)(0.5) == pytest.approx(0.3125)
-        assert distortion("twooutoffour")(0.5) == pytest.approx(0.125)
+        assert distortion("koutofn", k=2, n=4)(0.5) == pytest.approx(0.3125, rel=1e-6, abs=0.0)
+        assert distortion("twooutoffour")(0.5) == pytest.approx(0.125, rel=1e-6, abs=0.0)
         assert distortion("identity")(0.3) == 0.3
         with pytest.raises(DomainError):
             distortion("bridge")
@@ -172,7 +173,7 @@ class TestKernel:
             assert phi_alpha(u, 0.5) > 0.0
 
     def test_order_one_form(self):
-        assert phi_alpha(0.5, 1.0) == pytest.approx(0.5 * math.log(2.0), rel=1e-13)
+        assert phi_alpha(0.5, 1.0) == pytest.approx(0.5 * math.log(2.0), rel=1e-13, abs=0.0)
 
     def test_argument_validated(self):
         with pytest.raises(DomainError):
@@ -185,22 +186,22 @@ class TestSystemMeasure:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_identity_recovers_component(self, alpha):
         got = system_efcpe(identity_distortion(), Uniform(1.0), alpha).value
-        assert got == pytest.approx(UNIFORM_PAST[alpha], rel=1e-7)
+        assert got == pytest.approx(UNIFORM_PAST[alpha], rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_parallel_uniform_closed_form(self, n, alpha):
         got = system_efcpe(parallel(n), Uniform(1.0), alpha).value
-        assert got == pytest.approx(parallel_uniform_closed_form(n, alpha), rel=1e-7)
+        assert got == pytest.approx(parallel_uniform_closed_form(n, alpha), rel=1e-7, abs=0.0)
 
     def test_parallel_on_rescaled_component(self):
         got = system_efcpe(parallel(2), Uniform(2.0), 0.5).value
-        assert got == pytest.approx(2.0 * parallel_uniform_closed_form(2, 0.5), rel=1e-7)
+        assert got == pytest.approx(2.0 * parallel_uniform_closed_form(2, 0.5), rel=1e-7, abs=0.0)
 
     def test_flat_spot_runs_on_the_x_axis(self):
         # No quantile density: int phi(q(F(x))) dx on the x axis never reads f.
         got = system_efcpe(parallel(2), _FlatSpot(), 0.5).value
-        assert got == pytest.approx(parallel_uniform_closed_form(2, 0.5), rel=1e-7)
+        assert got == pytest.approx(parallel_uniform_closed_form(2, 0.5), rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("q", KINDS.values(), ids=KINDS.keys())
     @pytest.mark.parametrize("X", [Uniform(1.0), Exponential(1.0), Frechet(2.0, 1.0),
@@ -231,7 +232,7 @@ class TestSystemMeasure:
     def test_heavy_tailed_series(self, n, k, alpha, want):
         res = system_efcpe(series_system(n), ParetoType(k), alpha)
         assert not res.diverged
-        assert res.value == pytest.approx(want, rel=1e-12)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_divergent_system_reports_a_verdict(self):
         res = system_efcpe(parallel(2), ParetoType(0.5), 0.5)
@@ -250,14 +251,14 @@ class TestOmegaBounds:
     )
     def test_parallel_pair_supremum(self, alpha, expected):
         w1, w2 = omega_bounds(parallel(2), alpha)
-        assert w2 == pytest.approx(expected, rel=1e-3)
+        assert w2 == pytest.approx(expected, rel=1e-3, abs=0.0)
         assert 0.0 <= w1 < 1e-2
 
     def test_small_order_supremum(self):
         # At alpha = 0.1 the supremum 2**10 = 1024 is reached only in the
         # u -> 1 limit; the grid value may overshoot by float rounding.
         _, w2 = omega_bounds(parallel(2), 0.1)
-        assert w2 == pytest.approx(1024.0, rel=1e-4)
+        assert w2 == pytest.approx(1024.0, rel=1e-4, abs=0.0)
 
     # The suprema are the end limits 3 (q/u at u -> 0) and 6**(1/a) (from
     # (1 - q)/(1 - u) at u -> 1), 30-digit mpmath for the second.
@@ -265,7 +266,7 @@ class TestOmegaBounds:
                                               (two_out_of_four(), 0.55, 25.99084834959287699)],
                              ids=["s3", "q24"])
     def test_supremum_at_an_end_limit(self, q, alpha, want):
-        assert omega_bounds(q, alpha)[1] == pytest.approx(want, rel=1e-12)
+        assert omega_bounds(q, alpha)[1] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("q", [parallel(2), series_system(3)], ids=["p2", "s3"])
     def test_supremum_bounds_kernel_pointwise(self, q):
@@ -280,7 +281,7 @@ class TestSandwich:
         rep = sandwich_check(parallel(2), Uniform(1.0), 0.5)
         assert rep.system == pytest.approx(0.23271057, abs=5e-7)
         assert rep.upper == pytest.approx(0.7853982, abs=5e-6)
-        assert rep.omega2 == pytest.approx(4.0, rel=1e-9)
+        assert rep.omega2 == pytest.approx(4.0, rel=1e-9, abs=0.0)
         assert rep.holds
 
     @pytest.mark.parametrize(
@@ -315,8 +316,8 @@ class TestDensityBounds:
 
     def test_both_sides_together(self):
         lower, upper = density_bounds(parallel(2), Uniform(1.0), 0.5, M=1.0, L=1.0)
-        assert lower == pytest.approx(upper)
-        assert lower == pytest.approx(parallel_uniform_closed_form(2, 0.5), rel=1e-7)
+        assert lower == pytest.approx(upper, rel=1e-6, abs=0.0)
+        assert lower == pytest.approx(parallel_uniform_closed_form(2, 0.5), rel=1e-7, abs=0.0)
 
     def test_at_least_one_side_required(self):
         with pytest.raises(DomainError):
@@ -348,7 +349,7 @@ class TestComparisons:
         rep = component_comparison(identity_distortion(), Uniform(1.0), 0.5)
         assert rep.direction == "ge"
         assert rep.consistent
-        assert rep.system == pytest.approx(rep.component, rel=1e-6)
+        assert rep.system == pytest.approx(rep.component, rel=1e-6, abs=0.0)
 
     def test_component_comparison_parallel_inconclusive(self):
         # phi(u^2) crosses phi(u) inside (0, 1), so no uniform ordering

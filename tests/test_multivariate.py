@@ -93,7 +93,6 @@ def mirrored_triangle_law() -> BivariateLaw:
         marginal_x=_WedgeFirst(),
         marginal_y=_SquaredSecond(),
         conditional_cdf_y_given_x=conditional,
-        supports=((0.0, 1.0), (0.0, 1.0)),
         label="mirrored-triangle",
         y_kinks=lambda x: (x,),
     )
@@ -107,34 +106,59 @@ def scaled_triangle_law(c: float) -> BivariateLaw:
         marginal_x=affine(tri.marginal_x, c, 0.0),
         marginal_y=affine(tri.marginal_y, c, 0.0),
         conditional_cdf_y_given_x=lambda y, x: tri.conditional_cdf_y_given_x(y / c, x / c),
-        supports=((0.0, c), (0.0, c)),
         label=f"triangle*{c}",
         y_kinks=lambda x: (x,),
     )
+
+
+def _ripple(u: float) -> float:
+    """sin(pi u) cos(21 pi u) / (44 pi): zero at every midpoint (i + 1/2) / 21."""
+    return math.sin(math.pi * u) * math.cos(21.0 * math.pi * u) / (44.0 * math.pi)
+
+
+def _ripple_slope(u: float) -> float:
+    return (math.cos(math.pi * u) * math.cos(21.0 * math.pi * u)
+            - 21.0 * math.sin(math.pi * u) * math.sin(21.0 * math.pi * u)) / 44.0
+
+
+def ripple_copula_law() -> BivariateLaw:
+    """Copula C(u, v) = uv + r(u) r(v), r = _ripple, with density
+    1 + r'(u) r'(v) > 0.77. C > uv on the diagonal, but C = uv wherever
+    either coordinate is a midpoint of a 21-cell grid."""
+
+    def joint(x: float, y: float) -> float:
+        u, v = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)
+        return u * v + _ripple(u) * _ripple(v)
+
+    def conditional(y: float, x: float) -> float:
+        v = min(max(y, 0.0), 1.0)
+        return v + _ripple_slope(x) * _ripple(v)
+
+    return BivariateLaw(joint, Uniform(1.0), Uniform(1.0), conditional, label="ripple")
 
 
 class TestTriangleLaw:
     def test_marginals(self):
         tri = triangle_law()
         for u in (0.2, 0.5, 0.9):
-            assert tri.marginal_x.cdf(u) == pytest.approx(u * u, rel=1e-13)
-            assert tri.marginal_y.cdf(u) == pytest.approx(2.0 * u - u * u, rel=1e-13)
+            assert tri.marginal_x.cdf(u) == pytest.approx(u * u, rel=1e-13, abs=0.0)
+            assert tri.marginal_y.cdf(u) == pytest.approx(2.0 * u - u * u, rel=1e-13, abs=0.0)
 
     def test_conditional_is_uniform_on_wedge(self):
         tri = triangle_law()
-        assert tri.conditional_cdf_y_given_x(0.25, 0.5) == pytest.approx(0.5)
+        assert tri.conditional_cdf_y_given_x(0.25, 0.5) == pytest.approx(0.5, rel=1e-6, abs=0.0)
         assert tri.conditional_cdf_y_given_x(0.7, 0.5) == 1.0
 
     def test_joint_cdf_regions(self):
         tri = triangle_law()
-        assert tri.joint_cdf(0.5, 0.8) == pytest.approx(0.25)
-        assert tri.joint_cdf(0.5, 0.2) == pytest.approx(2.0 * 0.5 * 0.2 - 0.04)
-        assert tri.joint_cdf(1.0, 1.0) == pytest.approx(1.0)
+        assert tri.joint_cdf(0.5, 0.8) == pytest.approx(0.25, rel=1e-6, abs=0.0)
+        assert tri.joint_cdf(0.5, 0.2) == pytest.approx(2.0 * 0.5 * 0.2 - 0.04, rel=1e-6, abs=0.0)
+        assert tri.joint_cdf(1.0, 1.0) == pytest.approx(1.0, rel=1e-6, abs=0.0)
 
     def test_marginal_normalization(self):
         tri = triangle_law()
-        assert tri.marginal_x.mean() == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert tri.marginal_y.mean() == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert tri.marginal_x.mean() == pytest.approx(2.0 / 3.0, rel=1e-12, abs=0.0)
+        assert tri.marginal_y.mean() == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     def test_second_marginal_measure_against_quadpack(self, alpha):
@@ -159,13 +183,13 @@ class TestBivariateMeasure:
         J = independent_law(Uniform(1.0), Uniform(1.0))
         got = bivariate_efcpe(J, alpha).value
         want = independence_decomposition(Uniform(1.0), Uniform(1.0), alpha)
-        assert got == pytest.approx(want, rel=2e-4)
+        assert got == pytest.approx(want, rel=2e-4, abs=0.0)
 
     def test_scale_square_law(self):
         # Scaling both coordinates by c multiplies the measure by c**2.
         small = bivariate_efcpe(independent_law(Uniform(1.0), Uniform(1.0)), 0.5).value
         large = bivariate_efcpe(independent_law(Uniform(2.0), Uniform(2.0)), 0.5).value
-        assert large == pytest.approx(4.0 * small, rel=1e-5)
+        assert large == pytest.approx(4.0 * small, rel=1e-5, abs=0.0)
 
     @pytest.mark.parametrize("measure", [bivariate_efcpe, modified_bivariate_efcpe])
     def test_point_mass_marginal_is_zero(self, measure):
@@ -208,7 +232,7 @@ class TestBivariateMeasure:
     def test_triangle_against_closed_form(self, measure, alpha, reference):
         res = measure(triangle_law(), alpha)
         value = getattr(res, "value", res)
-        assert value == pytest.approx(reference, rel=1e-10)
+        assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("measure", [bivariate_efcpe, modified_bivariate_efcpe])
     @pytest.mark.parametrize("law", [
@@ -256,7 +280,7 @@ class TestModifiedBivariateMeasure:
         tri = triangle_law()
         at_half = modified_bivariate_efcpe(tri, 0.5).value
         at_one = modified_bivariate_efcpe(tri, 1.0).value
-        assert at_half / math.gamma(1.5) == pytest.approx(at_one, rel=1e-7)
+        assert at_half / math.gamma(1.5) == pytest.approx(at_one, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.75])
     def test_powered_bound(self, alpha):
@@ -271,7 +295,7 @@ class TestIndependenceHelpers:
         # Same support [0, l] and mean mu: the split collapses to
         # (l - mu) * (E*(X) + E*(Y)).
         got = independence_decomposition(Uniform(1.0), Uniform(1.0), 0.5)
-        assert got == pytest.approx(UNIFORM_PAST, rel=1e-6)
+        assert got == pytest.approx(UNIFORM_PAST, rel=1e-6, abs=0.0)
 
     def test_decomposition_mixed_supports(self):
         X, Y = Uniform(1.0), Uniform(2.0)
@@ -279,7 +303,7 @@ class TestIndependenceHelpers:
         ey = efcpe(Y, 0.5).value
         want = ex * (2.0 - 1.0) + ey * (1.0 - 0.5)
         got = independence_decomposition(X, Y, 0.5)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_decomposition_rejects_unbounded(self):
         with pytest.raises(DomainError):
@@ -289,11 +313,11 @@ class TestIndependenceHelpers:
         for alpha in (0.4, 0.8):
             got = iid_n_efcpe(Uniform(1.0), 2, alpha)
             want = independence_decomposition(Uniform(1.0), Uniform(1.0), alpha)
-            assert got == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_iid_triple_formula(self):
         got = iid_n_efcpe(Uniform(1.0), 3, 0.5)
-        assert got == pytest.approx(3.0 * 0.25 * UNIFORM_PAST, rel=1e-6)
+        assert got == pytest.approx(3.0 * 0.25 * UNIFORM_PAST, rel=1e-6, abs=0.0)
 
     def test_iid_validation(self):
         with pytest.raises(DomainError):
@@ -326,6 +350,22 @@ class TestMutualInformation:
         assert got == pytest.approx(TRIANGLE_MUTUAL_AT_ONE, abs=5e-7)
         assert got < 0.0
 
+    def test_positive_dependence_between_grid_nodes_rejected_below_one(self):
+        J = ripple_copula_law()
+        grid = [i / 100 for i in range(101)]
+        assert min(1.0 + _ripple_slope(u) * _ripple_slope(v) for u in grid for v in grid) > 0.77
+        nodes = [(i + 0.5) / 21 for i in range(21)]
+        assert all(J.joint_cdf(x, y) == x * y for x in nodes for y in nodes)
+        assert J.joint_cdf(0.3, 0.3) > 0.09
+        with pytest.raises(DomainError, match="undefined for order below 1"):
+            fcpmi(J, 0.5)
+        # At order 1 the signed logarithm is measured: the value is the
+        # -(1/2) (int r(u)**2 / u du)**2 = -5.0814e-10 of quadpack, within
+        # the 2-D absolute tolerance of 1e-8.
+        got = fcpmi(J, 1.0)
+        assert got == pytest.approx(-5.0813525e-10, rel=0.0, abs=1e-8)
+        assert got < 0.0
+
     def test_coordinate_swap_symmetry_at_one(self):
         direct = fcpmi(triangle_law(), 1.0)
         swapped = fcpmi(mirrored_triangle_law(), 1.0)
@@ -346,7 +386,7 @@ class TestConditionalMeasure:
         # Given X = x the second coordinate is uniform on (0, x), so its
         # past measure is x times the standard uniform one.
         got = conditional_efcpe(triangle_law(), 0.5, x)
-        assert got == pytest.approx(x * UNIFORM_PAST, rel=1e-7)
+        assert got == pytest.approx(x * UNIFORM_PAST, rel=1e-7, abs=0.0)
 
     @pytest.mark.parametrize(
         "theta,alpha,x,want",
@@ -355,11 +395,12 @@ class TestConditionalMeasure:
         [(-0.3, 0.65, 0.6, 0.19651857741), (0.5, 0.4, 0.2, 0.18591755140)],
     )
     def test_fgm_conditional_against_quadpack(self, theta, alpha, x, want):
-        assert conditional_efcpe(fgm_law(theta), alpha, x) == pytest.approx(want, rel=1e-9)
+        got = conditional_efcpe(fgm_law(theta), alpha, x)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_independent_fgm_conditional_is_uniform(self):
         got = conditional_efcpe(fgm_law(0.0), 0.5, 0.3)
-        assert got == pytest.approx(efcpe(Uniform(1.0), 0.5).value, rel=1e-9)
+        assert got == pytest.approx(efcpe(Uniform(1.0), 0.5).value, rel=1e-9, abs=0.0)
 
     def test_scale_law_on_the_x_axis(self):
         # The conditional runs on the x axis in units of the y support's
@@ -386,14 +427,14 @@ class TestDecompositionTheorem:
     def test_independent_split(self):
         J = independent_law(Uniform(1.0), Uniform(1.0))
         lhs, rhs = decomposition_theorem_check(J, 0.75)
-        assert lhs == pytest.approx(rhs, rel=2e-4)
+        assert lhs == pytest.approx(rhs, rel=2e-4, abs=0.0)
 
     def test_dependent_split_against_reference(self):
         # The FGM conditional moves with x, so each term's chain weights and
         # its conditional CDF both vary across rows. The reference is the
         # mpmath double integral of the bivariate measure itself.
         _, rhs = decomposition_theorem_check(fgm_law(-0.6), 0.7)
-        assert rhs == pytest.approx(0.19338473387527116982, rel=1e-10)
+        assert rhs == pytest.approx(0.19338473387527116982, rel=1e-10, abs=0.0)
 
     def test_conditional_cdf_calls_bounded(self):
         # Three separate chain integrals plus the bivariate measure; a row

@@ -47,10 +47,10 @@ RECORDS = {
         {"mode": LogMode.EXACT},
     ),
     "BivariateLaw": (
-        lambda: BivariateLaw(max, _X, _Y, min, ((0.0, 1.0), (0.0, 2.0))),
+        lambda: BivariateLaw(max, _X, _Y, min),
         "BivariateLaw(joint_cdf=<built-in function max>, marginal_x=uniform(scale=1.0), "
         "marginal_y=uniform(scale=2.0), conditional_cdf_y_given_x=<built-in function min>, "
-        "supports=((0.0, 1.0), (0.0, 2.0)), label='bivariate', y_kinks=None)",
+        "label='bivariate', y_kinks=None)",
         {"label": "other"},
     ),
     "DistortionFunction": (
@@ -125,8 +125,7 @@ def test_keyword_construction_with_defaults():
     res = QuadResult(value=1.0, error_estimate=0.0, diverged=False, subdivisions_used=0)
     assert res.low_confidence is False and math.isnan(res.tail_exponent)
     assert FracOrder(alpha=1) == FracOrder(1.0) and type(FracOrder(1).alpha) is float
-    law = BivariateLaw(joint_cdf=max, marginal_x=_X, marginal_y=_Y, conditional_cdf_y_given_x=min,
-                       supports=((0.0, 1.0), (0.0, 2.0)))
+    law = BivariateLaw(joint_cdf=max, marginal_x=_X, marginal_y=_Y, conditional_cdf_y_given_x=min)
     assert law.label == "bivariate" and law.y_kinks is None and law.bounded
     assert LogisticConfig(s=3.5) == LogisticConfig(3.5, 0.1, 1000, 5000)
     assert Sample(values=[2, 1]).data == (1.0, 2.0) and Sample([2, 1]).n == 2
