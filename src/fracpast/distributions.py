@@ -229,6 +229,14 @@ class Frechet(Distribution):
         except OverflowError:  # x**(-shape) beyond the float range: F underflows
             return 0.0
 
+    def survival(self, x):
+        if x <= 0.0:
+            return 1.0
+        try:
+            return -math.expm1(-self.scale * x ** (-self.shape))
+        except OverflowError:  # x**(-shape) beyond the float range: S rounds to 1
+            return 1.0
+
     def pdf(self, x):
         if x <= 0.0:
             return 0.0
@@ -543,6 +551,14 @@ class PrhrTransformed(Distribution):
     def cdf(self, x):
         return self.base.cdf(x) ** self.delta
 
+    def survival(self, x):
+        """1 - F^delta as -expm1(delta log F), log F from log1p(-S) once F >= 1/2."""
+        F = self.base.cdf(x)
+        if F <= 0.0:
+            return 1.0
+        log_F = math.log(F) if F < 0.5 else math.log1p(-self.base.survival(x))
+        return -math.expm1(self.delta * log_F)
+
     def pdf(self, x):
         F = self.base.cdf(x)
         if F <= 0.0:
@@ -690,6 +706,9 @@ class _ConvolutionSum(Distribution):
             return 0.0
         res = integrate(lambda y: self.d1.pdf(x - y) * self.d2.pdf(y), lo, hi)
         return max(0.0, res.value)
+
+    def mean(self):
+        return self.d1.mean() + self.d2.mean()
 
 
 def affine(base: Distribution, scale: float, shift: float = 0.0) -> Distribution:

@@ -61,7 +61,6 @@ class MeasureTag(enum.Enum):
     BIVARIATE_EFCPE = "bivariate_efcpe"
     MODIFIED_BIVARIATE_EFCPE = "modified_bivariate_efcpe"
     SYSTEM_EFCPE = "system_efcpe"
-    EMPIRICAL_EFCPE = "empirical_efcpe"
 
 
 class EntropyResult(NamedTuple):
@@ -167,26 +166,37 @@ def _integral(g: _Kernel, side: Callable[[float], float], support: Tuple[float, 
 def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional[float] = None,
                 below: bool = True, cfg: Optional[QuadConfig] = None) -> QuadResult:
     """int g(side(x)) dx over the support of X, side its CDF or, with
-    ``survival``, its survival function; with t, over the part below t with
-    side F / F(t) (the law of X given X <= t), or unless ``below``, over the
-    part above t with side F. In levels, a truncated range maps onto (0, 1)
-    as level l + d v with complement r + d w, w = 1 - v exact: (l, d, r) is
-    (0, F(t), S(t)) below t, where g reads (v, w), and (F(t), S(t), 0)
-    above, where g reads the level; qd gains the factor d, and the kinks
-    move with the range. A law with no quantile density (a numeric
-    convolution, a point mass, a subclass that gives none) runs on the x axis.
+    ``survival``, its survival function: every measure is this one integral,
+    the paired one too. With t it runs over the part below t with side
+    F / F(t) (the law of X given X <= t), refused where F(t) = 0, or unless
+    ``below``, over the part above t with side F, an exact 0 once t >= upper
+    or F(t) = 1; a NaN t is refused. In levels, a truncated range maps onto
+    (0, 1) as level l + d v with complement r + d w, w = 1 - v exact:
+    (l, d, r) is (0, F(t), S(t)) below t, where g reads (v, w), and
+    (F(t), S(t), 0) above, where g reads the level; qd gains the factor d,
+    and the kinks move with the range. A law with no quantile density (a
+    numeric convolution, a point mass, a subclass that gives none) runs on
+    the x axis.
     """
     qd, kinks = X.qd, X.qd_kinks
+    if t is not None:
+        if math.isnan(t):
+            raise DomainError("truncation time t must not be NaN")
+        Ft = X.cdf(t)
+        if below and not Ft > 0.0:
+            raise DomainError(f"a range truncated below t needs F(t) > 0; F({t}) = {Ft}")
+        if not below and (t >= X.upper or Ft == 1.0):
+            # F is nondecreasing, so F = 1 and the integrand is 0 from t on.
+            return QuadResult(0.0, 0.0, False, 0)
     if qd is None:
         side, lo, hi = X.survival if survival else X.cdf, X.lower, X.upper
         if t is not None and below:
-            F = X.cdf(t)
-            side, hi = (lambda x: X.cdf(x) / F), min(t, hi)
+            side, hi = (lambda x: X.cdf(x) / Ft), min(t, hi)
         elif t is not None:
             lo = max(t, lo)
         return _integral(g, side, (X.lower, X.upper), lo, hi, cfg)
     if t is not None:
-        l, d, r = (0.0, X.cdf(t), X.survival(t)) if below else (X.cdf(t), X.survival(t), 0.0)
+        l, d, r = (0.0, Ft, X.survival(t)) if below else (Ft, X.survival(t), 0.0)
         qd0, g0 = qd, g
         qd = lambda v, w: d * qd0(l + d * v, r + d * w)
         g = g if below else (lambda v, w: g0(l + d * v, r + d * w))
@@ -295,29 +305,14 @@ def paired_phi_entropy(
     mode: LogMode = LogMode.APPROX,
     cfg: Optional[QuadConfig] = None,
 ) -> EntropyResult:
-    """Two-sided measure: past plus residual halves of the same order.
-
-    ``tail_exponent`` is the diverged half's: the past half's when only it
-    diverged, else the residual half's. Subdivisions add over the halves.
-    """
+    """Two-sided measure int [phi(F) + phi(1 - F)] dx as one integral, whose
+    ``subdivisions_used`` and ``tail_exponent`` it reports. The kernel is
+    symmetric, so it reads the survival side: the same in levels, and on the
+    x axis a heavy upper tail read from the law's own S, not from 1 - F."""
     a = as_order(alpha)
-    past = efcpe(X, a, mode, cfg).diagnostics
-    residual = efcre(X, a, mode, cfg).diagnostics
-    combined = QuadResult(
-        past.value + residual.value,
-        past.error_estimate + residual.error_estimate,
-        past.diverged or residual.diverged,
-        past.subdivisions_used + residual.subdivisions_used,
-        past.low_confidence or residual.low_confidence,
-        (past if past.diverged and not residual.diverged else residual).tail_exponent,
-    )
-    return _result(combined, MeasureTag.PAIRED_PHI, a.alpha, mode)
-
-
-def _check_time(t: float) -> None:
-    """Refuse a NaN truncation time, which every comparison with t would pass over."""
-    if math.isnan(t):
-        raise DomainError("truncation time t must not be NaN")
+    phi = _phi(a, mode)
+    return _measure(X, lambda p, q: phi(p, q) + phi(q, p), MeasureTag.PAIRED_PHI, a.alpha, mode,
+                    survival=True, cfg=cfg)
 
 
 def dynamic_efcpe(
@@ -335,19 +330,11 @@ def dynamic_efcpe(
     measure. F(t) = 0 is refused with DomainError, a point mass included.
     """
     a = as_order(alpha)
-    _check_time(t)
-    Ft = X.cdf(t)
-    if Ft <= 0.0:
-        raise DomainError(f"dynamic measure needs F(t) > 0; F({t}) = {Ft}")
     return _measure(X, _phi(a, mode), MeasureTag.DYNAMIC_EFCPE, a.alpha, mode, t=t, cfg=cfg)
 
 
 def mean_inactivity_time(X: Distribution, t: float) -> float:
     """mu(t) = int_0^t F(x) dx / F(t), the mean of t - X given X <= t."""
-    _check_time(t)
-    Ft = X.cdf(t)
-    if Ft <= 0.0:
-        raise DomainError(f"mean inactivity time needs F(t) > 0; F({t}) = {Ft}")
     return _cumulative(X, lambda p, q: p, t=t).value
 
 
@@ -368,8 +355,6 @@ def dynamic_decomposition(X: Distribution, alpha, t: float,
 def _dynamic_boundary(X: Distribution, alpha, t: float, mode: LogMode) -> float:
     """The boundary part -mu(t) * kernel(F(t)) of the dynamic past measure."""
     Ft = X.cdf(t)
-    if Ft <= 0.0:
-        raise DomainError(f"dynamic decomposition needs F(t) > 0; F({t}) = {Ft}")
     if Ft >= 1.0:
         return 0.0
     return -mean_inactivity_time(X, t) * log_kernel(alpha, Ft, mode)
@@ -378,10 +363,6 @@ def _dynamic_boundary(X: Distribution, alpha, t: float, mode: LogMode) -> float:
 def _tail_integral(X: Distribution, t: float, k: _Kernel, what: str, factor: float = 1.0) -> float:
     """factor * int_t^upper k(F(x)) dx over the levels (F(t), 1), k read as 0
     where F is 0 or 1; DivergedError on a divergent integral."""
-    _check_time(t)
-    if t >= X.upper or X.cdf(max(t, X.lower)) == 1.0:
-        # F is nondecreasing, so F = 1 and the integrand is 0 from t on.
-        return 0.0
     res = _cumulative(X, lambda p, q: 0.0 if p <= 0.0 or q <= 0.0 else k(p, q), t=t, below=False)
     if res.diverged:
         raise DivergedError(f"{what} integral diverges (exponent {res.tail_exponent:.3f})")

@@ -1,10 +1,9 @@
-"""Every ``approx`` in an audited test file names its absolute tolerance.
+"""Every ``approx`` in every test file names its absolute tolerance.
 
 ``pytest.approx(x, rel=r)`` without ``abs`` also accepts anything within
 1e-12 of x, which swamps ``rel`` once |x| is below 1e-12 / r, so an assert
-can pass on 0.0. A file joins AUDITED once each of its ``approx`` calls
-names ``abs``: 0.0 where the reference is exact, or a stated bound where the
-quantity is absolute.
+can pass on 0.0. Each ``approx`` call names ``abs``: 0.0 where the reference
+is exact, or a stated bound where the quantity is absolute.
 """
 
 import ast
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-AUDITED = ("test_multivariate.py", "test_coherent.py", "test_chaos.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("test_*.py"))
 
 
 def _approx_without_abs(source: str):
@@ -36,7 +35,6 @@ def test_the_scan_finds_a_missing_abs():
     assert _approx_without_abs(source) == [1, 2, 4]
 
 
-@pytest.mark.parametrize("name", AUDITED)
-def test_every_approx_names_abs(name):
-    source = Path(__file__).with_name(name).read_text()
-    assert _approx_without_abs(source) == []
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda path: path.name)
+def test_every_approx_names_abs(path):
+    assert _approx_without_abs(path.read_text()) == []

@@ -37,7 +37,7 @@ class TestMeasure:
         assert payload["command"] == "measure"
         assert payload["kind"] == "efcpe"
         (row,) = payload["rows"]
-        assert row["value"] == pytest.approx(0.19634954084950124, rel=1e-9)
+        assert row["value"] == pytest.approx(0.19634954084950124, rel=1e-9, abs=0.0)
         assert row["mode"] == "approx"
         assert row["family"] == "uniform"
         assert row["diverged"] is False
@@ -66,14 +66,14 @@ class TestMeasure:
             capsys, ["measure", "--kind", "gini", "--dist", "exponential:rate=1e-4"]
         )
         assert code == 0
-        assert payload["rows"][0]["value"] == pytest.approx(0.5, rel=1e-12)
+        assert payload["rows"][0]["value"] == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_gini_kind(self, capsys):
         code, payload, _ = run_json(
             capsys, ["measure", "--kind", "gini", "--dist", "uniform:a=1", "--alpha", "0.5"]
         )
         assert code == 0
-        assert payload["rows"][0]["value"] == pytest.approx(1.0 / 3.0, rel=1e-9)
+        assert payload["rows"][0]["value"] == pytest.approx(1.0 / 3.0, rel=1e-9, abs=0.0)
 
     def test_classic_past_kind(self, capsys):
         code, payload, _ = run_json(
@@ -82,7 +82,7 @@ class TestMeasure:
         )
         assert code == 0
         expected = math.gamma(1.5) / 2.0 ** 1.5
-        assert payload["rows"][0]["value"] == pytest.approx(expected, rel=1e-7)
+        assert payload["rows"][0]["value"] == pytest.approx(expected, rel=1e-7, abs=0.0)
 
     def test_exact_mode_with_loose_tolerances(self, capsys):
         code, payload, _ = run_json(
@@ -152,8 +152,8 @@ class TestEmpirical:
         assert code == 0
         rows = payload["rows"]
         assert all(row["n"] == 20 for row in rows)
-        assert rows[0]["value"] == pytest.approx(424.4105095, rel=1e-6)
-        assert rows[1]["value"] == pytest.approx(140.1155942, rel=1e-6)
+        assert rows[0]["value"] == pytest.approx(424.4105095, rel=1e-6, abs=0.0)
+        assert rows[1]["value"] == pytest.approx(140.1155942, rel=1e-6, abs=0.0)
 
 
 class TestBivariate:
@@ -179,7 +179,7 @@ class TestBivariate:
         )
         assert code == 0
         (row,) = payload["rows"]
-        assert row["value"] == pytest.approx(2.0 / 9.0, rel=1e-6)
+        assert row["value"] == pytest.approx(2.0 / 9.0, rel=1e-6, abs=0.0)
         assert row["law"] == "triangle"
 
     def test_fgm_mutual_information(self, capsys):
@@ -200,9 +200,9 @@ class TestDynamic:
         assert code == 0
         assert payload["t"] == 0.5
         (row,) = payload["rows"]
-        assert row["value"] == pytest.approx(0.09817477042475062, rel=1e-7)
-        assert row["integral_term"] == pytest.approx(0.19251149910728163, rel=1e-7)
-        assert row["boundary_term"] == pytest.approx(-0.09433672868253101, rel=1e-7)
+        assert row["value"] == pytest.approx(0.09817477042475062, rel=1e-7, abs=0.0)
+        assert row["integral_term"] == pytest.approx(0.19251149910728163, rel=1e-7, abs=0.0)
+        assert row["boundary_term"] == pytest.approx(-0.09433672868253101, rel=1e-7, abs=0.0)
         assert row["integral_term"] + row["boundary_term"] == pytest.approx(
             row["value"], abs=1e-9
         )
@@ -218,7 +218,7 @@ class TestDynamic:
         assert code == 0
         (row,) = payload["rows"]
         assert row["integral_term"] + row["boundary_term"] == pytest.approx(
-            row["value"], rel=1e-12
+            row["value"], rel=1e-12, abs=0.0
         )
 
     def test_decomposition_computes_the_measure_once(self, capsys, monkeypatch):
@@ -260,9 +260,9 @@ class TestCoherent:
         for key in ("omega1", "omega2", "lower", "upper", "sandwich_holds"):
             assert key in row
         assert row["system"] == "parallel:2"
-        assert row["value"] == pytest.approx(0.23271056693257147, rel=1e-7)
-        assert row["omega2"] == pytest.approx(4.0, rel=1e-6)
-        assert row["upper"] == pytest.approx(0.7853981633980079, rel=1e-6)
+        assert row["value"] == pytest.approx(0.23271056693257147, rel=1e-7, abs=0.0)
+        assert row["omega2"] == pytest.approx(4.0, rel=1e-6, abs=0.0)
+        assert row["upper"] == pytest.approx(0.7853981633980079, rel=1e-6, abs=0.0)
         assert 0.0 <= row["omega1"] < 1e-6
         assert row["sandwich_holds"] is True
 
@@ -322,7 +322,7 @@ class TestOrders:
         )
         assert code == 0
         assert payload["dispersive"] == "No"
-        assert payload["witness"] == pytest.approx(1e-4, rel=1e-9)
+        assert payload["witness"] == pytest.approx(1e-4, rel=1e-9, abs=0.0)
         assert payload["rows"] == []
 
     def test_custom_grid_recorded(self, capsys):

@@ -125,7 +125,7 @@ def test_cdf_and_survival_at_extreme_arguments(family, x):
 
 class TestSpecificValues:
     def test_frechet_unit_point(self):
-        assert Frechet(1.0, 1.0).cdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert Frechet(1.0, 1.0).cdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14, abs=0.0)
 
     def test_uniform_sum_midpoint(self):
         assert UniformSum(1.0, 1.0).cdf(1.0) == pytest.approx(0.5, abs=1e-13)
@@ -138,24 +138,25 @@ class TestSpecificValues:
             assert tri.pdf(x) == pytest.approx(conv.pdf(x), abs=1e-12)
 
     def test_beta_mean(self):
-        assert Beta(2.0, 2.0).mean() == pytest.approx(0.5, rel=1e-12)
+        assert Beta(2.0, 2.0).mean() == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
     def test_loguniform_mean(self):
-        assert LogUniform(1.0, 2.0).mean() == pytest.approx(1.0 / math.log(2.0), rel=1e-12)
+        assert LogUniform(1.0, 2.0).mean() == pytest.approx(1.0 / math.log(2.0), rel=1e-12, abs=0.0)
 
     def test_exponential_median(self):
-        assert Exponential(2.0).quantile(0.5) == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
+        want = math.log(2.0) / 2.0
+        assert Exponential(2.0).quantile(0.5) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_pareto_survival(self):
-        assert ParetoType(0.5).survival(3.0) == pytest.approx(0.5, rel=1e-13)
+        assert ParetoType(0.5).survival(3.0) == pytest.approx(0.5, rel=1e-13, abs=0.0)
 
     def test_weibull_scale_shape(self):
         w = Weibull(2.0, 3.0)
-        assert w.cdf(2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
+        assert w.cdf(2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("dist", [Weibull(2.0, 3.0), Frechet(2.5, 3.0)], ids=repr)
     def test_closed_form_mean_matches_survival_integral(self, dist):
-        assert dist.mean() == pytest.approx(Distribution.mean(dist), rel=1e-12)
+        assert dist.mean() == pytest.approx(Distribution.mean(dist), rel=1e-12, abs=0.0)
 
     def test_infinite_mean_families(self):
         assert ParetoType(0.5).mean() == math.inf
@@ -168,14 +169,14 @@ class TestSpecificValues:
     )
     def test_weibull_pdf_at_subnormal_x(self, shape, x, want):
         # shape / x overflows here; the density itself is a finite float.
-        assert Weibull(1.0, shape).pdf(x) == pytest.approx(want, rel=1e-15)
+        assert Weibull(1.0, shape).pdf(x) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_uniform_sum_where_width_products_leave_the_float_range(self):
         # 2ab underflows to 0 (was ZeroDivisionError), and x*x and ab
         # overflow (were NaN and 0.0).
-        assert UniformSum(1e-200, 1e-200).cdf(5e-201) == pytest.approx(0.125, rel=1e-15)
-        assert UniformSum(1e-200, 1e-200).pdf(5e-201) == pytest.approx(5e199, rel=1e-15)
-        assert UniformSum(1e200, 1e200).cdf(1e200) == pytest.approx(0.5, rel=1e-15)
+        assert UniformSum(1e-200, 1e-200).cdf(5e-201) == pytest.approx(0.125, rel=1e-15, abs=0.0)
+        assert UniformSum(1e-200, 1e-200).pdf(5e-201) == pytest.approx(5e199, rel=1e-15, abs=0.0)
+        assert UniformSum(1e200, 1e200).cdf(1e200) == pytest.approx(0.5, rel=1e-15, abs=0.0)
         assert UniformSum(1e200, 1e200).pdf(1e200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e-8, 1e8, 1e150, 1e200])
@@ -183,8 +184,8 @@ class TestSpecificValues:
         # F_cX(cx) = F_X(x) and c * f_cX(cx) = f_X(x), on every piece.
         ref, law = UniformSum(1.0, 3.0), UniformSum(c, 3.0 * c)
         for x in (0.25, 0.5, 1.0, 2.0, 3.5, 3.9):
-            assert law.cdf(c * x) == pytest.approx(ref.cdf(x), rel=1e-14)
-            assert c * law.pdf(c * x) == pytest.approx(ref.pdf(x), rel=1e-14)
+            assert law.cdf(c * x) == pytest.approx(ref.cdf(x), rel=1e-14, abs=0.0)
+            assert c * law.pdf(c * x) == pytest.approx(ref.pdf(x), rel=1e-14, abs=0.0)
 
 
 class TestDegenerate:
@@ -210,18 +211,18 @@ class TestTransforms:
         y = affine(base, 2.0, 3.0)
         assert isinstance(y, AffineTransformed)
         for x in (3.1, 4.0, 7.0):
-            assert y.cdf(x) == pytest.approx(base.cdf((x - 3.0) / 2.0), rel=1e-13)
-        assert y.mean() == pytest.approx(2.0 * base.mean() + 3.0, rel=1e-12)
+            assert y.cdf(x) == pytest.approx(base.cdf((x - 3.0) / 2.0), rel=1e-13, abs=0.0)
+        assert y.mean() == pytest.approx(2.0 * base.mean() + 3.0, rel=1e-12, abs=0.0)
         assert y.lower == 3.0
 
     def test_affine_survival_and_quantile(self):
         y = affine(Exponential(2.0), 3.0, 1.5)
-        assert y.survival(4.0) == pytest.approx(math.exp(-5.0 / 3.0), rel=1e-14)
-        assert y.quantile(0.3) == pytest.approx(1.5 - 1.5 * math.log1p(-0.3), rel=1e-14)
+        assert y.survival(4.0) == pytest.approx(math.exp(-5.0 / 3.0), rel=1e-14, abs=0.0)
+        assert y.quantile(0.3) == pytest.approx(1.5 - 1.5 * math.log1p(-0.3), rel=1e-14, abs=0.0)
 
     def test_affine_pdf_jacobian(self):
         y = affine(Uniform(1.0), 4.0)
-        assert y.pdf(2.0) == pytest.approx(0.25, rel=1e-13)
+        assert y.pdf(2.0) == pytest.approx(0.25, rel=1e-13, abs=0.0)
 
     def test_affine_validation(self):
         with pytest.raises(DomainError):
@@ -234,14 +235,14 @@ class TestTransforms:
         g = prhr(base, 3.0)
         assert isinstance(g, PrhrTransformed)
         for x in (0.2, 0.5, 0.9):
-            assert g.cdf(x) == pytest.approx(base.cdf(x) ** 3.0, rel=1e-13)
+            assert g.cdf(x) == pytest.approx(base.cdf(x) ** 3.0, rel=1e-13, abs=0.0)
 
     def test_prhr_integer_exponent_is_max_of_copies(self):
         # F**2 is the law of max(X1, X2); check the density identity too.
         g = prhr(TriangularSum(), 2.0)
         x = 0.8
         want = 2.0 * TriangularSum().cdf(x) * TriangularSum().pdf(x)
-        assert g.pdf(x) == pytest.approx(want, rel=1e-13)
+        assert g.pdf(x) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_prhr_validation(self):
         with pytest.raises(DomainError):
@@ -268,6 +269,16 @@ class TestIndependentSum:
     def test_unbounded_rejected(self):
         with pytest.raises(UnsupportedError):
             independent_sum(Uniform(1.0), Exponential(1.0))
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_mean_adds_without_a_cdf(self, c, monkeypatch):
+        # E[X + Y] = E[X] + E[Y]: 0.4 c + 0.5 c, with no integral of the
+        # numeric CDF.
+        X = independent_sum(affine(Beta(2.0, 3.0), c), Uniform(c))
+        calls = []
+        monkeypatch.setattr(X, "cdf", lambda x: calls.append(x))
+        assert X.mean() == pytest.approx(0.9 * c, rel=1e-15, abs=0.0)
+        assert calls == []
 
 
 class TestMake:
@@ -367,7 +378,8 @@ class TestQuantileFallback:
         # Second coordinate of the wedge law: F(y) = y(2 - y), f(y) = 2(1 - y).
         wedge = triangle_law().marginal_y
         for p in (0.1, 0.5, 0.9):
-            assert wedge.quantile(p) == pytest.approx(Distribution._quantile(wedge, p), rel=1e-9)
+            want = Distribution._quantile(wedge, p)
+            assert wedge.quantile(p) == pytest.approx(want, rel=1e-9, abs=0.0)
         assert wedge.pdf(0.25) == 1.5
         assert wedge.pdf(-0.1) == wedge.pdf(1.5) == 0.0
 

@@ -64,19 +64,19 @@ class TestEmpiricalCdf:
 
     def test_ties_jump_together(self):
         s = Sample([2.0, 2.0, 3.0])
-        assert empirical_cdf(s, 2.0) == pytest.approx(2.0 / 3.0)
+        assert empirical_cdf(s, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-6, abs=0.0)
 
 
 class TestEstimator:
     def test_two_point_hand_value(self):
         # One spacing of length 1 at rank 1/2: value is (1/2) log 2.
         got = empirical_efcpe(Sample([0.0, 1.0]), 1.0)
-        assert got == pytest.approx(0.5 * math.log(2.0), rel=1e-14)
+        assert got == pytest.approx(0.5 * math.log(2.0), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha,expected", sorted(WEEKLY_SERIES_REFERENCE.items()))
     def test_weekly_series_reference(self, alpha, expected):
         s = load_sample_csv(str(DATA_FILE))
-        assert empirical_efcpe(s, alpha) == pytest.approx(expected, rel=1e-6)
+        assert empirical_efcpe(s, alpha) == pytest.approx(expected, rel=1e-6, abs=0.0)
 
     def test_constant_sample_is_zero(self):
         assert empirical_efcpe(Sample([5.0, 5.0, 5.0]), 0.5) == 0.0
@@ -134,8 +134,8 @@ class TestMomentFormulas:
         # Means scale like 1/lam, variances like 1/lam**2.
         base = exp_spacing_moments(10, 1.0, 0.5)
         scaled = exp_spacing_moments(10, 2.0, 0.5)
-        assert scaled.mean == pytest.approx(base.mean / 2.0, rel=1e-12)
-        assert scaled.variance == pytest.approx(base.variance / 4.0, rel=1e-12)
+        assert scaled.mean == pytest.approx(base.mean / 2.0, rel=1e-12, abs=0.0)
+        assert scaled.variance == pytest.approx(base.variance / 4.0, rel=1e-12, abs=0.0)
 
     def test_size_validation(self):
         with pytest.raises(DomainError):
@@ -162,12 +162,12 @@ class TestConfidenceInterval:
         lo, hi = confidence_interval(s, 0.5, 0.05, 0.04)
         point = empirical_efcpe(s, 0.5)
         assert lo < point < hi
-        assert (lo + hi) / 2.0 == pytest.approx(point, rel=1e-12)
+        assert (lo + hi) / 2.0 == pytest.approx(point, rel=1e-12, abs=0.0)
 
     def test_width_uses_normal_quantile(self):
         s = Sample([1.0, 2.0, 3.0])
         lo, hi = confidence_interval(s, 0.5, 0.05, 1.0)
-        assert hi - lo == pytest.approx(2.0 * 1.959963985, rel=1e-8)
+        assert hi - lo == pytest.approx(2.0 * 1.959963985, rel=1e-8, abs=0.0)
 
     def test_zero_variance_collapses(self):
         s = Sample([1.0, 2.0])
@@ -244,7 +244,7 @@ class TestConvergenceStudy:
         assert [r["n"] for r in rows] == [10, 50]
         for row in rows:
             assert set(row) == {"n", "mean_abs_error", "mean_estimate", "analytic"}
-            assert row["analytic"] == pytest.approx(0.196349540849, rel=1e-6)
+            assert row["analytic"] == pytest.approx(0.196349540849, rel=1e-6, abs=0.0)
             assert row["mean_abs_error"] > 0.0
         assert rows[0]["mean_abs_error"] > rows[1]["mean_abs_error"]
 

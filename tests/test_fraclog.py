@@ -96,10 +96,10 @@ class TestFracOrder:
 
 class TestGamma:
     def test_integer_values(self):
-        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
+        assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14, abs=0.0)
 
     def test_half(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_nonpositive_rejected(self, bad):
@@ -118,7 +118,7 @@ class TestMittagLeffler:
 
     @pytest.mark.parametrize("alpha,x,expected", MLF_REFERENCE)
     def test_reference_values(self, alpha, x, expected):
-        assert mlf(alpha, x) == pytest.approx(expected, rel=5e-11)
+        assert mlf(alpha, x) == pytest.approx(expected, rel=5e-11, abs=0.0)
 
     def test_branch_seams_are_continuous(self):
         # The evaluator switches methods at x = -1 (series at -1, contour
@@ -231,18 +231,19 @@ class TestFracLog:
 
     def test_order_one_is_log(self):
         for p in (0.1, 0.5, 0.9):
-            assert frac_log(1.0, p, LogMode.APPROX) == pytest.approx(math.log(p), rel=1e-14)
-            assert frac_log(1.0, p, LogMode.EXACT) == pytest.approx(math.log(p), rel=1e-14)
+            got = frac_log(1.0, p, LogMode.APPROX)
+            assert got == pytest.approx(math.log(p), rel=1e-14, abs=0.0)
+            assert frac_log(1.0, p, LogMode.EXACT) == pytest.approx(math.log(p), rel=1e-14, abs=0.0)
 
     def test_approx_form(self):
         for alpha in (0.3, 0.5, 0.8):
             for p in (0.2, 0.7):
                 want = math.gamma(1.0 + alpha) * math.log(p)
-                assert frac_log(alpha, p, LogMode.APPROX) == pytest.approx(want, rel=1e-14)
+                assert frac_log(alpha, p, LogMode.APPROX) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha,p,expected", EXACT_LOG_REFERENCE)
     def test_exact_reference_values(self, alpha, p, expected):
-        assert frac_log(alpha, p, LogMode.EXACT) == pytest.approx(expected, rel=1e-9)
+        assert frac_log(alpha, p, LogMode.EXACT) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("q", [1e-3, 1e-6, 1e-9, 1e-12])
@@ -256,7 +257,7 @@ class TestFracLog:
             a, r = mp.mpf(alpha), 1 - mp.mpf(p)
             rest = lambda t: -mp.nsum(lambda k: (-t) ** k / mp.gamma(a * k + 1), [1, mp.inf])
             want = -mp.findroot(lambda t: rest(t) - r, mp.gamma(1 + a) * r)
-        assert frac_log(alpha, p, LogMode.EXACT) == pytest.approx(float(want), rel=1e-12)
+        assert frac_log(alpha, p, LogMode.EXACT) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     @given(alpha=st.floats(0.25, 1.0), p=st.floats(0.05, 0.999))
     def test_mlf_inverts_exact_log(self, alpha, p):
@@ -293,7 +294,7 @@ class TestPowerFormIdentities:
         rhs = (-frac_log_power(alpha, u)) ** (1.0 / alpha) + (
             -frac_log_power(alpha, v)
         ) ** (1.0 / alpha)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
 
     @given(
         alpha=st.floats(0.2, 1.0),
@@ -303,7 +304,7 @@ class TestPowerFormIdentities:
     def test_power_law(self, alpha, p, b):
         lhs = frac_log_power(alpha, p**b)
         rhs = (b**alpha) * frac_log_power(alpha, p)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=0.0)
 
     def test_exact_mode_violates_power_law(self):
         # The power-form identities do not transfer to the exact inverse:
@@ -406,7 +407,7 @@ class TestLogKernel:
 
     def test_order_one(self):
         for p in (0.2, 0.8):
-            assert log_kernel(1.0, p) == pytest.approx(-math.log(p), rel=1e-13)
+            assert log_kernel(1.0, p) == pytest.approx(-math.log(p), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha,p,mode", [(0.001, 1e-300, LogMode.APPROX),
                                               (0.3, 1e-120, LogMode.EXACT)])
@@ -417,7 +418,7 @@ class TestLogKernel:
         for alpha in (0.3, 0.6, 0.9):
             for p in (0.1, 0.5, 0.9):
                 want = (math.gamma(1.0 + alpha) * (-math.log(p))) ** (1.0 / alpha)
-                assert log_kernel(alpha, p) == pytest.approx(want, rel=1e-12)
+                assert log_kernel(alpha, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestDiscreteEntropy:
@@ -425,7 +426,7 @@ class TestDiscreteEntropy:
         alpha = 0.5
         value = discrete_frac_entropy([0.25] * 4, alpha)
         want = (math.gamma(1.5) * math.log(4.0)) ** 2.0
-        assert value == pytest.approx(want, rel=1e-12)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_point_mass_is_zero(self):
         assert discrete_frac_entropy([1.0], 0.5) == 0.0

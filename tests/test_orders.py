@@ -85,7 +85,7 @@ class TestDispersiveCheck:
         # The gap 0.5(1-v)^3 - 0.7(1-v)^{17/7} is most negative as v -> 0,
         # so the reported witness is the first grid level.
         report = dispersive_check(ParetoType(0.5), ParetoType(0.7))
-        assert report.witness == pytest.approx(1e-4, rel=1e-12)
+        assert report.witness == pytest.approx(1e-4, rel=1e-12, abs=0.0)
 
     def test_crossing_densities_fail_both_ways(self):
         flat, humped = Uniform(1.0), Beta(2.0, 2.0)
@@ -140,7 +140,7 @@ class TestOrderingValidation:
             assert not row["x_diverged"]
             assert not row["y_diverged"]
             # Doubling the scale doubles the past measure.
-            assert row["value_y"] == pytest.approx(2.0 * row["value_x"], rel=1e-9)
+            assert row["value_y"] == pytest.approx(2.0 * row["value_x"], rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("c", [1e-10, 1.0])
     def test_row_margin_is_relative(self, c):
@@ -155,7 +155,7 @@ class TestOrderingValidation:
         convergent = by_alpha[0.4]
         assert convergent["holds"] is True
         # A 40-digit mpmath integral in probability space gives 3.131954522019860.
-        assert convergent["value_y"] == pytest.approx(3.131954522019860, rel=1e-6)
+        assert convergent["value_y"] == pytest.approx(3.131954522019860, rel=1e-6, abs=0.0)
         skipped = by_alpha[0.5]
         assert skipped["y_diverged"] is True
         assert skipped["x_diverged"] is False
@@ -163,7 +163,7 @@ class TestOrderingValidation:
         assert skipped["holds"] is None
         # The convergent side of the skipped row is still reported; mpmath,
         # the same way, gives 1.823024104053768.
-        assert skipped["value_x"] == pytest.approx(1.823024104053768, rel=1e-6)
+        assert skipped["value_x"] == pytest.approx(1.823024104053768, rel=1e-6, abs=0.0)
 
     def test_uncertified_pair_rejected(self):
         with pytest.raises(DomainError):

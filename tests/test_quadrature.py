@@ -18,7 +18,7 @@ from fracpast.quadrature import (
 class TestBoundedIntervals:
     def test_monomial(self):
         res = integrate(lambda x: x * x, 0.0, 1.0)
-        assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert res.value == pytest.approx(1.0 / 3.0, rel=1e-12, abs=0.0)
         assert not res.diverged
 
     def test_equal_limits(self):
@@ -29,11 +29,11 @@ class TestBoundedIntervals:
     def test_reversed_limits_flip_sign(self):
         fwd = integrate(lambda x: x * x, 0.0, 1.0)
         rev = integrate(lambda x: x * x, 1.0, 0.0)
-        assert rev.value == pytest.approx(-fwd.value, rel=1e-13)
+        assert rev.value == pytest.approx(-fwd.value, rel=1e-13, abs=0.0)
 
     def test_oscillatory(self):
         res = integrate(math.sin, 0.0, math.pi)
-        assert res.value == pytest.approx(2.0, rel=1e-10)
+        assert res.value == pytest.approx(2.0, rel=1e-10, abs=0.0)
 
     def test_integrable_endpoint_singularity(self):
         res = integrate(lambda x: -math.log(x) if x > 0 else 0.0, 0.0, 1.0)
@@ -68,19 +68,19 @@ class TestLimitValidation:
 class TestSemiInfinite:
     def test_exponential_decay(self):
         res = integrate(lambda x: math.exp(-x), 0.0, math.inf)
-        assert res.value == pytest.approx(1.0, rel=1e-8)
+        assert res.value == pytest.approx(1.0, rel=1e-8, abs=0.0)
         assert not res.diverged
         assert not res.low_confidence
 
     def test_shifted_origin(self):
         res = integrate(lambda x: math.exp(-(x - 3.0)), 3.0, math.inf)
-        assert res.value == pytest.approx(1.0, rel=1e-8)
+        assert res.value == pytest.approx(1.0, rel=1e-8, abs=0.0)
 
     def test_heavy_power_tail_completion(self):
         # Integrable but slowly decaying: int_0^inf (1+x)^-2 dx = 1. Under
         # x = p / q the integrand is 1, which the core integrates exactly.
         res = integrate(lambda x: (1.0 + x) ** -2.0, 0.0, math.inf)
-        assert res.value == pytest.approx(1.0, rel=1e-3)
+        assert res.value == pytest.approx(1.0, rel=1e-3, abs=0.0)
         assert not res.diverged
 
     def test_divergent_tail_flagged(self):
@@ -139,7 +139,7 @@ class TestDivergenceScreen:
         # c = 2 converges; with y = log(2 + x) mpmath gives 1.99355968066536384786.
         res = integrate(lambda x: 1.0 / ((1.0 + x) * math.log(2.0 + x) ** 2), 0.0, math.inf)
         assert not res.diverged
-        assert res.value == pytest.approx(1.99355968066536384786, rel=1e-10)
+        assert res.value == pytest.approx(1.99355968066536384786, rel=1e-10, abs=0.0)
 
     def test_end_law_past_the_float_range_refused(self):
         # h s = L^100 s^(5e-5) converges, to about Gamma(101) / (5e-5)^101.
@@ -160,8 +160,8 @@ class TestCallerTolerances:
         loose = integrate(f, 0.0, math.inf, QuadConfig(abs_tol=0.0, rel_tol=1e-3))
         tight = integrate(f, 0.0, math.inf, QuadConfig(abs_tol=0.0, rel_tol=1e-12))
         # int sin^2 e^(-x/10) = 2 / (0.1 (0.01 + 4)) = 200 / 40.1.
-        assert loose.value == pytest.approx(200.0 / 40.1, rel=1e-3)
-        assert tight.value == pytest.approx(200.0 / 40.1, rel=1e-12)
+        assert loose.value == pytest.approx(200.0 / 40.1, rel=1e-3, abs=0.0)
+        assert tight.value == pytest.approx(200.0 / 40.1, rel=1e-12, abs=0.0)
         assert loose.subdivisions_used < tight.subdivisions_used
         assert not loose.low_confidence and not tight.low_confidence
 
@@ -182,7 +182,7 @@ class TestBudget:
         partial = excinfo.value.partial
         assert isinstance(partial, QuadResult)
         assert math.isfinite(partial.value)
-        assert partial.value == pytest.approx(5.0, rel=0.2)
+        assert partial.value == pytest.approx(5.0, rel=0.2, abs=0.0)
 
     def test_unreachable_tolerance_refused_early(self):
         # The panel holding the step keeps an error near its width, so once
@@ -210,7 +210,7 @@ class TestBudget:
 class TestTwoDimensional:
     def test_rectangle(self):
         res = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
-        assert res.value == pytest.approx(0.25, rel=1e-7)
+        assert res.value == pytest.approx(0.25, rel=1e-7, abs=0.0)
 
     def test_error_estimate_accounts_for_inner_axis(self):
         res = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
@@ -230,7 +230,7 @@ class TestErrorInvariant:
         res = integrate(lambda x: (1.0 + x) ** -2.0, 0.0, math.inf)
         assert _meets_tolerance(res, QuadConfig())
         assert not res.low_confidence
-        assert res.value == pytest.approx(1.0, rel=1e-12)
+        assert res.value == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_clamped_panels_flagged(self):
         lo, step = 1.0, 1.0 + 3.3e-11
@@ -244,7 +244,7 @@ class TestErrorInvariant:
         res = integrate_2d(lambda x: lambda y: min(x, y) ** 0.5, 0.0, 1.0, 0.0, 1.0)
         assert res.error_estimate > max(1e-8, 1e-7 * abs(res.value))
         assert res.low_confidence
-        assert res.value == pytest.approx(8.0 / 15.0, rel=1e-7)
+        assert res.value == pytest.approx(8.0 / 15.0, rel=1e-7, abs=0.0)
         smooth = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert not smooth.low_confidence
 
@@ -296,7 +296,7 @@ class TestProbabilitySpace:
     def test_uniform_kernel(self):
         # int_0^1 p (1 - p) dp with a constant quantile density 3.
         res = integrate_quantile(lambda p, q: p * q, lambda p, q: 3.0)
-        assert res.value == pytest.approx(0.5, rel=1e-13)
+        assert res.value == pytest.approx(0.5, rel=1e-13, abs=0.0)
         assert not res.diverged
         assert not res.low_confidence
 
@@ -306,13 +306,13 @@ class TestProbabilitySpace:
         # diverges.
         qd = lambda p, q: 1.0 / q
         res = integrate_quantile(lambda p, q: p, qd, survival=True)
-        assert res.value == pytest.approx(1.0, rel=1e-12)
+        assert res.value == pytest.approx(1.0, rel=1e-12, abs=0.0)
         assert integrate_quantile(lambda p, q: p, qd).diverged
 
     def test_endpoint_singularity_substituted(self):
         # int_0^1 p^-0.9 dp = 10: exponent -0.9 at the lower end.
         res = integrate_quantile(lambda p, q: p ** -0.9, lambda p, q: 1.0)
-        assert res.value == pytest.approx(10.0, rel=1e-10)
+        assert res.value == pytest.approx(10.0, rel=1e-10, abs=0.0)
         assert _meets_tolerance(res, QuadConfig(0.0, 1e-10))
 
     def test_divergent_end_reported_in_x_units(self):
@@ -338,7 +338,7 @@ class TestProbabilitySpace:
                                    cfg=QuadConfig(rel_tol=1e-3))
         tight = integrate_quantile(lambda p, q: p ** -0.5, lambda p, q: 1.0,
                                    cfg=QuadConfig(rel_tol=1e-13))
-        assert loose.value == pytest.approx(2.0, rel=1e-10)
-        assert tight.value == pytest.approx(2.0, rel=1e-13)
+        assert loose.value == pytest.approx(2.0, rel=1e-10, abs=0.0)
+        assert tight.value == pytest.approx(2.0, rel=1e-13, abs=0.0)
         assert _meets_tolerance(tight, QuadConfig(0.0, 1e-13))
         assert _meets_tolerance(loose, _MEASURE_CFG)
