@@ -159,6 +159,13 @@ class Uniform(Distribution):
             return 1.0
         return x / self.scale
 
+    def survival(self, x):
+        if x <= 0.0:
+            return 1.0
+        if x >= self.scale:
+            return 0.0
+        return (self.scale - x) / self.scale
+
     def pdf(self, x):
         return 1.0 / self.scale if 0.0 <= x <= self.scale else 0.0
 
@@ -381,6 +388,15 @@ class LogUniform(Distribution):
             return 1.0
         return math.log(x / self.a) / self._log_ratio
 
+    def survival(self, x):
+        """log(b/x) / log(b/a), with log(b/x) as log1p((b - x)/x): b/x rounds
+        near 1, b - x does not."""
+        if x <= self.a:
+            return 1.0
+        if x >= self.b:
+            return 0.0
+        return math.log1p((self.b - x) / x) / self._log_ratio
+
     def pdf(self, x):
         if self.a <= x <= self.b:
             return 1.0 / (x * self._log_ratio)
@@ -423,6 +439,14 @@ class Beta(Distribution):
         if x >= 1.0:
             return 1.0
         return float(self._betainc(self.p, self.q, x))
+
+    def survival(self, x):
+        """The CDF of the reflected law Beta(q, p) at 1 - x."""
+        if x <= 0.0:
+            return 1.0
+        if x >= 1.0:
+            return 0.0
+        return float(self._betainc(self.q, self.p, 1.0 - x))
 
     def pdf(self, x):
         if not 0.0 < x < 1.0:
@@ -622,6 +646,18 @@ class UniformSum(Distribution):
         if x <= b:
             return (x - 0.5 * a) / b
         return 1.0 - self._half_square(a + b - x)
+
+    def survival(self, x):
+        a, b = self.a, self.b
+        if x <= 0.0:
+            return 1.0
+        if x >= a + b:
+            return 0.0
+        if x <= a:
+            return 1.0 - self._half_square(x)
+        if x <= b:
+            return (b + 0.5 * a - x) / b
+        return self._half_square(a + b - x)
 
     def pdf(self, x):
         a, b = self.a, self.b

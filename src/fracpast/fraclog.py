@@ -7,8 +7,9 @@ logarithm Ln_a. Three evaluation strategies are exposed:
 
 * ``LogMode.APPROX``: Ln_a(p) ~= Gamma(1+a) * log(p), the linearization that
   every closed-form measure in this library is built on.
-* ``LogMode.EXACT``: numeric inversion of E_a by Newton's method, started and
-  capped by closed-form bounds on E_a(-t).
+* ``LogMode.EXACT``: the root t = -Ln_a p of E_a(-t) = p by one Newton
+  iteration on one residual, E_a(-t) - p, started from the larger of two
+  closed-form lower bounds on the root (Simon's and Jensen's).
 * ``frac_log_power``: the power-scaled form -Gamma(1+a) * (-log p)**a, the
   unique variant for which the product rule
   ``[-Ln_a(uv)]**(1/a) = [-Ln_a(u)]**(1/a) + [-Ln_a(v)]**(1/a)``
@@ -31,7 +32,8 @@ most near order 0.97, 7e-16 from 0.99999 on), so where E_a(-t) falls below
 asymptotic expansion instead, within 4e-7 relative; at any order up to 1
 the branch is within 2e-6.
 Each branch gives the t-derivative of E_a(-t) from the same pass, which the
-EXACT inversion's Newton steps use: about 3 evaluations a root.
+EXACT inversion's Newton steps use: about 3 evaluations a root, at most 6
+near order 1.
 
 The series coefficients 1/Gamma(a k + 1), the contour nodes and weights, the
 powers s^a, Gamma(1 + a), the expansion's coefficients and the measure
@@ -81,10 +83,8 @@ _SERIES_TERMS = 700
 _SERIES_MAX_TERMS = 12_500
 
 _ROOT_MAXITER = 200
-# Relative step at which the complement root's Newton iteration stops.
-_ROOT_RTOL = 1e-15
 # Relative step at which the Newton iteration for E_a(-t) = p stops; the
-# error left after that step is of the order of its square (see _root).
+# error left after that step is of the order of its square (see _neg_ln).
 _NEWTON_RTOL = 1e-8
 # Beyond this t every asymptotic term after the first is below 1e-154 of it,
 # so E_a(-t) is 1 / (t Gamma(1 - a)) to rounding.
@@ -200,14 +200,14 @@ class FracOrder(_FracOrderFields):
         """The kernel (p, q) -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1 and
         q = 1 - p, per LogMode.
 
-        Above p = 1/2 both modes read q, so a caller that knows q exactly
+        Both modes read q above p = 1/2, so a caller that knows q exactly
         (the upper half of a probability-space integral, where p rounds to 1)
         keeps the kernel's relative accuracy there: APPROX forms -log p as
-        -log1p(-q), and EXACT solves 1 - E_alpha(-t) = q for t = -Ln_alpha p
-        (``_complement_root``). ``log_kernel`` is its argument checks plus
-        this closure, and every integrand calls the closure directly. Where
-        the power overflows the closure returns inf, which the quadrature
-        reads as a divergent or non-finite integrand.
+        -log1p(-q), and EXACT hands the pair to ``_neg_ln``, whose residual
+        is q - (1 - E_alpha(-t)) wherever t <= 1. ``log_kernel`` is its
+        argument checks plus this closure, and every integrand calls the
+        closure directly. Where the power overflows the closure returns inf,
+        which the quadrature reads as a divergent or non-finite integrand.
         """
         a, gamma_plus = self.alpha, self._gamma_plus
         exp, log, log1p = math.exp, math.log, math.log1p
@@ -221,7 +221,7 @@ class FracOrder(_FracOrderFields):
                 return math.inf
 
         def exact(p: float, q: float) -> float:
-            neg_ln = _complement_root(self, q) if q < 0.5 else _root(self, p)
+            neg_ln = _neg_ln(self, p, q)
             try:
                 return exp(log(neg_ln) / a)
             except OverflowError:
@@ -326,15 +326,16 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
     return value, slope
 
 
-def _mlf_pair(order: FracOrder, t: float) -> tuple:
-    """E_a(-t) and t dE_a(-t)/dt for t > 0 and 0 < a < 1, from one pass.
+def _mlf_pair(order: FracOrder, t: float, p: float = 0.0, q: float = 1.0) -> tuple:
+    """E_a(-t) - p and t dE_a(-t)/dt for t > 0 and 0 < a < 1, from one pass.
 
     The branch is the power series for t <= 1, the contour rule for
     1 < t < 50 and the asymptotic expansion from t = 50 on; see the module
-    docstring. The contour rule's derivative is -Re sum(weight / (s^a + t)^2)
-    on the same 17 nodes. The rule's error is absolute, about 7e-16 near
-    order 1, so below _CONTOUR_FLOOR its relative error would pass 7e-6. E_a(-t) falls
-    that low on (1, 50) only for orders within about 5e-9 of 1 and t > 20,
+    docstring. The series gives q - (1 - E_a(-t)), q = 1 - p, without the
+    leading 1, so no digit of q is lost as p nears 1. The contour rule's
+    derivative is -Re sum(weight / (s^a + t)^2) on the same 17 nodes. The
+    rule's error is absolute, about 7e-16 near order 1, so below
+    _CONTOUR_FLOOR its relative error would pass 7e-6. E_a(-t) falls that low on (1, 50) only for orders within about 5e-9 of 1 and t > 20,
     and there it is e^(-t) plus the asymptotic expansion's algebraic tail,
     to within 4e-7 relative against 140-digit series sums.
 
@@ -342,9 +343,10 @@ def _mlf_pair(order: FracOrder, t: float) -> tuple:
     overflows wherever E_a(-t) itself is a normal float.
     """
     if t <= _SERIES_MAX_T:
-        return _series_pair(order, t, 1.0)
+        return _series_pair(order, t, q)
     if t >= _ASYMPTOTIC_MIN_T:
-        return _asymptotic_pair(order, t)
+        value, slope = _asymptotic_pair(order, t)
+        return value - p, slope
     value = slope = 0.0
     for weight, s_a in order._contour:
         denominator = s_a + t
@@ -352,10 +354,10 @@ def _mlf_pair(order: FracOrder, t: float) -> tuple:
         value += share.real
         slope += (share / denominator).real
     if value >= _CONTOUR_FLOOR:
-        return value, -t * slope
+        return value - p, -t * slope
     value, slope = _asymptotic_pair(order, t)
     decay = math.exp(-t)
-    return decay + value, slope - t * decay
+    return decay + value - p, slope - t * decay
 
 
 def mlf(alpha, x: float) -> float:
@@ -382,62 +384,42 @@ def mlf(alpha, x: float) -> float:
     return _mlf_pair(order, -x)[0]
 
 
-def _complement_root(order: FracOrder, q: float) -> float:
-    """The t > 0 with 1 - E_a(-t) = q, that is -Ln_a(1 - q), for 0 < q < 1/2.
-
-    There t < 1 (0.9885 at a = 0.02, q = 1/2), and the series of 1 - E_a(-t)
-    without its leading 1 loses no digit of q. Newton's method runs from
-    t = Gamma(1+a) q, the root of its first term, to a relative step of
-    1e-15; 1 - E_a(-t) is increasing and concave (E_a(-t) is completely
-    monotone), so the iterates rise to the root from below.
-    """
-    a = order.alpha
-    if a == 1.0:
-        return -math.log1p(-q)
-    t = order._gamma_plus * q
-    for _ in range(_ROOT_MAXITER):
-        residual, slope = _series_pair(order, t, q)  # q - (1 - E_a(-t))
-        step = -residual * t / slope
-        t += step
-        if abs(step) <= _ROOT_RTOL * t:
-            return t
-    raise NonConvergentError(f"complement root did not settle for alpha={a}, q={q}")
-
-
-def _root(order: FracOrder, p: float) -> float:
-    """The t > 0 with E_a(-t) = p, that is -Ln_a p, for 0 < p <= 1/2.
+def _neg_ln(order: FracOrder, p: float, q: float) -> float:
+    """The t > 0 with E_a(-t) = p, that is -Ln_a p, for 0 < p < 1, q = 1 - p.
 
     E_a(-t) is completely monotone, so it is decreasing and convex in t, and
-    Simon's bounds 1/(1 + Gamma(1-a) t) <= E_a(-t) <= 1/(1 + t/Gamma(1+a))
-    (Integral Transforms Spec. Funct. 2015) bracket the root in closed form:
-    E_a(-t) >= p at t0 = (1/p - 1)/Gamma(1-a) and E_a(-t) <= p at
-    Gamma(1+a)(1/p - 1). Newton's method runs from t0, each step from one
-    ``_mlf_pair`` evaluation. On a decreasing convex function every tangent
-    lies below the curve, so from a point left of the root the tangent's
-    zero is still left of it: the iterates rise to the root monotonically,
-    and the upper bound only caps them against rounding. The error left
-    after a step of size d is about E''/(2|E'|) d^2. That factor is 1/t on
-    the algebraic tail 1/(t Gamma(1-a)), O(1) on the series branch and 1/2
-    on the e^(-t) that E_a(-t) nears as a -> 1, so stopping once d <= 1e-8 t
-    leaves a relative error of 1e-16, or 1e-16 t/2 near order 1, where
-    t <= -log p < 40 once the e^(-t) part dominates: below the evaluator's
-    own error.
+    Simon's 1/(1 + Gamma(1-a) t) <= E_a(-t) <= 1/(1 + t/Gamma(1+a)) (Integral
+    Transforms Spec. Funct. 2015) and Jensen's exp(-t/Gamma(1+a)) <= E_a(-t),
+    from its mean rate 1/Gamma(1+a), bound it. Newton's method on
+    E_a(-t) - p (``_mlf_pair``) runs from the larger root of the two lower
+    bounds, (q/p)/Gamma(1-a) or Gamma(1+a) (-log p); Jensen's tends to
+    Gamma(1+a) q as p -> 1 and to the root itself as a -> 1. Every tangent
+    of a decreasing convex function lies below it, so the iterates rise to
+    the root, and the upper bound's root Gamma(1+a) q/p only caps them
+    against rounding. The error left after a step of size d is about
+    E''/(2|E'|) d^2. That factor is 1/t on the algebraic tail
+    1/(t Gamma(1-a)), O(1) on the series branch and 1/2 on the e^(-t) that
+    E_a(-t) nears as a -> 1, so stopping once d <= 1e-8 t leaves a relative
+    error of 1e-16, or 1e-16 t/2 near order 1, where t <= -log p < 40 once
+    the e^(-t) part dominates: below the evaluator's own error.
 
     Beyond t = 1e154 the expansion is its first term to rounding, and so is
     its inverse 1/(p Gamma(1-a)); that is returned without iterating, and is
     inf past the float range.
     """
+    neg_log = -math.log(p) if p < 0.5 else -math.log1p(-q)
     a = order.alpha
     if a == 1.0:
-        return -math.log(p)
+        return neg_log
     first = order._asymptotic_coefficients[0]  # 1/Gamma(1-a)
-    t = (1.0 - p) * first / p
-    if t > _FIRST_TERM_EXACT:
+    simon = q * first / p
+    if simon > _FIRST_TERM_EXACT:
         return first / p
-    cap = order._gamma_plus * (1.0 - p) / p
+    t = max(simon, order._gamma_plus * neg_log)
+    cap = order._gamma_plus * q / p
     for _ in range(_ROOT_MAXITER):
-        value, slope = _mlf_pair(order, t)
-        step = -(value - p) * t / slope
+        residual, slope = _mlf_pair(order, t, p, q)
+        step = -residual * t / slope
         t = min(t + step, cap)
         if abs(step) <= _NEWTON_RTOL * t:
             return t
@@ -447,14 +429,13 @@ def _root(order: FracOrder, p: float) -> float:
 def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     """Fractional-order logarithm Ln_alpha(p) on (0, 1], always <= 0.
 
-    APPROX evaluates Gamma(1+alpha) * log(p). EXACT above p = 1/2, where
-    q = 1 - p is exact, is ``-_complement_root(q)``, to a relative 1e-15.
-    At or below 1/2 it is ``-_root(p)``: Newton's method on E_alpha(-t) = p
-    from Simon's lower bound, which rises to the root monotonically and
-    stops at a relative step of 1e-8, leaving a relative error of about
-    1e-16 (about 3 evaluations of E_alpha and its derivative a root).
-    Where the root passes the float range the result is -inf. The order's
-    constants are built once per public call, not once per iteration.
+    APPROX evaluates Gamma(1+alpha) * log(p). EXACT is ``-_neg_ln(p, 1 - p)``:
+    Newton's method on E_alpha(-t) = p from the larger of Simon's and
+    Jensen's lower bounds on the root, stopped at a relative step of 1e-8,
+    which leaves a relative error of about 1e-16 (about 3 evaluations of
+    E_alpha and its derivative a root, at most 6 near order 1). Where the
+    root passes the float range the result is -inf. The order's constants
+    are built once per public call, not once per iteration.
     """
     order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
     if not math.isfinite(p) or p <= 0.0 or p > 1.0:
@@ -463,9 +444,7 @@ def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
         return 0.0
     if mode is LogMode.APPROX:
         return order._gamma_plus * math.log(p)
-    if p > 0.5:
-        return -_complement_root(order, 1.0 - p)
-    return -_root(order, p)
+    return -_neg_ln(order, p, 1.0 - p)
 
 
 def frac_log_power(alpha, p: float) -> float:

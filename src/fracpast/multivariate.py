@@ -122,6 +122,13 @@ class _WedgeSecond(Distribution):
             return 1.0
         return y * (2.0 - y)
 
+    def survival(self, y):
+        if y <= 0.0:
+            return 1.0
+        if y >= 1.0:
+            return 0.0
+        return (1.0 - y) ** 2
+
     def pdf(self, y):
         return 2.0 * (1.0 - y) if 0.0 <= y <= 1.0 else 0.0
 

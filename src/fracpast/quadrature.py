@@ -379,7 +379,8 @@ class _EndFit:
     Weibull one of large shape, a kernel in -log p): c and delta are then
     solved through the three deepest probes from 2^-900, the deepest
     becoming s1, and delta is NaN without three. Without two probes gamma
-    and delta are inf if h vanished at every probe, else NaN."""
+    and delta are inf if h vanished at every probe, else NaN where h
+    overflowed; a NaN probe there raises NonConvergentError."""
 
     def __init__(self, g, qd, survival: bool, upper: bool):
         self.gamma = self.beta = math.nan
@@ -388,7 +389,11 @@ class _EndFit:
         self.qd = (lambda s: qd(1.0 - s, s)) if upper else (lambda s: qd(s, 1.0 - s))
         found = self._probe(_U_PROBES, 2)
         if len(found) < 2:
-            nonfinite = any(not math.isfinite(self.half(2.0 * s)) for s in _U_PROBES)
+            probes = [self.half(2.0 * s) for s in _U_PROBES]
+            if any(h != h for h in probes):
+                raise NonConvergentError(
+                    f"integrand is NaN near the {'upper' if upper else 'lower'} end")
+            nonfinite = any(not math.isfinite(h) for h in probes)
             self.gamma = self.delta = math.nan if nonfinite else math.inf
             return
         (self.s1, self.h1, self.q1), (s2, h2, q2) = found

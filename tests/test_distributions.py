@@ -188,6 +188,37 @@ class TestSpecificValues:
             assert c * law.pdf(c * x) == pytest.approx(ref.pdf(x), rel=1e-14, abs=0.0)
 
 
+class TestUpperTails:
+    # Each law's own survival function keeps a small upper tail that
+    # 1 - F rounds away. References: 50-digit mpmath at the same float x.
+    def test_uniform(self):
+        got = Uniform(3.0).survival(3.0 * (1.0 - 1e-14))
+        assert got == pytest.approx(1.0066022089934753e-14, rel=1e-13, abs=0.0)
+
+    def test_loguniform(self):
+        got = LogUniform(1.0, 10.0).survival(10.0 - 1e-12)
+        assert got == pytest.approx(4.3433309093562223e-14, rel=1e-13, abs=0.0)
+
+    def test_beta(self):
+        got = Beta(2.0, 3.0).survival(0.99999)
+        assert got == pytest.approx(3.9999699999453882e-15, rel=1e-13, abs=0.0)
+
+    def test_uniform_sum(self):
+        got = UniformSum(1.0, 2.0).survival(3.0 - 1e-6)
+        assert got == pytest.approx(2.5000000006988898e-13, rel=1e-13, abs=0.0)
+
+    def test_wedge_marginal(self):
+        got = triangle_law().marginal_y.survival(1.0 - 1e-7)
+        assert got == pytest.approx(9.999999989472883e-15, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("dist", BOUNDED_FAMILIES + [triangle_law().marginal_y], ids=repr)
+    def test_survival_at_and_past_the_support_ends(self, dist):
+        for x in (dist.lower - 1.0, dist.lower):
+            assert dist.survival(x) == 1.0
+        for x in (dist.upper, dist.upper + 1.0):
+            assert dist.survival(x) == 0.0
+
+
 class TestDegenerate:
     def test_step_cdf(self):
         d = Degenerate(2.0)

@@ -782,6 +782,13 @@ class TestTruncatedReferences:
         got = W_alpha(prhr(Exponential(1.0), 0.5), 0.6, 30.0)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_w_beta_small_upper_tail(self):
+        # A 50-digit mpmath integral of -log F with mpmath's incomplete beta
+        # function. The levels above t have width S(t) = 4e-15, which 1 - F
+        # once gave 1.1e-3 off.
+        got = W_alpha(Beta(2.0, 3.0), 0.6, 0.99999)
+        assert got == pytest.approx(8.9350998817933004e-21, rel=1e-13, abs=0.0)
+
     def test_dynamic_uniform_at_small_scale(self):
         # [U(0, 1e-8) | X <= t] is U(0, t): t times the closed form.
         want = 3.5e-9 * efcpe_closed_form(Uniform(1.0), 0.1)

@@ -351,8 +351,8 @@ def _mlf_mp(alpha, t):
 
 
 class TestExactRoot:
-    """-Ln_a p for p <= 1/2: Newton's method on E_a(-t) = p from Simon's
-    lower bound, stopped at a relative step of 1e-8."""
+    """-Ln_a p: Newton's method on E_a(-t) = p from the larger of Simon's
+    and Jensen's lower bounds, stopped at a relative step of 1e-8."""
 
     @pytest.mark.parametrize("alpha", ROOT_ORDERS)
     def test_root_against_mpmath(self, alpha):
@@ -372,9 +372,9 @@ class TestExactRoot:
         evaluations = []
         pair = fraclog._mlf_pair
 
-        def counted(order, t):
+        def counted(order, t, *rest):
             evaluations.append(t)
-            return pair(order, t)
+            return pair(order, t, *rest)
 
         monkeypatch.setattr(fraclog, "_mlf_pair", counted)
         roots = 0
@@ -383,6 +383,26 @@ class TestExactRoot:
                 frac_log(alpha, p, LogMode.EXACT)
                 roots += 1
         assert len(evaluations) <= 4 * roots
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
+    def test_few_evaluations_near_order_one(self, monkeypatch, alpha):
+        # Near order 1, E_a(-t) nears e^(-t) and Jensen's start
+        # Gamma(1+a) (-log p) nears the root, where Simon's sits near 0.
+        # Above p = 1/2 each evaluation is a series sum, counted through the
+        # same _mlf_pair.
+        counts = []
+        pair = fraclog._mlf_pair
+
+        def counted(order, t, *rest):
+            counts[-1] += 1
+            return pair(order, t, *rest)
+
+        monkeypatch.setattr(fraclog, "_mlf_pair", counted)
+        order = FracOrder(alpha)
+        for p in ROOT_LEVELS + [1.0 - 10.0 ** -k for k in (1, 2, 3, 6, 9, 12, 15)]:
+            counts.append(0)
+            frac_log(order, p, LogMode.EXACT)
+        assert max(counts) <= 6
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8987, 0.9, 0.97])
     @pytest.mark.parametrize("p", [1e-160, 1e-300, 5e-309])

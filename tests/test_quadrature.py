@@ -141,6 +141,20 @@ class TestDivergenceScreen:
         assert not res.diverged
         assert res.value == pytest.approx(1.99355968066536384786, rel=1e-10, abs=0.0)
 
+    def test_nan_integrand_refused_not_diverged(self):
+        # An end with NaN where the fit probes is no verdict on divergence.
+        with pytest.raises(NonConvergentError, match="NaN near the upper end"):
+            integrate_quantile(lambda p, q: math.nan, lambda p, q: 1.0)
+        f = lambda x: math.nan if x < 1e-3 else (1.0 + x) ** -2
+        with pytest.raises(NonConvergentError, match="NaN near the lower end"):
+            integrate(f, 0.0, math.inf)
+
+    @pytest.mark.parametrize("g", [lambda p, q: 1.0 / p / p,
+                                   lambda p, q: math.inf if p < 1e-3 else 1.0])
+    def test_overflowing_end_still_diverged(self, g):
+        res = integrate_quantile(g, lambda p, q: 1.0)
+        assert res.diverged and res.value == math.inf
+
     def test_end_law_past_the_float_range_refused(self):
         # h s = L^100 s^(5e-5) converges, to about Gamma(101) / (5e-5)^101.
         g = lambda p, q: (-math.log(p)) ** 100 * p ** 5e-5 if p < 0.5 else 0.0
