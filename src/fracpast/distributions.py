@@ -25,7 +25,7 @@ import re
 from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from .errors import DomainError, UnsupportedError
-from .quadrature import integrate
+from .quadrature import _graded
 
 if TYPE_CHECKING:
     import numpy as np
@@ -726,22 +726,34 @@ class _ConvolutionSum(Distribution):
             return 0.0
         if x >= self.upper:
             return 1.0
-        lo = self.d2.lower
-        hi = min(self.d2.upper, x - self.d1.lower)
-        if hi <= lo:
-            return 0.0
-        res = integrate(lambda y: self.d1.cdf(x - y) * self.d2.pdf(y), lo, hi)
-        return min(1.0, max(0.0, res.value))
+        lo, value = self._row(x, self.d1.cdf, 1.0)
+        # Below lo, F1(x - y) = 1: that part is F2(lo), in closed form.
+        return min(1.0, max(0.0, self.d2.cdf(lo) + value))
 
     def pdf(self, x):
         if x <= self.lower or x >= self.upper:
             return 0.0
-        lo = max(self.d2.lower, x - self.d1.upper)
-        hi = min(self.d2.upper, x - self.d1.lower)
-        if hi <= lo:
-            return 0.0
-        res = integrate(lambda y: self.d1.pdf(x - y) * self.d2.pdf(y), lo, hi)
-        return max(0.0, res.value)
+        return max(0.0, self._row(x, self.d1.pdf, self.upper - self.lower)[1])
+
+    def _row(self, x: float, side: Callable[[float], float], unit: float) -> Tuple[float, float]:
+        """``(lo, int_lo^hi side(x - y) f2(y) dy)``, where [lo, hi] =
+        [max(l2, x - u1), min(u2, x - l1)] is the part of the second
+        support where x - y lies inside the first.
+
+        The row runs under the graded map, which flattens a Beta side's
+        endpoint powers, with ``(hi - lo)·unit`` inside the integrand and
+        divided out after: ``unit`` is 1 for the cdf, whose row is then a
+        probability, and the support width for the pdf, whose row is then
+        a density in those units, so the tolerance means the same at every
+        scale.
+        """
+        d1, d2 = self.d1, self.d2
+        lo = max(d2.lower, x - d1.upper)
+        hi = min(d2.upper, x - d1.lower)
+        if not lo < hi:
+            return lo, 0.0
+        w = (hi - lo) * unit
+        return lo, _graded(lambda y: w * side(x - y) * d2.pdf(y), lo, hi)[0] / unit
 
     def mean(self):
         return self.d1.mean() + self.d2.mean()

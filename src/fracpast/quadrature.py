@@ -16,7 +16,8 @@ Rectangles are integrated as iterated 1-D integrals, each axis mapped onto
 [0, 1] by the graded map ``lo + w t^2 (3 - 2t)``, which flattens endpoint
 singularities; the tolerances then apply to the dimensionless integral, so
 the value scales exactly with the area of the rectangle. Each inner row can
-be split at the y where the caller says it has a kink.
+be split at the y where the caller says it has a kink. The same graded row
+integrates a numeric convolution's cdf and pdf at each point.
 
 The engine reports diagnostics (error estimate, subdivision count, divergence
 flag) rather than silently degrading. Every QuadResult built here either
@@ -292,6 +293,27 @@ _2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
 _2D_PANELS = 2
 
 
+def _graded(f: Callable[[float], float], lo: float, hi: float, cfg: QuadConfig = _DEFAULT,
+            kinks: Iterable[float] = ()):
+    """``_adaptive`` on ``int_0^1 f(lo + w t^2 (3 - 2t)) 6t (1 - t) dt``,
+    w = hi - lo, which is the mean of f over [lo, hi]; returns (value,
+    error, splits). The loop starts from _2D_PANELS panels, each also split
+    at the graded coordinate of every kink strictly inside (lo, hi).
+
+    The map flattens an endpoint power ``(y - lo)^p`` into ``t^(2p + 1)``,
+    and the tolerances apply to the mean, so a caller whose f carries the
+    units it needs gets the same refinement at every scale.
+    """
+    w = hi - lo
+
+    def g(t: float) -> float:
+        return f(lo + w * (t * t * (3.0 - 2.0 * t))) * (6.0 * t * (1.0 - t))
+
+    # The graded coordinate of each kink: t^2 (3 - 2t) = u inverted.
+    ts = [0.5 - math.sin(math.asin(1.0 - 2.0 * (y - lo) / w) / 3.0) for y in kinks if lo < y < hi]
+    return _adaptive(g, 0.0, 1.0, cfg, _2D_PANELS, ts)
+
+
 def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, x_hi: float,
                  y_lo: float, y_hi: float,
                  y_kinks: Optional[Callable[[float], Iterable[float]]] = None) -> QuadResult:
@@ -320,23 +342,14 @@ def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, 
     inner_err = 0.0
     inner_subs = 0
 
-    def outer(s: float) -> float:
+    def outer(x: float) -> float:
         nonlocal inner_err, inner_subs
-        x = x_lo + wx * (s * s * (3.0 - 2.0 * s))
-        f = row(x)
-
-        def inner(t: float) -> float:
-            return f(y_lo + wy * (t * t * (3.0 - 2.0 * t))) * (6.0 * t * (1.0 - t))
-
-        # The graded coordinate of each kink: t^2 (3 - 2t) = u inverted.
-        kinks = [0.5 - math.sin(math.asin(1.0 - 2.0 * (y - y_lo) / wy) / 3.0)
-                 for y in y_kinks(x) if y_lo < y < y_hi] if y_kinks else ()
-        value, err, splits = _adaptive(inner, 0.0, 1.0, _2D_CFG, _2D_PANELS, kinks)
+        value, err, splits = _graded(row(x), y_lo, y_hi, _2D_CFG, y_kinks(x) if y_kinks else ())
         inner_err = max(inner_err, err)
         inner_subs = max(inner_subs, splits)
-        return value * (6.0 * s * (1.0 - s))
+        return value
 
-    value, err, splits = _adaptive(outer, 0.0, 1.0, _2D_CFG, _2D_PANELS)
+    value, err, splits = _graded(outer, x_lo, x_hi, _2D_CFG)
     # The outer and the worst inner error together must meet the tolerance
     # of the dimensionless integral.
     flag = _checked(value, err + inner_err, 0, _2D_CFG).low_confidence
@@ -389,11 +402,11 @@ class _EndFit:
         self.qd = (lambda s: qd(1.0 - s, s)) if upper else (lambda s: qd(s, 1.0 - s))
         found = self._probe(_U_PROBES, 2)
         if len(found) < 2:
-            probes = [self.half(2.0 * s) for s in _U_PROBES]
+            probes = [self._half_at(s) for s in _U_PROBES]
             if any(h != h for h in probes):
                 raise NonConvergentError(
                     f"integrand is NaN near the {'upper' if upper else 'lower'} end")
-            nonfinite = any(not math.isfinite(h) for h in probes)
+            nonfinite = any(h is None or not math.isfinite(h) for h in probes)
             self.gamma = self.delta = math.nan if nonfinite else math.inf
             return
         (self.s1, self.h1, self.q1), (s2, h2, q2) = found
@@ -418,11 +431,22 @@ class _EndFit:
             elif abs(self.c) <= _U_FLAT:
                 self.c, self.delta = 0.0, (y[2] - y[0]) / (L[0] - L[2])
 
+    def _half_at(self, s: float) -> Optional[float]:
+        """h(s) / 2 at a probe, or None where the integrand raises
+        ZeroDivisionError or OverflowError, as ``1/p**2`` does once ``p**2``
+        underflows: a probe past the float range, which reads as non-finite
+        and has no sign."""
+        try:
+            return self.half(2.0 * s)
+        except (ZeroDivisionError, OverflowError):
+            return None
+
     def _probe(self, ladder, n: int) -> list:
         """The n deepest (s, |h|, qd) on ladder where h is finite and nonzero."""
         found = []
         for s in ladder:
-            h = abs(2.0 * self.half(2.0 * s))
+            h = self._half_at(s)
+            h = math.inf if h is None else abs(2.0 * h)
             if 0.0 < h < math.inf:
                 found.append((s, h, self.qd(s)))
                 if len(found) == n:
@@ -435,7 +459,7 @@ class _EndFit:
 
     def one_signed(self) -> bool:
         """Whether h has one sign at every probe where it is nonzero."""
-        signs = {h > 0.0 for h in map(self.half, (2.0 * s for s in _U_PROBES)) if h == h and h}
+        signs = {h > 0.0 for h in map(self._half_at, _U_PROBES) if h == h and h}
         return len(signs) < 2
 
     def x_exponent(self) -> float:

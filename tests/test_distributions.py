@@ -295,7 +295,36 @@ class TestIndependentSum:
         mid = s.cdf(1.0)
         assert 0.0 < mid < 1.0
         res = integrate(s.pdf, 0.0, 2.0)
-        assert res.value == pytest.approx(1.0, abs=1e-5)
+        assert res.value == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_convolution_matches_its_closed_form(self, c):
+        # Z = U(0, c) + c B with B ~ Beta(2, 2), I(t) = I_t(2, 2) = t^2 (3 - 2t):
+        # F_Z(tc) = G1(t) - G1(t - 1), G1(t) = t I_t(2, 2) - I_t(3, 2) / 2,
+        # which is t^3 - t^4 / 2 on [0, 1] and t - 1/2 above, and
+        # f_Z(tc) = (I(t) - I(t - 1)) / c = I(min(t, 2 - t)) / c by symmetry.
+        def G1(t):
+            return 0.0 if t <= 0.0 else t - 0.5 if t >= 1.0 else t ** 3 - 0.5 * t ** 4
+
+        def I(t):
+            return t * t * (3.0 - 2.0 * t)
+
+        Z = independent_sum(Uniform(c), affine(Beta(2.0, 2.0), c))
+        # Above u1 + l2 = c the row starts at x - c, and F2(x - c) enters in
+        # closed form.
+        for t in (0.01, 0.1, 0.37, 0.5, 0.9, 1.0, 1.1, 1.5, 1.63, 1.9, 1.99):
+            assert Z.cdf(t * c) == pytest.approx(G1(t) - G1(t - 1.0), rel=0.0, abs=1e-14)
+            assert Z.pdf(t * c) == pytest.approx(I(min(t, 2.0 - t)) / c, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-8, 1e8])
+    def test_convolution_pdf_obeys_the_scale_law(self, c):
+        # c f_Z(c t) is the unit-scale pdf. The pdf's row carries the support
+        # width, so its tolerance means the same at every scale; with the
+        # row's own width alone this read 3.5e-5 off at c = 1e8.
+        unit = independent_sum(Beta(0.7, 3.014), Uniform(0.5828))
+        Z = independent_sum(affine(Beta(0.7, 3.014), c), Uniform(0.5828 * c))
+        for t in (0.01, 0.2, 0.5, 0.9, 1.2, 1.5):
+            assert c * Z.pdf(t * c) == pytest.approx(unit.pdf(t), rel=1e-10, abs=0.0)
 
     def test_unbounded_rejected(self):
         with pytest.raises(UnsupportedError):

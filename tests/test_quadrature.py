@@ -155,6 +155,20 @@ class TestDivergenceScreen:
         res = integrate_quantile(g, lambda p, q: 1.0)
         assert res.diverged and res.value == math.inf
 
+    @pytest.mark.parametrize("g, exponent", [(lambda p, q: 1.0 / p ** 2, -2.0),
+                                             (lambda p, q: p ** -2.0, -2.0),
+                                             (lambda p, q: 1.0 / p ** 4, -4.0)],
+                             ids=["one_over_p_squared", "p_to_minus_2", "one_over_p_to_4"])
+    def test_probe_that_raises_reads_as_non_finite(self, g, exponent):
+        # At deep probes p**2 underflows to 0 (ZeroDivisionError, from
+        # 2^-540 down) and p**-2.0 passes the float range (OverflowError, from
+        # 2^-520); 1/p**4 raises from 2^-280 down, among the shallow probes.
+        # Such a probe is past the float range, as one where 1/p/p returns
+        # inf, not an error of the core.
+        res = integrate_quantile(g, lambda p, q: 1.0)
+        assert res.diverged and res.value == math.inf
+        assert res.tail_exponent == pytest.approx(exponent, rel=1e-12, abs=0.0)
+
     def test_end_law_past_the_float_range_refused(self):
         # h s = L^100 s^(5e-5) converges, to about Gamma(101) / (5e-5)^101.
         g = lambda p, q: (-math.log(p)) ** 100 * p ** 5e-5 if p < 0.5 else 0.0
