@@ -40,7 +40,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .coherent import DistortionFunction
     from .multivariate import BivariateLaw
-    from .quadrature import QuadConfig
 
 __all__ = ["main", "run"]
 
@@ -81,15 +80,6 @@ def _parse_alphas(args) -> List[float]:
     if args.alphas is None:
         raise _UsageError("--alphas (or --alpha) is required")
     return _float_list(args.alphas, "--alphas")
-
-
-def _quad_config(args) -> Optional[QuadConfig]:
-    """The measures' default tolerances, with each flag given in its place."""
-    from .quadrature import _MEASURE_CFG
-
-    flags = {"rel_tol": args.rel_tol, "max_subdivisions": args.max_subdiv}
-    given = {field: value for field, value in flags.items() if value is not None}
-    return _MEASURE_CFG._replace(**given) if given else None
 
 
 def _jsonable(obj):
@@ -181,14 +171,13 @@ def _cmd_measure(args) -> int:
     from .fraclog import LogMode
 
     X = parse_spec(args.dist)
-    cfg = _quad_config(args)
     mode = LogMode(args.mode)
     measures = {
-        "efcpe": lambda alpha: efcpe(X, alpha, mode, cfg),
-        "efcre": lambda alpha: efcre(X, alpha, mode, cfg),
-        "modified": lambda alpha: modified_efcpe(X, alpha, cfg),
-        "classic": lambda alpha: classic_fractional(X, alpha, past=args.past, cfg=cfg),
-        "paired": lambda alpha: paired_phi_entropy(X, alpha, mode, cfg),
+        "efcpe": lambda alpha: efcpe(X, alpha, mode),
+        "efcre": lambda alpha: efcre(X, alpha, mode),
+        "modified": lambda alpha: modified_efcpe(X, alpha),
+        "classic": lambda alpha: classic_fractional(X, alpha, past=args.past),
+        "paired": lambda alpha: paired_phi_entropy(X, alpha, mode),
     }
 
     def compute(alpha):
@@ -239,15 +228,14 @@ def _cmd_dynamic(args) -> int:
     from .fraclog import LogMode
 
     X = parse_spec(args.dist)
-    cfg = _quad_config(args)
     mode = LogMode(args.mode)
 
     def compute(alpha):
-        res = dynamic_efcpe(X, alpha, args.t, mode, cfg)
+        res = dynamic_efcpe(X, alpha, args.t, mode)
         rec = res.record(X)
         rec["t"] = args.t
         if args.decompose:
-            # The integral term complements the value computed under the flags.
+            # The integral term complements the value, which is computed once.
             boundary_term = _dynamic_boundary(X, alpha, args.t, mode)
             rec["integral_term"] = res.value - boundary_term
             rec["boundary_term"] = boundary_term
@@ -511,7 +499,7 @@ def _cmd_reproduce(args) -> int:
 # parser assembly
 
 
-def _add_common(sub, alphas=True, dist=False, quad=True, formats=("json", "csv")):
+def _add_common(sub, alphas=True, dist=False, mode=True, formats=("json", "csv")):
     sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if alphas:
@@ -519,12 +507,8 @@ def _add_common(sub, alphas=True, dist=False, quad=True, formats=("json", "csv")
                          help="comma-separated fractional orders; --alpha is another spelling")
     if dist:
         sub.add_argument("--dist", required=True, help="distribution spec, e.g. uniform:a=1")
-    if quad:
+    if mode:
         sub.add_argument("--mode", choices=("approx", "exact"), default="approx")
-        sub.add_argument("--rel-tol", type=float, default=None,
-                         help="relative tolerance; the measures already run to 1e-10, "
-                              "so only a smaller value changes them")
-        sub.add_argument("--max-subdiv", type=int, default=None)
 
 
 def _build_parser() -> _Parser:
@@ -543,13 +527,13 @@ def _build_parser() -> _Parser:
 
     p = verbs.add_parser("empirical", help="spacing estimator on a CSV sample")
     p.add_argument("--file", required=True)
-    _add_common(p, quad=False)
+    _add_common(p, mode=False)
     p.set_defaults(fn=_cmd_empirical)
 
     p = verbs.add_parser("bivariate", help="joint-law measures")
     p.add_argument("--law", required=True, help="triangle, fgm:theta=T, or indep(<spec>,<spec>)")
     p.add_argument("--kind", choices=("efcpe", "modified", "fcpmi"), default="efcpe")
-    _add_common(p, quad=False)
+    _add_common(p, mode=False)
     p.set_defaults(fn=_cmd_bivariate)
 
     p = verbs.add_parser("dynamic", help="truncated-past measure at time t")
@@ -561,14 +545,14 @@ def _build_parser() -> _Parser:
     p = verbs.add_parser("coherent", help="system lifetime measure via distortion")
     p.add_argument("--system", required=True, help="parallel:2, series:3, koutofn:k=2,n=4, ...")
     p.add_argument("--bounds", action="store_true", help="include distortion sandwich bounds")
-    _add_common(p, dist=True, quad=False)
+    _add_common(p, dist=True, mode=False)
     p.set_defaults(fn=_cmd_coherent)
 
     p = verbs.add_parser("orders", help="dispersive order check")
     p.add_argument("--dist-x", required=True)
     p.add_argument("--dist-y", required=True)
     p.add_argument("--grid", type=int, default=4096)
-    _add_common(p, quad=False)
+    _add_common(p, mode=False)
     p.set_defaults(fn=_cmd_orders)
 
     p = verbs.add_parser("chaos", help="logistic-map sweeps to CSV")
@@ -581,13 +565,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--burn-in", type=int, default=1000)
     p.add_argument("--length", type=int, default=5000)
     p.add_argument("--out-dir", default=".")
-    _add_common(p, quad=False)
+    _add_common(p, mode=False)
     p.set_defaults(fn=_cmd_chaos)
 
     p = verbs.add_parser("reproduce", help="check the stored expectation tables")
     p.add_argument("--table", choices=_TABLES, default=None)
     p.add_argument("--example", choices=_EXAMPLES, default=None)
-    _add_common(p, alphas=False, quad=False, formats=("json", "csv", "text"))
+    _add_common(p, alphas=False, mode=False, formats=("json", "csv", "text"))
     p.set_defaults(fn=_cmd_reproduce)
     return parser
 

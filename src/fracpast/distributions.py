@@ -770,7 +770,12 @@ def prhr(base: Distribution, delta: float) -> Distribution:
 
 
 def independent_sum(d1: Distribution, d2: Distribution) -> Distribution:
-    """Distribution of X + Y for independent X and Y with bounded supports."""
+    """Distribution of X + Y for independent X and Y with bounded supports,
+    or with a point mass c on either side, which is the other law shifted
+    by c."""
+    for d, other in ((d1, d2), (d2, d1)):
+        if d.lower == d.upper:
+            return affine(other, 1.0, d.lower)
     if math.isinf(d1.upper) or math.isinf(d2.upper):
         raise UnsupportedError("independent_sum requires bounded supports")
     if isinstance(d1, Uniform) and isinstance(d2, Uniform):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from .distributions import Distribution, Frechet, Uniform
 from .errors import DivergedError, DomainError
 from .fraclog import FracOrder, LogMode, as_order, log_kernel
-from .quadrature import _MEASURE_CFG, QuadConfig, QuadResult, integrate, integrate_quantile
+from .quadrature import _MEASURE_CFG, QuadResult, integrate, integrate_quantile
 
 __all__ = [
     "EntropyResult",
@@ -145,13 +145,14 @@ def _first_power(p: float, q: float) -> float:
     return p * _neg_log(p, q)
 
 
-def _integral(g: _Kernel, side: Callable[[float], float], support: Tuple[float, float],
-              lo: float, hi: float, cfg: Optional[QuadConfig] = None) -> QuadResult:
+def _integral(X: Distribution, g: _Kernel, side: Callable[[float], float],
+              lo: float, hi: float) -> QuadResult:
     """int_lo^hi g(side(x)) dx, side a CDF or a survival function, in
-    t = (x - start) / width on the unit interval, (start, start + width) the
-    whole support: cfg applies in units of width, which then multiplies the
-    value and the error estimate. A point mass or an infinite end stays in x."""
-    start, width = support[0], support[1] - support[0]
+    t = (x - X.lower) / width on the unit interval, width that of the whole
+    support of X: _MEASURE_CFG applies in units of width, which then
+    multiplies the value and the error estimate. A point mass or an infinite
+    end stays in x."""
+    start, width = X.lower, X.upper - X.lower
     if not 0.0 < width < math.inf:
         start, width = 0.0, 1.0
 
@@ -159,12 +160,12 @@ def _integral(g: _Kernel, side: Callable[[float], float], support: Tuple[float, 
         p = side(start + width * t)
         return g(p, 1.0 - p)
 
-    res = integrate(f, (lo - start) / width, (hi - start) / width, cfg or _MEASURE_CFG)
+    res = integrate(f, (lo - start) / width, (hi - start) / width, _MEASURE_CFG)
     return _scaled(res, width)
 
 
 def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional[float] = None,
-                below: bool = True, cfg: Optional[QuadConfig] = None) -> QuadResult:
+                below: bool = True) -> QuadResult:
     """int g(side(x)) dx over the support of X, side its CDF or, with
     ``survival``, its survival function: every measure is this one integral,
     the paired one too. With t it runs over the part below t with side
@@ -194,38 +195,33 @@ def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional
             side, hi = (lambda x: X.cdf(x) / Ft), min(t, hi)
         elif t is not None:
             lo = max(t, lo)
-        return _integral(g, side, (X.lower, X.upper), lo, hi, cfg)
+        return _integral(X, g, side, lo, hi)
     if t is not None:
         l, d, r = (0.0, Ft, X.survival(t)) if below else (Ft, X.survival(t), 0.0)
         qd0, g0 = qd, g
         qd = lambda v, w: d * qd0(l + d * v, r + d * w)
         g = g if below else (lambda v, w: g0(l + d * v, r + d * w))
         kinks = tuple((k - l) / d for k in kinks if l < k < l + d)
-    return integrate_quantile(g, qd, survival, cfg, kinks)
+    return integrate_quantile(g, qd, survival, kinks=kinks)
 
 
 def _measure(X: Distribution, g: _Kernel, tag: MeasureTag, alpha: float,
              mode: LogMode = LogMode.APPROX, survival: bool = False, t: Optional[float] = None,
-             factor: Optional[float] = None, cfg: Optional[QuadConfig] = None) -> EntropyResult:
+             factor: Optional[float] = None) -> EntropyResult:
     """``_cumulative(X, g, survival, t)`` as an EntropyResult, times factor;
     exactly zero, with no subdivision, on a point mass (lower == upper)."""
-    res = _cumulative(X, g, survival, t, cfg=cfg)
+    res = _cumulative(X, g, survival, t)
     return _result(res if factor is None else _scaled(res, factor), tag, alpha, mode)
 
 
-def efcpe(
-    X: Distribution,
-    alpha,
-    mode: LogMode = LogMode.APPROX,
-    cfg: Optional[QuadConfig] = None,
-) -> EntropyResult:
+def efcpe(X: Distribution, alpha, mode: LogMode = LogMode.APPROX) -> EntropyResult:
     """Fractional cumulative past measure int F * [-Ln_a F]**(1/a) dx.
 
     A point mass gives exactly zero. Each end of the levels goes
     through the divergence screen; a diverged end is reported, not integrated.
     """
     a = as_order(alpha)
-    return _measure(X, _phi(a, mode), MeasureTag.EFCPE, a.alpha, mode, cfg=cfg)
+    return _measure(X, _phi(a, mode), MeasureTag.EFCPE, a.alpha, mode)
 
 
 def efcpe_closed_form(X: Distribution, alpha) -> float:
@@ -253,32 +249,23 @@ def efcpe_closed_form(X: Distribution, alpha) -> float:
     raise DomainError(f"no closed form for family {X.family!r}")
 
 
-def modified_efcpe(
-    X: Distribution, alpha, cfg: Optional[QuadConfig] = None
-) -> EntropyResult:
+def modified_efcpe(X: Distribution, alpha) -> EntropyResult:
     """First-power variant int F * (-Ln_a F) dx = Gamma(1+a) * CE(X),
 
     where CE is the cumulative entropy -int F log F dx.
     """
     a = as_order(alpha)
     return _measure(X, _first_power, MeasureTag.MODIFIED_EFCPE, a.alpha,
-                    factor=math.gamma(1.0 + a.alpha), cfg=cfg)
+                    factor=math.gamma(1.0 + a.alpha))
 
 
-def efcre(
-    X: Distribution,
-    alpha,
-    mode: LogMode = LogMode.APPROX,
-    cfg: Optional[QuadConfig] = None,
-) -> EntropyResult:
+def efcre(X: Distribution, alpha, mode: LogMode = LogMode.APPROX) -> EntropyResult:
     """Survival-side dual int S * [-Ln_a S]**(1/a) dx."""
     a = as_order(alpha)
-    return _measure(X, _phi(a, mode), MeasureTag.EFCRE, a.alpha, mode, survival=True, cfg=cfg)
+    return _measure(X, _phi(a, mode), MeasureTag.EFCRE, a.alpha, mode, survival=True)
 
 
-def classic_fractional(
-    X: Distribution, q: float, past: bool = False, cfg: Optional[QuadConfig] = None
-) -> EntropyResult:
+def classic_fractional(X: Distribution, q: float, past: bool = False) -> EntropyResult:
     """Exponent-q measure int F_side * (-log F_side)**q dx with q in [0, 1].
 
     ``past=False`` integrates the survival function (residual side),
@@ -296,15 +283,10 @@ def classic_fractional(
             return at_one
         return p * _neg_log(p, r) ** q
 
-    return _measure(X, kernel, MeasureTag.CLASSIC_FRACTIONAL, q, survival=not past, cfg=cfg)
+    return _measure(X, kernel, MeasureTag.CLASSIC_FRACTIONAL, q, survival=not past)
 
 
-def paired_phi_entropy(
-    X: Distribution,
-    alpha,
-    mode: LogMode = LogMode.APPROX,
-    cfg: Optional[QuadConfig] = None,
-) -> EntropyResult:
+def paired_phi_entropy(X: Distribution, alpha, mode: LogMode = LogMode.APPROX) -> EntropyResult:
     """Two-sided measure int [phi(F) + phi(1 - F)] dx as one integral, whose
     ``subdivisions_used`` and ``tail_exponent`` it reports. The kernel is
     symmetric, so it reads the survival side: the same in levels, and on the
@@ -312,16 +294,11 @@ def paired_phi_entropy(
     a = as_order(alpha)
     phi = _phi(a, mode)
     return _measure(X, lambda p, q: phi(p, q) + phi(q, p), MeasureTag.PAIRED_PHI, a.alpha, mode,
-                    survival=True, cfg=cfg)
+                    survival=True)
 
 
-def dynamic_efcpe(
-    X: Distribution,
-    alpha,
-    t: float,
-    mode: LogMode = LogMode.APPROX,
-    cfg: Optional[QuadConfig] = None,
-) -> EntropyResult:
+def dynamic_efcpe(X: Distribution, alpha, t: float,
+                  mode: LogMode = LogMode.APPROX) -> EntropyResult:
     """Past measure of the truncated lifetime [X | X <= t].
 
     Integrates (F(x)/F(t)) * kernel(F(x)/F(t)) from the lower support bound
@@ -330,7 +307,7 @@ def dynamic_efcpe(
     measure. F(t) = 0 is refused with DomainError, a point mass included.
     """
     a = as_order(alpha)
-    return _measure(X, _phi(a, mode), MeasureTag.DYNAMIC_EFCPE, a.alpha, mode, t=t, cfg=cfg)
+    return _measure(X, _phi(a, mode), MeasureTag.DYNAMIC_EFCPE, a.alpha, mode, t=t)
 
 
 def mean_inactivity_time(X: Distribution, t: float) -> float:

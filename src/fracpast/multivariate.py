@@ -35,15 +35,13 @@ from .entropy import (
     EntropyResult,
     MeasureTag,
     _first_power,
-    _integral,
-    _phi,
     _result,
     _scaled,
     efcpe,
 )
 from .errors import DomainError
 from .fraclog import LogMode, as_order
-from .quadrature import _DEFAULT, QuadResult, integrate_2d
+from .quadrature import _U_CFG, QuadResult, _graded, integrate_2d
 
 __all__ = [
     "BivariateLaw",
@@ -215,9 +213,10 @@ def _rectangle_integral(J: BivariateLaw, row: Callable[[float], Callable[[float]
     return integrate_2d(row, x_lo, x_hi, y_lo, y_hi, J.y_kinks)
 
 
-def _chain(J: BivariateLaw, k, weights: Callable[[float, float], Tuple[float, float, float]],
-           what: str) -> QuadResult:
-    """iint w C (u + s k(C)) dy dx along the conditioning chain.
+def _chain(J: BivariateLaw, k, weights: Callable[[float, float], Tuple[float, float, float]]
+           ) -> Callable[[float], Callable[[float], float]]:
+    """The rows y -> w C (u + s k(C)) of iint w C (u + s k(C)) dy dx along
+    the conditioning chain.
 
     C = F_{Y|X}(y|x), and (w, u, s) = weights(F_X(x), k(F_X(x))) is fixed
     per row, with k(p) taken as 0 at p <= 0 and p >= 1. A row with w = 0 or
@@ -241,7 +240,7 @@ def _chain(J: BivariateLaw, k, weights: Callable[[float, float], Tuple[float, fl
 
         return integrand
 
-    return _rectangle_integral(J, row, what)
+    return row
 
 
 def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
@@ -254,8 +253,8 @@ def bivariate_efcpe(J: BivariateLaw, alpha) -> EntropyResult:
     where it also reduces to the marginal decomposition at every order.
     """
     a = as_order(alpha)
-    res = _chain(J, a._kernels[LogMode.APPROX], lambda Fx, kx: (Fx, kx, 1.0),
-                 "bivariate past measure")
+    res = _rectangle_integral(J, _chain(J, a._kernels[LogMode.APPROX],
+                                        lambda Fx, kx: (Fx, kx, 1.0)), "bivariate past measure")
     return _result(res, MeasureTag.BIVARIATE_EFCPE, a.alpha)
 
 
@@ -347,14 +346,25 @@ def fcpmi(J: BivariateLaw, alpha) -> float:
 
 
 def conditional_efcpe(J: BivariateLaw, alpha, x: float) -> float:
-    """Past measure of the conditional law of Y given X = x."""
+    """Past measure int C k(C) dy of the conditional law C = F_{Y|X}(.|x).
+
+    It is the decomposition theorem's T2 row at x, integrated as every 2-D
+    inner row is, under the graded map and split at the law's y_kinks(x),
+    but to the probability-space core's relative tolerance, so the value
+    scales with the y support and keeps its digits where the conditional
+    law is narrow. A kink nearer an end than about 1e-21 of the support's
+    width leaves panels under the width limit: MaxSubdivisionsError.
+    """
     a = as_order(alpha)
     (x_lo, x_hi), (y_lo, y_hi) = J.supports
     if not x_lo < x <= x_hi:
         raise DomainError(f"conditioning point {x} outside ({x_lo}, {x_hi}]")
-    res = _integral(_phi(a), lambda y: J.conditional_cdf_y_given_x(y, x), (y_lo, y_hi),
-                    y_lo, y_hi, _DEFAULT)
-    return res.value
+    if math.isinf(y_hi):
+        raise DomainError(f"conditional measure requires a bounded y support, got {(y_lo, y_hi)}")
+    # T2's weights (w, u, s) = (1, 0, 1): the row y -> C k(C).
+    row = _chain(J, a._kernels[LogMode.APPROX], lambda Fx, kx: (1.0, 0.0, 1.0))(x)
+    value, _, _ = _graded(row, y_lo, y_hi, _U_CFG, J.y_kinks(x) if J.y_kinks else ())
+    return value * (y_hi - y_lo)
 
 
 def decomposition_theorem_check(J: BivariateLaw, alpha) -> Tuple[float, float]:
@@ -377,5 +387,6 @@ def decomposition_theorem_check(J: BivariateLaw, alpha) -> Tuple[float, float]:
                lambda Fx, kx: (1.0, 0.0, 1.0),
                lambda Fx, kx: (1.0 - Fx, 0.0, 1.0))
     # The three terms go first, so an unbounded law is refused under this check's name.
-    T1, T2, T3 = (_chain(J, k, w, "decomposition check").value for w in weights)
+    T1, T2, T3 = (_rectangle_integral(J, _chain(J, k, w), "decomposition check").value
+                  for w in weights)
     return bivariate_efcpe(J, a).value, T1 + T2 - T3

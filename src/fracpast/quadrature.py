@@ -17,7 +17,8 @@ Rectangles are integrated as iterated 1-D integrals, each axis mapped onto
 singularities; the tolerances then apply to the dimensionless integral, so
 the value scales exactly with the area of the rectangle. Each inner row can
 be split at the y where the caller says it has a kink. The same graded row
-integrates a numeric convolution's cdf and pdf at each point.
+integrates a numeric convolution's cdf and pdf at each point, and the
+conditional past measure of a bivariate law.
 
 The engine reports diagnostics (error estimate, subdivision count, divergence
 flag) rather than silently degrading. Every QuadResult built here either
@@ -266,9 +267,10 @@ def integrate(
     Bounded intervals never set the diverged flag. ``[a, inf)`` goes
     through the core of ``integrate_quantile`` under ``x = a + p / q``, to
     cfg's own tolerances, half of abs_tol on each half of (0, 1): a tail
-    that decays no faster than ``x^-1`` with one sign returns value=inf with
-    the flag set and its exponent in ``tail_exponent``, and one that changes
-    sign without decaying that fast raises NonConvergentError.
+    that decays no faster than ``x^-1`` with one sign returns value=inf, or
+    -inf where f is negative, with the flag set and its exponent in
+    ``tail_exponent``, and one that changes sign without decaying that fast
+    raises NonConvergentError.
     """
     cfg = cfg or _DEFAULT
     if math.isnan(a) or math.isnan(b):
@@ -291,6 +293,7 @@ def integrate(
 
 _2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
 _2D_PANELS = 2
+_HALF_SQRT3 = 0.5 * math.sqrt(3.0)
 
 
 def _graded(f: Callable[[float], float], lo: float, hi: float, cfg: QuadConfig = _DEFAULT,
@@ -309,9 +312,18 @@ def _graded(f: Callable[[float], float], lo: float, hi: float, cfg: QuadConfig =
     def g(t: float) -> float:
         return f(lo + w * (t * t * (3.0 - 2.0 * t))) * (6.0 * t * (1.0 - t))
 
-    # The graded coordinate of each kink: t^2 (3 - 2t) = u inverted.
-    ts = [0.5 - math.sin(math.asin(1.0 - 2.0 * (y - lo) / w) / 3.0) for y in kinks if lo < y < hi]
+    ts = [_graded_coordinate((y - lo) / w, (hi - y) / w) for y in kinks if lo < y < hi]
     return _adaptive(g, 0.0, 1.0, cfg, _2D_PANELS, ts)
+
+
+def _graded_coordinate(u: float, v: float) -> float:
+    """The t in [0, 1] with t^2 (3 - 2t) = u, v = 1 - u, solved from the
+    nearer end, so that a kink at any float distance from it keeps its
+    digits: with u = sin^2(phi / 2), t = sin^2(phi / 6) + (sqrt(3) / 2)
+    sin(phi / 3), and the map is symmetric, t(v) = 1 - t(u)."""
+    phi = 2.0 * math.asin(math.sqrt(min(u, v)))
+    t = math.sin(phi / 6.0) ** 2 + _HALF_SQRT3 * math.sin(phi / 3.0)
+    return t if u <= v else 1.0 - t
 
 
 def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, x_hi: float,
@@ -457,6 +469,11 @@ class _EndFit:
         """Unless h s decays in L: delta > 0, or delta = 0 and c < -1."""
         return not (self.delta > _U_FLAT or self.delta >= -_U_FLAT and self.c < -1.0)
 
+    def sign(self) -> float:
+        """The sign of h at the deepest probe where it is nonzero and not NaN."""
+        h = next((h for h in map(self._half_at, _U_PROBES) if h == h and h), 1.0)
+        return math.copysign(1.0, h)
+
     def one_signed(self) -> bool:
         """Whether h has one sign at every probe where it is nonzero."""
         signs = {h > 0.0 for h in map(self._half_at, _U_PROBES) if h == h and h}
@@ -532,8 +549,9 @@ def integrate_quantile(
     L = -log s (``_EndFit``). A slow end, endpoint exponent gamma <= -0.98,
     raises NonConvergentError if h changes sign among its probes: a slow end
     that changes sign has no limit the fit can see. An end where h s does
-    not decay in L is a diverged result, value inf. Otherwise ``s = w^m / 2``
-    with ``m = clamp(ceil(3 / max(gamma + 1, 0.05)), 2, 60)`` makes the
+    not decay in L is a diverged result, value inf with the sign h has
+    there. Otherwise ``s = w^m / 2`` with
+    ``m = clamp(ceil(3 / max(gamma + 1, 0.05)), 2, 60)`` makes the
     endpoint smooth and the refinement loop runs from 4 panels per half, to
     a relative tolerance of 1e-10 or the caller's rel_tol if tighter, with
     no absolute tolerance, each half under the caller's subdivision budget.
@@ -560,7 +578,8 @@ def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> Quad
                 f"integrand changes sign near the {'upper' if upper else 'lower'} end "
                 f"without decaying (endpoint exponent {fit.gamma:.3f}): no limit")
         if fit.diverged():
-            return QuadResult(math.inf, math.inf, True, 0, tail_exponent=fit.x_exponent())
+            return QuadResult(fit.sign() * math.inf, math.inf, True, 0,
+                              tail_exponent=fit.x_exponent())
     half_cfg = QuadConfig(0.5 * cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
     total = err = 0.0
     splits = 0

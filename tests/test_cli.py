@@ -84,36 +84,16 @@ class TestMeasure:
         expected = math.gamma(1.5) / 2.0 ** 1.5
         assert payload["rows"][0]["value"] == pytest.approx(expected, rel=1e-7, abs=0.0)
 
-    def test_exact_mode_with_loose_tolerances(self, capsys):
+    def test_exact_mode_row(self, capsys):
         code, payload, _ = run_json(
             capsys,
-            [
-                "measure",
-                "--dist",
-                "uniform:a=1",
-                "--alpha",
-                "0.75",
-                "--mode",
-                "exact",
-                "--rel-tol",
-                "1e-6",
-                "--max-subdiv",
-                "400",
-            ],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.75", "--mode", "exact"],
         )
         assert code == 0
         (row,) = payload["rows"]
         assert row["mode"] == "exact"
         # The exact kernel dominates the factorial-approximation kernel.
         assert row["value"] > 0.3
-
-    def test_one_tolerance_flag_keeps_the_other_defaults(self, capsys):
-        # Setting only the subdivision budget, at its default, must not
-        # loosen the two tolerances the measures use by default.
-        argv = ["measure", "--dist", "weibull:scale=1,shape=0.6", "--alpha", "0.35"]
-        _, plain, _ = run_cli(capsys, argv)
-        _, budget, _ = run_cli(capsys, argv + ["--max-subdiv", "2000"])
-        assert budget == plain
 
 
 class TestUsageErrors:
@@ -136,6 +116,9 @@ class TestUsageErrors:
             ["dynamic", "--dist", "uniform:a=1", "--t", "nan", "--alpha", "0.5"],
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--max-subdiv", "-5"],
             ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--abs-tol", "1e-9"],
+            # The measures take no tolerance: these flags are unknown.
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--rel-tol", "1e-12"],
+            ["measure", "--dist", "uniform:a=1", "--alpha", "0.5", "--max-subdiv", "2000"],
         ],
     )
     def test_exit_one_with_message(self, capsys, argv):
@@ -207,12 +190,12 @@ class TestDynamic:
             row["value"], abs=1e-9
         )
 
-    def test_decomposition_sums_to_value_under_tolerance_flags(self, capsys):
+    def test_decomposition_sums_to_value_to_rounding(self, capsys):
         code, payload, _ = run_json(
             capsys,
             [
                 "dynamic", "--dist", "weibull:scale=1,shape=0.6", "--t", "0.5", "--alpha", "0.35",
-                "--decompose", "--rel-tol", "1e-2",
+                "--decompose",
             ],
         )
         assert code == 0

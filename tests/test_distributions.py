@@ -330,6 +330,22 @@ class TestIndependentSum:
         with pytest.raises(UnsupportedError):
             independent_sum(Uniform(1.0), Exponential(1.0))
 
+    @pytest.mark.parametrize("mass_first", [False, True])
+    def test_point_mass_summand_shifts_the_other_law(self, mass_first):
+        # X + c is X shifted by c. With the mass second, the convolution row
+        # integrated against its pdf, 0, and read F = 1 inside the support.
+        from fracpast.entropy import efcpe
+
+        U, c = Uniform(1.0), Degenerate(0.5)
+        Z = independent_sum(c, U) if mass_first else independent_sum(U, c)
+        assert [Z.cdf(x) for x in (0.75, 1.0, 1.25)] == [0.25, 0.5, 0.75]
+        assert efcpe(Z, 0.5).value == efcpe(U, 0.5).value
+
+    def test_point_mass_shifts_an_unbounded_law(self):
+        # The shift needs no bounded support, so it comes before the refusal.
+        Z = independent_sum(Exponential(1.0), Degenerate(2.0))
+        assert Z.cdf(3.0) == Exponential(1.0).cdf(1.0)
+
     @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
     def test_mean_adds_without_a_cdf(self, c, monkeypatch):
         # E[X + Y] = E[X] + E[Y]: 0.4 c + 0.5 c, with no integral of the

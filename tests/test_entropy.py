@@ -137,8 +137,7 @@ class TestPastMeasure:
 
 class TestExactMode:
     def test_exact_dominates_approx(self):
-        cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=400)
-        exact = efcpe(Uniform(1.0), 0.75, LogMode.EXACT, cfg).value
+        exact = efcpe(Uniform(1.0), 0.75, LogMode.EXACT).value
         approx = efcpe(Uniform(1.0), 0.75, LogMode.APPROX).value
         assert exact >= approx
 
@@ -147,8 +146,7 @@ class TestExactMode:
         # F (-Ln_a F)**(1/a) behaves like F**(1 - 1/a) at the lower end,
         # which is not integrable for a <= 1/2: a diverged result whose
         # exponent, in x units on the uniform law, is 1 - 1/a.
-        cfg = QuadConfig(abs_tol=1e-7, rel_tol=1e-6, max_subdivisions=400)
-        res = efcpe(Uniform(1.0), 0.4, LogMode.EXACT, cfg)
+        res = efcpe(Uniform(1.0), 0.4, LogMode.EXACT)
         assert res.diverged
         assert res.diagnostics.tail_exponent == pytest.approx(1.0 - 1.0 / 0.4, abs=1e-9)
 

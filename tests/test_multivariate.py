@@ -5,7 +5,7 @@ from scipy import integrate
 
 from fracpast.distributions import Beta, Degenerate, Distribution, Exponential, Uniform, affine
 from fracpast.entropy import _phi, efcpe
-from fracpast.errors import DomainError
+from fracpast.errors import DomainError, MaxSubdivisionsError
 from fracpast.fraclog import as_order
 from fracpast.multivariate import (
     BivariateLaw,
@@ -381,12 +381,14 @@ class TestMutualInformation:
 
 
 class TestConditionalMeasure:
-    @pytest.mark.parametrize("x", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("x", [0.3, 0.5, 1.0, 0.7, 1e-3, 5e-4, 1e-6, 1e-12])
     def test_triangle_conditional_is_scaled_uniform(self, x):
         # Given X = x the second coordinate is uniform on (0, x), so its
-        # past measure is x times the standard uniform one.
+        # past measure is x times the standard uniform one, x pi / 16 at
+        # order 1/2. The row ends at the kink y = x, also where x is small:
+        # on the x axis the conditional read 0.0 from x = 5e-4 down.
         got = conditional_efcpe(triangle_law(), 0.5, x)
-        assert got == pytest.approx(x * UNIFORM_PAST, rel=1e-7, abs=0.0)
+        assert got == pytest.approx(x * math.pi / 16.0, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "theta,alpha,x,want",
@@ -403,13 +405,23 @@ class TestConditionalMeasure:
         assert got == pytest.approx(efcpe(Uniform(1.0), 0.5).value, rel=1e-9, abs=0.0)
 
     def test_scale_law_on_the_x_axis(self):
-        # The conditional runs on the x axis in units of the y support's
-        # width; in x units it was 1.6e-6 off at c = 1e-8.
+        # The conditional's row runs in units of the y support's width; on
+        # the x axis in x units it was 1.6e-6 off at c = 1e-8.
         law = lambda c: independent_law(affine(Beta(2.0, 3.0), c), Uniform(c))
         unit = conditional_efcpe(law(1.0), 0.5, 0.5)
         for c in (1e-8, 1e8):
             got = conditional_efcpe(law(c), 0.5, 0.5 * c)
             assert got == pytest.approx(c * unit, rel=1e-12, abs=0.0)
+
+    def test_kink_under_the_width_limit_refused(self):
+        # At x = 1e-22 the panels below the kink y = x fall under the 1e-12
+        # width limit of the adaptive loop: a typed refusal, not a number.
+        with pytest.raises(MaxSubdivisionsError):
+            conditional_efcpe(triangle_law(), 0.5, 1e-22)
+
+    def test_unbounded_y_support_refused(self):
+        with pytest.raises(DomainError, match="bounded y support"):
+            conditional_efcpe(independent_law(Uniform(1.0), Exponential(1.0)), 0.5, 0.5)
 
     def test_conditioning_point_validated(self):
         with pytest.raises(DomainError):

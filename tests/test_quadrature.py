@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from fracpast.quadrature import (
     _MEASURE_CFG,
     QuadConfig,
     QuadResult,
+    _graded_coordinate,
     integrate,
     integrate_2d,
     integrate_quantile,
@@ -155,6 +157,14 @@ class TestDivergenceScreen:
         res = integrate_quantile(g, lambda p, q: 1.0)
         assert res.diverged and res.value == math.inf
 
+    def test_negative_divergent_end_keeps_its_sign(self):
+        res = integrate(lambda x: -1.0 / (1.0 + x), 0.0, math.inf)
+        assert res.diverged and res.value == -math.inf
+        assert res.tail_exponent == pytest.approx(-1.0, abs=1e-9)
+        res = integrate_quantile(lambda p, q: -1.0 / p / p, lambda p, q: 1.0)
+        assert res.diverged and res.value == -math.inf
+        assert res.tail_exponent == pytest.approx(-2.0, abs=1e-9)
+
     @pytest.mark.parametrize("g, exponent", [(lambda p, q: 1.0 / p ** 2, -2.0),
                                              (lambda p, q: p ** -2.0, -2.0),
                                              (lambda p, q: 1.0 / p ** 4, -4.0)],
@@ -244,6 +254,18 @@ class TestTwoDimensional:
         res = integrate_2d(lambda x: lambda y: x * y, 0.0, 1.0, 0.0, 1.0)
         assert res.error_estimate >= 0.0
         assert not res.diverged
+
+    @pytest.mark.parametrize("u", [1e-300, 1e-100, 1e-20, 1e-16, 1e-10, 0.01, 0.3, 0.5])
+    def test_kink_coordinate_keeps_its_digits(self, u):
+        # t with t^2 (3 - 2t) = u, solved from the nearer end; the form
+        # 0.5 - sin(asin(1 - 2u) / 3) was 11% off at u = 1e-16 and read 0 at
+        # 1e-20. The back-map, in exact arithmetic, is within a few ulps,
+        # and from the upper end, at 1 - u, the kink is 1 - t, also where
+        # 1 - u rounds to 1.
+        t = _graded_coordinate(u, 1.0 - u)
+        ft = Fraction(t)
+        assert float(abs(ft * ft * (3 - 2 * ft) - Fraction(u))) <= 1e-15 * u
+        assert _graded_coordinate(1.0 - u, u) == 1.0 - t
 
 
 def _meets_tolerance(res: QuadResult, cfg: QuadConfig) -> bool:
