@@ -15,7 +15,8 @@ quantile density ``qd``: a closure ``(p, q) -> 1/f(Q(p))``, ``q = 1 - p``,
 that the probability-space measures bind once per call. It reads p where p
 is the small side and q where q is, so neither end loses digits, and it may
 raise OverflowError where its value passes the float range. A law with no
-closed form (a numeric convolution, a point mass) leaves ``qd`` at None.
+closed form (a numeric convolution, a point mass) leaves ``qd`` at None, and
+its measures run over levels of its x range, reading its own cdf and survival.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class Distribution:
 
     family: str = "abstract"
     # The quantile density closure (p, q) -> 1/f(Q(p)); None where the law
-    # has no closed form, which puts its measures on the x axis. The
+    # has no closed form, which puts its measures on levels of x. The
     # levels p in (0, 1) where its slope jumps are qd_kinks.
     qd = None
     qd_kinks = ()
@@ -729,6 +730,15 @@ class _ConvolutionSum(Distribution):
         lo, value = self._row(x, self.d1.cdf, 1.0)
         # Below lo, F1(x - y) = 1: that part is F2(lo), in closed form.
         return min(1.0, max(0.0, self.d2.cdf(lo) + value))
+
+    def survival(self, x):
+        if x <= self.lower:
+            return 1.0
+        if x >= self.upper:
+            return 0.0
+        value = self._row(x, self.d1.survival, 1.0)[1]
+        # Above hi, S1(x - y) = 1: that part is S2(hi), in closed form.
+        return min(1.0, max(0.0, self.d2.survival(min(self.d2.upper, x - self.d1.lower)) + value))
 
     def pdf(self, x):
         if x <= self.lower or x >= self.upper:

@@ -17,9 +17,10 @@ of levels with the law's quantile density (``quadrature.integrate_quantile``):
 the whole of (0, 1), or the levels below or above F(t) for the truncated
 measures. A divergence is reported through the result diagnostics, not
 reproduced as a large truncation artifact. A law with no quantile density
-(a numeric convolution, or a subclass that gives none) is integrated on the
-x axis in units of its support width, so scale-free too; a point mass has
-none either, and its range of zero width is integrate's exact zero.
+(a numeric convolution, a point mass, a subclass that gives none) runs in
+the same core, over levels of its x range scaled by the range's width or
+by its median's distance from the lower end, so scale-free too; a point
+mass's range of zero width is an exact zero with no subdivision.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .distributions import Distribution, Frechet, Uniform
-from .errors import DivergedError, DomainError
+from .errors import DivergedError, DomainError, UnsupportedError
 from .fraclog import FracOrder, LogMode, as_order, log_kernel
-from .quadrature import _MEASURE_CFG, QuadResult, integrate, integrate_quantile
+from .quadrature import QuadResult, integrate_quantile
 
 __all__ = [
     "EntropyResult",
@@ -145,23 +146,38 @@ def _first_power(p: float, q: float) -> float:
     return p * _neg_log(p, q)
 
 
-def _integral(X: Distribution, g: _Kernel, side: Callable[[float], float],
-              lo: float, hi: float) -> QuadResult:
-    """int_lo^hi g(side(x)) dx, side a CDF or a survival function, in
-    t = (x - X.lower) / width on the unit interval, width that of the whole
-    support of X: _MEASURE_CFG applies in units of width, which then
-    multiplies the value and the error estimate. A point mass or an infinite
-    end stays in x."""
-    start, width = X.lower, X.upper - X.lower
-    if not 0.0 < width < math.inf:
-        start, width = 0.0, 1.0
+def _x_levels(X: Distribution, g: _Kernel, survival: bool, lo: float, hi: float,
+              Ft: Optional[float]) -> Tuple[_Kernel, _Kernel]:
+    """(h, qd) with int h qd du over the levels u in (0, 1) equal to int_lo^hi
+    g(F, S) dx, g(S, F) with ``survival``, or g(F / Ft, 1 - F / Ft) given Ft:
+    x = lo + w p below u = 1/2 and hi - w q above, qd = w = hi - lo, or on
+    [lo, inf) x = lo + m p / q, qd = m / q^2, m = Q(1/2) - lower (1 where that
+    is 0 or not finite). h reads the law's cdf first below u = 1/2 and its
+    survival first above, and the other side too where the first passes 1/2."""
+    if hi < math.inf and lo > -math.inf:
+        w = hi - lo
+        x, qd = (lambda p, q: lo + w * p if p < 0.5 else hi - w * q), (lambda p, q: w)
+    else:
+        m = X.quantile(0.5) - X.lower
+        m = m if 0.0 < m < math.inf else 1.0
+        if not lo + m > lo:
+            raise UnsupportedError(f"no map of [{lo:g}, {hi:g}] onto levels: lo + m rounds to lo")
+        x, qd = (lambda p, q: lo + m * p / q), (lambda p, q: m / q / q)
 
-    def f(t: float) -> float:
-        p = side(start + width * t)
-        return g(p, 1.0 - p)
+    def h(p: float, q: float) -> float:
+        z = x(p, q)
+        if Ft is not None:
+            F = X.cdf(z) / Ft
+            return g(F, 1.0 - F)
+        if p < 0.5:
+            F = X.cdf(z)
+            S = X.survival(z) if F > 0.5 else 1.0 - F
+        else:
+            S = X.survival(z)
+            F = X.cdf(z) if S > 0.5 else 1.0 - S
+        return g(S, F) if survival else g(F, S)
 
-    res = integrate(f, (lo - start) / width, (hi - start) / width, _MEASURE_CFG)
-    return _scaled(res, width)
+    return h, qd
 
 
 def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional[float] = None,
@@ -175,11 +191,9 @@ def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional
     (0, 1) as level l + d v with complement r + d w, w = 1 - v exact:
     (l, d, r) is (0, F(t), S(t)) below t, where g reads (v, w), and
     (F(t), S(t), 0) above, where g reads the level; qd gains the factor d,
-    and the kinks move with the range. A law with no quantile density (a
-    numeric convolution, a point mass, a subclass that gives none) runs on
-    the x axis.
+    and the kinks move with the range. A law with no qd: ``_x_levels``.
     """
-    qd, kinks = X.qd, X.qd_kinks
+    qd, kinks, lo, hi, Ft = X.qd, X.qd_kinks, X.lower, X.upper, None
     if t is not None:
         if math.isnan(t):
             raise DomainError("truncation time t must not be NaN")
@@ -189,14 +203,11 @@ def _cumulative(X: Distribution, g: _Kernel, survival: bool = False, t: Optional
         if not below and (t >= X.upper or Ft == 1.0):
             # F is nondecreasing, so F = 1 and the integrand is 0 from t on.
             return QuadResult(0.0, 0.0, False, 0)
+        lo, hi = (lo, min(t, hi)) if below else (max(t, lo), hi)
     if qd is None:
-        side, lo, hi = X.survival if survival else X.cdf, X.lower, X.upper
-        if t is not None and below:
-            side, hi = (lambda x: X.cdf(x) / Ft), min(t, hi)
-        elif t is not None:
-            lo = max(t, lo)
-        return _integral(X, g, side, lo, hi)
-    if t is not None:
+        g, qd = _x_levels(X, g, survival, lo, hi, Ft if below else None)
+        survival = False
+    elif t is not None:
         l, d, r = (0.0, Ft, X.survival(t)) if below else (Ft, X.survival(t), 0.0)
         qd0, g0 = qd, g
         qd = lambda v, w: d * qd0(l + d * v, r + d * w)
@@ -289,8 +300,7 @@ def classic_fractional(X: Distribution, q: float, past: bool = False) -> Entropy
 def paired_phi_entropy(X: Distribution, alpha, mode: LogMode = LogMode.APPROX) -> EntropyResult:
     """Two-sided measure int [phi(F) + phi(1 - F)] dx as one integral, whose
     ``subdivisions_used`` and ``tail_exponent`` it reports. The kernel is
-    symmetric, so it reads the survival side: the same in levels, and on the
-    x axis a heavy upper tail read from the law's own S, not from 1 - F."""
+    symmetric, so it reads the survival side."""
     a = as_order(alpha)
     phi = _phi(a, mode)
     return _measure(X, lambda p, q: phi(p, q) + phi(q, p), MeasureTag.PAIRED_PHI, a.alpha, mode,
@@ -302,9 +312,9 @@ def dynamic_efcpe(X: Distribution, alpha, t: float,
     """Past measure of the truncated lifetime [X | X <= t].
 
     Integrates (F(x)/F(t)) * kernel(F(x)/F(t)) from the lower support bound
-    to t, over the levels (0, F(t)), or on the x axis for a law with no
-    quantile density. As t reaches the upper bound this is the full past
-    measure. F(t) = 0 is refused with DomainError, a point mass included.
+    to t, over the levels (0, F(t)), or over levels of [lower, t] for a law
+    with no quantile density. As t reaches the upper bound this is the full
+    past measure. F(t) = 0 is refused with DomainError, a point mass included.
     """
     a = as_order(alpha)
     return _measure(X, _phi(a, mode), MeasureTag.DYNAMIC_EFCPE, a.alpha, mode, t=t)

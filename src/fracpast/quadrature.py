@@ -133,8 +133,6 @@ class QuadResult(NamedTuple):
 
 
 _DEFAULT = QuadConfig()
-# The univariate measures' tolerances.
-_MEASURE_CFG = QuadConfig(abs_tol=1e-10, rel_tol=1e-9)
 # The probability-space core's own tolerances: relative only, so scale-free.
 _U_CFG = QuadConfig(abs_tol=0.0, rel_tol=1e-10)
 
@@ -535,7 +533,6 @@ def integrate_quantile(
     g: Callable[[float, float], float],
     qd: Callable[[float, float], float],
     survival: bool = False,
-    cfg: Optional[QuadConfig] = None,
     kinks: tuple = (),
 ) -> QuadResult:
     """Integrate g(p, q) * qd(p, q) over 0 < p < 1, where q = 1 - p.
@@ -552,9 +549,9 @@ def integrate_quantile(
     not decay in L is a diverged result, value inf with the sign h has
     there. Otherwise ``s = w^m / 2`` with
     ``m = clamp(ceil(3 / max(gamma + 1, 0.05)), 2, 60)`` makes the
-    endpoint smooth and the refinement loop runs from 4 panels per half, to
-    a relative tolerance of 1e-10 or the caller's rel_tol if tighter, with
-    no absolute tolerance, each half under the caller's subdivision budget.
+    endpoint smooth and the refinement loop runs from 4 panels per half, at
+    the one setting of every 1-D measure: relative tolerance 1e-10, no
+    absolute tolerance, 2000 subdivisions per half (_U_CFG).
 
     A panel holding one of the levels ``kinks``, where qd's slope jumps, is
     split there: a kink between a panel's outermost node and its end is
@@ -564,9 +561,7 @@ def integrate_quantile(
     error estimate. ``tail_exponent`` is the diverged end's exponent, or
     else the upper end's, in x units.
     """
-    cfg = cfg or _MEASURE_CFG
-    return _quantile(g, qd, survival,
-                     QuadConfig(0.0, min(cfg.rel_tol, _U_CFG.rel_tol), cfg.max_subdivisions), kinks)
+    return _quantile(g, qd, survival, _U_CFG, kinks)
 
 
 def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> QuadResult:

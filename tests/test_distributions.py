@@ -326,6 +326,26 @@ class TestIndependentSum:
         for t in (0.01, 0.2, 0.5, 0.9, 1.2, 1.5):
             assert c * Z.pdf(t * c) == pytest.approx(unit.pdf(t), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("e", [1e-2, 1e-3, 1e-4])
+    def test_survival_keeps_its_digits_at_the_upper_end(self, e):
+        # Z = B + U, B ~ Beta(a, b), U ~ Uniform(0, c): S_Z(z) = (K(z - c) - K(z)) / c
+        # with K(v) = int_v^1 S_B = (a / (a + b)) I^c_v(a + 1, b) - v I^c_v(a, b),
+        # I^c the regularized upper incomplete beta function, at 30 digits.
+        # Read as 1 - F, S was 2.2e-5 off at e = 1e-3 and 0 at e = 1e-5.
+        mp = pytest.importorskip("mpmath")
+        Z = independent_sum(Beta(2.003, 3.014), Uniform(0.5828))
+        z = Z.upper - e
+        with mp.workdps(30):
+            a, b, c = mp.mpf(2.003), mp.mpf(3.014), mp.mpf(0.5828)
+
+            def K(v):
+                v = min(v, 1)
+                return (a / (a + b) * mp.betainc(a + 1, b, v, 1, regularized=True)
+                        - v * mp.betainc(a, b, v, 1, regularized=True))
+
+            want = float((K(mp.mpf(z) - c) - K(mp.mpf(z))) / c)
+        assert Z.survival(z) == pytest.approx(want, rel=1e-11, abs=0.0)
+
     def test_unbounded_rejected(self):
         with pytest.raises(UnsupportedError):
             independent_sum(Uniform(1.0), Exponential(1.0))

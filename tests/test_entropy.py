@@ -38,7 +38,7 @@ from fracpast.entropy import (
     paired_phi_entropy,
     tau_alpha,
 )
-from fracpast.errors import DivergedError, DomainError
+from fracpast.errors import DivergedError, DomainError, UnsupportedError
 from fracpast.fraclog import LogMode, log_kernel
 from fracpast import quadrature
 from fracpast.quadrature import QuadConfig, integrate
@@ -682,21 +682,24 @@ class TestScaleLaw:
             assert run(make, c) == pytest.approx(c * run(make, 1.0), rel=1e-12, abs=0.0), measure
 
     def test_sum_law_on_the_x_axis(self):
-        # A numeric convolution has no quantile density, so it runs on the x
-        # axis, in units of its support width; below c = 1e-4 it once came
-        # back 1.3e-10 off with 0 subdivisions.
+        # A numeric convolution has no quantile density, so it runs over
+        # levels of its x range, scaled by the range's width; on the x axis,
+        # below c = 1e-4, it once came back 1.3e-10 off with 0 subdivisions.
         make = lambda c: independent_sum(affine(Beta(2.0, 3.0), c), Uniform(c))
         unit = efcpe(make(1.0), 0.5).value
         for c in (1e-8, 1e-4, 1e4, 1e8):
             assert efcpe(make(c), 0.5).value == pytest.approx(c * unit, rel=1e-12, abs=0.0)
 
     def test_sum_law_cdf_budget(self, monkeypatch):
-        # Each cdf of the sum is one graded row over the part of the second
-        # support where the first law's cdf lies strictly inside (0, 1); the
-        # whole-range row this replaced took 33,420 Beta cdf calls here.
+        # Each cdf or survival of the sum is one graded row over the part of
+        # the second support where the first law's side lies strictly inside
+        # (0, 1), and the row reads either side; the whole-range row this
+        # replaced took 33,420 Beta cdf calls here.
         calls = []
-        cdf = Beta.cdf
-        monkeypatch.setattr(Beta, "cdf", lambda self, x: calls.append(x) or cdf(self, x))
+        for name in ("cdf", "survival"):
+            side = getattr(Beta, name)
+            monkeypatch.setattr(Beta, name,
+                                lambda self, x, side=side: calls.append(x) or side(self, x))
         efcpe(independent_sum(Beta(2.003, 3.014), Uniform(0.5828)), 0.5386)
         assert 0 < len(calls) <= 10_000
 
@@ -709,19 +712,89 @@ class TestScaleLaw:
 
 class _XAxisUniform(Uniform):
     """Uniform(0, scale) with no quantile density, so every measure of it
-    runs on the x axis."""
+    runs over levels of its x range."""
 
     family = "x_axis_uniform"
     qd = None
 
 
+# The numeric convolution Beta(2.003, 3.014) + Uniform(0.5828): it has no
+# quantile density, so its measures run over levels of its x range. The
+# references are 30-digit mpmath integrals over the closed-form cdf
+# F_Z(z) = (G(z) - G(z - c)) / c, c = 0.5828, with
+# G(u) = u I_u(a, b) - (a / (a + b)) I_u(a + 1, b) on [0, 1],
+# G(u) = u - a / (a + b) above 1 and G(u) = 0 below 0.
+SUM_LAW = (Beta(2.003, 3.014), Uniform(0.5828))
+
+
+class TestSumLaw:
+    def test_past_measure_reference(self):
+        res = efcpe(independent_sum(*SUM_LAW), 0.5386)
+        want = 0.20323585907802364
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert abs(res.value - want) <= res.error_estimate
+
+    def test_residual_measure_reference(self):
+        res = efcre(independent_sum(*SUM_LAW), 0.75)
+        assert abs(res.value - 0.21291201748813597) <= res.error_estimate
+
+    @pytest.mark.parametrize("measure", [efcre, paired_phi_entropy])
+    def test_exact_residual_runaway_is_diverged(self, measure):
+        # The EXACT kernel at order 0.75 grows like S^(1 - 1/a) as S -> 0, and
+        # S vanishes like (upper - x)^(b + 1) at the upper end (the Beta end,
+        # b = 3.014, plus 1 for the uniform): exponent -(b + 1) / 3. On the x
+        # axis each call exhausted the 2000-subdivision budget in about 5 s.
+        res = measure(independent_sum(*SUM_LAW), 0.75, LogMode.EXACT)
+        assert res.diverged
+        assert res.diagnostics.subdivisions_used == 0
+        assert res.diagnostics.tail_exponent == pytest.approx(-(3.014 + 1.0) / 3.0, abs=1e-3)
+
+
+class _XAxisExponential(Exponential):
+    """Exponential with no quantile density."""
+
+    family = "x_axis_exponential"
+    qd = None
+
+
 class TestXAxisBranch:
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    def test_semi_infinite_map_is_scaled(self, c):
+        # The map onto [lower, inf) carries the median's distance from the
+        # lower end; with x = lower + p / q, c = 1e-8 once read exactly 0.0
+        # and c = 1e-4 was 8.1e-11 off.
+        want = c * efcpe(Exponential(1.0), 0.5).value
+        got = efcpe(affine(_XAxisExponential(1.0), c), 0.5).value
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_semi_infinite_map_refuses_a_lower_end_beyond_its_scale(self):
+        # Where lower + m rounds to lower, the map x = lower + m p / q has no
+        # levels left to tell apart; the shift leaves m at 0, so m = 1.
+        with pytest.raises(UnsupportedError):
+            efcpe(affine(_XAxisExponential(1.0), 1.0, 1e300), 0.5)
+
+    def test_w_reads_the_survival_side(self):
+        # int_30^inf -log(1 - e^-x) dx = Li2(e^-30), times Gamma(3/2). With
+        # -log F read from 1 - S on the x axis it was 7.3e-4 off.
+        got = W_alpha(_XAxisExponential(1.0), 0.5, 30.0)
+        assert got == pytest.approx(8.292977433221545e-14, rel=1e-12, abs=0.0)
+
+    def test_cdf_read_where_the_survival_passes_one_half(self):
+        # F = 501 x^500 - 500 x^501 on Beta(500, 2): the levels above t = 0.5
+        # read S first, and F from the law where S > 1/2. A read of F as
+        # 1 - S across the whole upper half exhausts the subdivision budget.
+        class XAxisBeta(Beta):
+            qd = None
+
+        got = tau_alpha(XAxisBeta(500.0, 2.0), 0.5, 0.5)
+        assert got == pytest.approx(12480.175579136231, rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("measure", ["dynamic_0.1", "dynamic_0.8", "mean_inactivity_time",
                                          "tau_0.5", "W_0.5"])
     def test_truncated_measures_match_the_levels(self, measure, c):
-        # The x axis's truncated ranges, below and above t, against the
-        # same measures of Uniform over the levels.
+        # The truncated x ranges, below and above t, against the same
+        # measures of Uniform over its quantile levels.
         run = TRUNCATED_MEASURES[measure]
         assert run(_XAxisUniform, c) == pytest.approx(run(Uniform, c), rel=1e-9, abs=0.0)
 

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracpast.errors import DomainError, MaxSubdivisionsError, NonConvergentError, UnsupportedError
+from fracpast import quadrature
 from fracpast.quadrature import (
-    _MEASURE_CFG,
     QuadConfig,
     QuadResult,
     _graded_coordinate,
@@ -378,17 +378,7 @@ class TestProbabilitySpace:
         # not, and the partial result adds the two.
         g = lambda p, q: math.sin(1.0 / p) ** 2 if p < 0.5 else 1.0
         with pytest.raises(MaxSubdivisionsError) as excinfo:
-            integrate_quantile(g, lambda p, q: 1.0, cfg=QuadConfig(max_subdivisions=5))
+            quadrature._quantile(g, lambda p, q: 1.0, False, QuadConfig(max_subdivisions=5))
         partial = excinfo.value.partial
         assert partial.value > 0.5
         assert partial.low_confidence
-
-    def test_tolerance_tightens_with_the_caller(self):
-        loose = integrate_quantile(lambda p, q: p ** -0.5, lambda p, q: 1.0,
-                                   cfg=QuadConfig(rel_tol=1e-3))
-        tight = integrate_quantile(lambda p, q: p ** -0.5, lambda p, q: 1.0,
-                                   cfg=QuadConfig(rel_tol=1e-13))
-        assert loose.value == pytest.approx(2.0, rel=1e-10, abs=0.0)
-        assert tight.value == pytest.approx(2.0, rel=1e-13, abs=0.0)
-        assert _meets_tolerance(tight, QuadConfig(0.0, 1e-13))
-        assert _meets_tolerance(loose, _MEASURE_CFG)
