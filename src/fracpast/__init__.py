@@ -40,7 +40,7 @@ _HOMES = {
     "multivariate": ("BivariateLaw", "bivariate_efcpe", "fcpmi", "fgm_law", "independent_law",
                      "modified_bivariate_efcpe", "triangle_law"),
     "orders": ("OrderReport", "dispersive_check", "ordering_validation"),
-    "quadrature": ("QuadConfig", "QuadResult", "integrate"),
+    "quadrature": ("QuadResult",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

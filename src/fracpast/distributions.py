@@ -26,7 +26,7 @@ import re
 from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from .errors import DomainError, UnsupportedError
-from .quadrature import _graded
+from .quadrature import _ROW_CFG, _graded
 
 if TYPE_CHECKING:
     import numpy as np
@@ -763,7 +763,7 @@ class _ConvolutionSum(Distribution):
         if not lo < hi:
             return lo, 0.0
         w = (hi - lo) * unit
-        return lo, _graded(lambda y: w * side(x - y) * d2.pdf(y), lo, hi)[0] / unit
+        return lo, _graded(lambda y: w * side(x - y) * d2.pdf(y), lo, hi, _ROW_CFG)[0] / unit
 
     def mean(self):
         return self.d1.mean() + self.d2.mean()

@@ -7,10 +7,7 @@ Every cumulative measure, ``int g(F(x)) dx`` or ``int g(S(x)) dx``, becomes
 quantile density (Parzen, JASA 1979); ``integrate_quantile`` integrates it
 over (0, 1) with one endpoint fit per half, one divergence verdict and one
 substitution, all decided in ``u``, which has no units, so the scale law
-holds by construction. ``integrate`` over a bounded interval is the
-refinement loop alone; over ``[a, inf)`` it is the same core under the map
-``x = a + p / q``, whose quantile density ``1 / q^2`` makes the endpoint fit
-at ``q -> 0`` the tail's law, run to the caller's own tolerances.
+holds by construction.
 
 Rectangles are integrated as iterated 1-D integrals, each axis mapped onto
 [0, 1] by the graded map ``lo + w t^2 (3 - 2t)``, which flattens endpoint
@@ -21,8 +18,10 @@ integrates a numeric convolution's cdf and pdf at each point, and the
 conditional past measure of a bivariate law.
 
 The engine reports diagnostics (error estimate, subdivision count, divergence
-flag) rather than silently degrading. Every QuadResult built here either
-meets ``error_estimate <= max(abs_tol, rel_tol * |value|)`` or carries
+flag) rather than silently degrading. Each kind of integral runs at one
+fixed (abs_tol, rel_tol) and subdivision budget, set here; no caller passes
+a tolerance. Every QuadResult built here either meets
+``error_estimate <= max(abs_tol, rel_tol * |value|)`` or carries
 ``low_confidence``. Callers that need a hard failure get
 MaxSubdivisionsError with the partial result attached. That error also comes
 early, before the budget is spent, once panels at the width limit hold more
@@ -36,15 +35,9 @@ import heapq
 import math
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .errors import DomainError, MaxSubdivisionsError, NonConvergentError, UnsupportedError
+from .errors import MaxSubdivisionsError, NonConvergentError
 
-__all__ = [
-    "QuadConfig",
-    "QuadResult",
-    "integrate",
-    "integrate_2d",
-    "integrate_quantile",
-]
+__all__ = ["QuadResult", "integrate_2d", "integrate_quantile"]
 
 # 15-point Kronrod abscissae on [-1, 1] (nonnegative half) and weights,
 # with the embedded 7-point Gauss weights.
@@ -97,28 +90,14 @@ _U_BIG = 1e300
 _U_FLAT = 1e-6
 
 
-class _QuadConfigFields(NamedTuple):
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
-
-
-class QuadConfig(_QuadConfigFields):
-    """Tolerances and budgets for the adaptive integrator; a NaN or negative
-    tolerance, which no error estimate could ever meet, or a negative
-    subdivision budget is refused here."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (self.abs_tol >= 0.0 and self.rel_tol >= 0.0 and self.max_subdivisions >= 0):
-            raise DomainError(f"tolerances and budget must be >= 0; got abs_tol={self.abs_tol}, "
-                              f"rel_tol={self.rel_tol}, max_subdivisions={self.max_subdivisions}")
-        return self
-
-    # _replace builds through _make, so it checks its fields too.
-    _make = classmethod(lambda cls, fields: cls(*fields))
+# The (abs_tol, rel_tol) of each integral the library runs: the
+# probability-space core's, relative only, so scale-free; each axis of a 2-D
+# integral's; and a numeric convolution's row's. Every refinement loop
+# stops at the one subdivision budget.
+_U_CFG = (0.0, 1e-10)
+_2D_CFG = (1e-8, 1e-7)
+_ROW_CFG = (1e-9, 1e-8)
+_MAX_SUBDIVISIONS = 2000
 
 
 class QuadResult(NamedTuple):
@@ -132,22 +111,18 @@ class QuadResult(NamedTuple):
     tail_exponent: float = math.nan
 
 
-_DEFAULT = QuadConfig()
-# The probability-space core's own tolerances: relative only, so scale-free.
-_U_CFG = QuadConfig(abs_tol=0.0, rel_tol=1e-10)
-
-
 # _gk15's node pairs j = 0..6 as (abscissa, Kronrod weight, Gauss weight or
 # None), and the weights of its node order: the center, then each pair.
 _PAIRS = tuple((_XGK[j], _WGK[j], _WG[j // 2] if j % 2 else None) for j in range(7))
 _WGK_NODES = (_WGK[7],) + tuple(w for w in _WGK[:7] for _ in (0, 1))
 
 
-def _checked(value: float, err: float, splits: int, cfg: QuadConfig,
+def _checked(value: float, err: float, splits: int, cfg: tuple,
              tail_exponent: float = math.nan) -> QuadResult:
     """A finite result, flagged low-confidence unless its error estimate
-    meets ``max(abs_tol, rel_tol * |value|)``."""
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    meets ``max(abs_tol, rel_tol * |value|)``, (abs_tol, rel_tol) = cfg."""
+    abs_tol, rel_tol = cfg
+    tol = max(abs_tol, rel_tol * abs(value))
     return QuadResult(value, err, False, splits, not err <= tol, tail_exponent)
 
 
@@ -188,9 +163,10 @@ def _gk15(f, lo: float, hi: float):
     return value, err
 
 
-def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8, kinks=()):
+def _adaptive(f, lo: float, hi: float, cfg: tuple, n_init: int, kinks=()):
     """Refine the worst panel, from n_init equal ones, each also split at the
-    kinks inside it, until the summed error meets tolerance.
+    kinks inside it, until the summed error meets cfg = (abs_tol, rel_tol),
+    within _MAX_SUBDIVISIONS splits.
 
     A panel narrower than _WIDTH_CLAMP is accepted as it is, and its error
     stays in the sum for good. Once that clamped error alone exceeds the
@@ -198,6 +174,8 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8, kinks=(
     small to clamp every remaining panel, the loop can only end by
     exhausting the budget; it raises MaxSubdivisionsError at once instead.
     """
+    abs_tol, rel_tol = cfg
+    budget = _MAX_SUBDIVISIONS
     step = (hi - lo) / n_init
     edges = [lo + i * step for i in range(n_init)]
     edges = sorted(edges + [k for k in set(kinks) if lo < k < hi and k not in edges])
@@ -214,10 +192,10 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8, kinks=(
 
     splits = 0
     clamped_err = 0.0
-    while heap and total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if splits >= cfg.max_subdivisions:
+    while heap and total_err > max(abs_tol, rel_tol * abs(total)):
+        if splits >= budget:
             raise MaxSubdivisionsError(
-                f"subdivision budget {cfg.max_subdivisions} exhausted; "
+                f"subdivision budget {budget} exhausted; "
                 f"error estimate {total_err:.3e}",
                 QuadResult(total, total_err, False, splits, low_confidence=True),
             )
@@ -227,17 +205,17 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8, kinks=(
             clamped_err += err
             open_err = sum(item[5] for item in heap)
             total_err = clamped_err + open_err
-            reachable = max(cfg.abs_tol, cfg.rel_tol * (abs(total) + open_err))
+            reachable = max(abs_tol, rel_tol * (abs(total) + open_err))
             # Clamping an open panel of width w takes more than
             # w / _WIDTH_CLAMP - 1 splits, so the sum bounds from below the
             # splits that emptying the heap needs.
             if clamped_err > reachable and (
                     sum(item[3] - item[2] for item in heap) / _WIDTH_CLAMP - len(heap)
-                    > cfg.max_subdivisions - splits):
+                    > budget - splits):
                 raise MaxSubdivisionsError(
                     f"tolerance unreachable: error {clamped_err:.3e} of panels at the "
                     f"width limit exceeds {reachable:.3e}; {splits} of "
-                    f"{cfg.max_subdivisions} subdivisions used",
+                    f"{budget} subdivisions used",
                     QuadResult(total, total_err, False, splits, low_confidence=True),
                 )
             continue
@@ -254,47 +232,11 @@ def _adaptive(f, lo: float, hi: float, cfg: QuadConfig, n_init: int = 8, kinks=(
     return total, total_err, splits
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    cfg: Optional[QuadConfig] = None,
-) -> QuadResult:
-    """Integrate f over [a, b], where b may be math.inf.
-
-    Bounded intervals never set the diverged flag. ``[a, inf)`` goes
-    through the core of ``integrate_quantile`` under ``x = a + p / q``, to
-    cfg's own tolerances, half of abs_tol on each half of (0, 1): a tail
-    that decays no faster than ``x^-1`` with one sign returns value=inf, or
-    -inf where f is negative, with the flag set and its exponent in
-    ``tail_exponent``, and one that changes sign without decaying that fast
-    raises NonConvergentError.
-    """
-    cfg = cfg or _DEFAULT
-    if math.isnan(a) or math.isnan(b):
-        raise UnsupportedError("integration limits must not be NaN")
-    if a == -math.inf:
-        raise UnsupportedError("lower limit -inf is not supported")
-    if b == math.inf:
-        if a + 1.0 == a:
-            raise UnsupportedError(
-                f"lower limit {a:g} is too large for the semi-infinite map: a + 1 rounds to a")
-        return _quantile(lambda p, q: f(a + p / q), lambda p, q: 1.0 / q / q, False, cfg)
-    if a == b:
-        return QuadResult(0.0, 0.0, False, 0)
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    total, err, splits = _adaptive(f, a, b, cfg)
-    return _checked(sign * total, err, splits, cfg)
-
-
-_2D_CFG = QuadConfig(abs_tol=1e-8, rel_tol=1e-7)
 _2D_PANELS = 2
 _HALF_SQRT3 = 0.5 * math.sqrt(3.0)
 
 
-def _graded(f: Callable[[float], float], lo: float, hi: float, cfg: QuadConfig = _DEFAULT,
+def _graded(f: Callable[[float], float], lo: float, hi: float, cfg: tuple,
             kinks: Iterable[float] = ()):
     """``_adaptive`` on ``int_0^1 f(lo + w t^2 (3 - 2t)) 6t (1 - t) dt``,
     w = hi - lo, which is the mean of f over [lo, hi]; returns (value,
@@ -347,7 +289,7 @@ def integrate_2d(row: Callable[[float], Callable[[float], float]], x_lo: float, 
     """
     wx = x_hi - x_lo
     wy = y_hi - y_lo
-    if wx == 0.0 or wy == 0.0:  # zero area: exactly zero, as integrate's a == b
+    if wx == 0.0 or wy == 0.0:  # zero area: exactly zero
         return QuadResult(0.0, 0.0, False, 0)
     inner_err = 0.0
     inner_subs = 0
@@ -519,8 +461,9 @@ class _EndFit:
         # Past t = 700 the integrand is 0 for every delta above _U_FLAT.
         t = lambda p, q: min(p / q, 700.0)
         try:
-            rest = hs * Lf * _quantile(lambda p, q: math.exp(a * t(p, q) - x * math.expm1(t(p, q))),
-                                       lambda p, q: 1.0 / q / q, False, _U_CFG).value
+            rest = hs * Lf * integrate_quantile(
+                lambda p, q: math.exp(a * t(p, q) - x * math.expm1(t(p, q))),
+                lambda p, q: 1.0 / q / q).value
             if rest < math.inf:
                 return rest
         except OverflowError:
@@ -551,7 +494,7 @@ def integrate_quantile(
     ``m = clamp(ceil(3 / max(gamma + 1, 0.05)), 2, 60)`` makes the
     endpoint smooth and the refinement loop runs from 4 panels per half, at
     the one setting of every 1-D measure: relative tolerance 1e-10, no
-    absolute tolerance, 2000 subdivisions per half (_U_CFG).
+    absolute tolerance (_U_CFG), and _MAX_SUBDIVISIONS subdivisions per half.
 
     A panel holding one of the levels ``kinks``, where qd's slope jumps, is
     split there: a kink between a panel's outermost node and its end is
@@ -561,11 +504,6 @@ def integrate_quantile(
     error estimate. ``tail_exponent`` is the diverged end's exponent, or
     else the upper end's, in x units.
     """
-    return _quantile(g, qd, survival, _U_CFG, kinks)
-
-
-def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> QuadResult:
-    """``integrate_quantile`` to cfg as it is, half its abs_tol per half."""
     fits = {upper: _EndFit(g, qd, survival, upper) for upper in (True, False)}
     for upper, fit in fits.items():
         if not fit.gamma > _U_DIVERGED and not fit.one_signed():
@@ -575,7 +513,6 @@ def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> Quad
         if fit.diverged():
             return QuadResult(fit.sign() * math.inf, math.inf, True, 0,
                               tail_exponent=fit.x_exponent())
-    half_cfg = QuadConfig(0.5 * cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
     total = err = 0.0
     splits = 0
     for upper, fit in fits.items():
@@ -585,7 +522,7 @@ def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> Quad
         start = (2.0 * floor) ** (1.0 / m) if fit.gamma <= _U_DIVERGED else 0.0
         ends = [1.0 - p if upper else p for p in kinks if (p > 0.5 if upper else p < 0.5)]
         try:
-            value, e, n = _adaptive(_half(g, qd, survival, upper, m, floor), start, 1.0, half_cfg,
+            value, e, n = _adaptive(_half(g, qd, survival, upper, m, floor), start, 1.0, _U_CFG,
                                     _U_PANELS, [(2.0 * s) ** (1.0 / m) for s in ends])
         except MaxSubdivisionsError as exc:  # the partial result covers both halves
             part = exc.partial
@@ -597,4 +534,4 @@ def _quantile(g, qd, survival: bool, cfg: QuadConfig, kinks: tuple = ()) -> Quad
         total += value + rest
         err += e + rest
         splits += n
-    return _checked(total, err, splits, cfg, tail_exponent=fits[True].x_exponent())
+    return _checked(total, err, splits, _U_CFG, tail_exponent=fits[True].x_exponent())

@@ -18,7 +18,7 @@ from fracpast.errors import DomainError
 from fracpast.fraclog import FracOrder, LogMode
 from fracpast.multivariate import BivariateLaw
 from fracpast.orders import OrderReport
-from fracpast.quadrature import QuadConfig, QuadResult
+from fracpast.quadrature import QuadResult
 
 # Laws compare by identity, so the law records share these.
 _X, _Y = Uniform(1.0), Uniform(2.0)
@@ -26,11 +26,6 @@ _X, _Y = Uniform(1.0), Uniform(2.0)
 # Each record: a builder of one instance, its repr, and a field change that
 # makes it unequal.
 RECORDS = {
-    "QuadConfig": (
-        lambda: QuadConfig(rel_tol=1e-6),
-        "QuadConfig(abs_tol=1e-09, rel_tol=1e-06, max_subdivisions=2000)",
-        {"abs_tol": 0.0},
-    ),
     "QuadResult": (
         lambda: QuadResult(value=0.25, error_estimate=1e-12, diverged=False, subdivisions_used=3),
         "QuadResult(value=0.25, error_estimate=1e-12, diverged=False, subdivisions_used=3, "
@@ -120,8 +115,6 @@ def test_assignment_raises(name):
 
 
 def test_keyword_construction_with_defaults():
-    assert QuadConfig() == QuadConfig(abs_tol=1e-9, rel_tol=1e-8, max_subdivisions=2000)
-    assert QuadConfig(rel_tol=1e-6) == QuadConfig(1e-9, 1e-6)
     res = QuadResult(value=1.0, error_estimate=0.0, diverged=False, subdivisions_used=0)
     assert res.low_confidence is False and math.isnan(res.tail_exponent)
     assert FracOrder(alpha=1) == FracOrder(1.0) and type(FracOrder(1).alpha) is float
@@ -135,7 +128,7 @@ def test_keyword_construction_with_defaults():
 
 
 def test_records_are_tuples_of_their_fields():
-    assert QuadConfig() == (1e-9, 1e-8, 2000)
+    assert LogisticConfig(s=3.5) == (3.5, 0.1, 1000, 5000)
     assert list(MomentPair(1.0, 0.5)) == [1.0, 0.5]
     mean, variance = MomentPair(1.0, 0.5)
     assert (mean, variance) == (1.0, 0.5)
@@ -144,8 +137,6 @@ def test_records_are_tuples_of_their_fields():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: QuadConfig(max_subdivisions=-1), "tolerances and budget must be >= 0"),
-        (lambda: QuadConfig(abs_tol=math.nan), "tolerances and budget must be >= 0"),
         (lambda: FracOrder(0), r"must lie in \(0, 1\], got 0"),
         (lambda: FracOrder(1.5), r"must lie in \(0, 1\], got 1.5"),
         (lambda: FracOrder(True), "must be a real number"),
@@ -155,7 +146,7 @@ def test_records_are_tuples_of_their_fields():
         (lambda: MomentPair(1, -0.1), "variance must be nonnegative, got -0.1"),
         (lambda: Sample([1.0]), "sample needs at least 2 observations, got 1"),
     ],
-    ids=["budget", "nan-tol", "order-0", "order-1.5", "order-bool", "verdict", "no-witness",
+    ids=["order-0", "order-1.5", "order-bool", "verdict", "no-witness",
          "logistic-s", "variance", "one-value"],
 )
 def test_refusals(build, message):
@@ -166,14 +157,13 @@ def test_refusals(build, message):
 @pytest.mark.parametrize(
     "derive, message",
     [
-        (lambda: QuadConfig()._replace(max_subdivisions=-1), "tolerances and budget"),
         (lambda: FracOrder(0.5)._replace(alpha=0), "must lie in"),
         (lambda: OrderReport("Yes", None, 4)._replace(holds="No"), "requires a witness"),
         (lambda: LogisticConfig(s=4.0)._replace(s=5.0), "control parameter"),
         (lambda: MomentPair(1.0, 0.0)._replace(variance=-1.0), "variance"),
         (lambda: Sample([1, 2])._replace(data=(3.0,)), "at least 2 observations"),
     ],
-    ids=["budget", "order", "no-witness", "logistic-s", "variance", "one-value"],
+    ids=["order", "no-witness", "logistic-s", "variance", "one-value"],
 )
 def test_replace_refuses_what_the_constructor_refuses(derive, message):
     with pytest.raises(DomainError, match=message):
