@@ -2,9 +2,14 @@
 
 Every distribution exposes cdf, pdf, survival, quantile, mean, and sampling,
 plus finite-or-infinite support endpoints that integration routines rely on.
-The base quantile checks p and returns the support ends at p = 0 and 1; a
-family gives only its interior closed form, and the base class fills in
-bisection quantiles and survival-function means for the rest.
+The base class owns one support rule: cdf reads 0 at and below ``lower`` and
+1 at and above ``upper``, survival the mirror, pdf 0 outside [lower, upper],
+quantile the ends at p = 0 and 1, and each refuses a NaN argument. A family
+gives only its closed forms inside: ``_cdf`` and ``_survival`` on the open
+support, ``_pdf`` on the closed one, ``_quantile`` on 0 < p < 1. The base
+``_survival`` is 1 - cdf, and the base ``_quantile`` and ``mean`` bisect the
+cdf and integrate the survival function. A subclass may still override the
+public methods, and then answers at the ends itself.
 
 Transforms (affine rescaling, proportional reversed hazard, independent sum)
 wrap an existing distribution and preserve the same contract, so measure code
@@ -63,7 +68,8 @@ def _positive(what: str, *values) -> None:
 
 
 class Distribution:
-    """Base class: subclasses set family, params, lower, upper, cdf, pdf."""
+    """Base class: subclasses set family, params, lower and upper, and give
+    ``_cdf`` and ``_pdf`` (or override the public ``cdf`` and ``pdf``)."""
 
     family: str = "abstract"
     # The quantile density closure (p, q) -> 1/f(Q(p)); None where the law
@@ -78,23 +84,51 @@ class Distribution:
         self.upper: float = math.inf
 
     def cdf(self, x: float) -> float:
-        raise NotImplementedError
-
-    def pdf(self, x: float) -> float:
-        raise NotImplementedError
+        """1 at and above ``upper``, 0 at and below ``lower``, else ``_cdf(x)``."""
+        if x >= self.upper:
+            return 1.0
+        if x > self.lower:
+            return self._cdf(x)
+        if x <= self.lower:
+            return 0.0
+        raise DomainError(f"cdf requires a number, got {x}")
 
     def survival(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
+        """0 at and above ``upper``, 1 at and below ``lower``, else ``_survival(x)``."""
+        if x >= self.upper:
+            return 0.0
+        if x > self.lower:
+            return self._survival(x)
+        if x <= self.lower:
+            return 1.0
+        raise DomainError(f"survival requires a number, got {x}")
+
+    def pdf(self, x: float) -> float:
+        """``_pdf(x)`` on [lower, upper], 0 outside it."""
+        if self.lower <= x <= self.upper:
+            return self._pdf(x)
+        if math.isnan(x):
+            raise DomainError(f"pdf requires a number, got {x}")
+        return 0.0
 
     def quantile(self, p: float) -> float:
         """Inverse CDF: the support ends at p = 0 and 1, else ``_quantile(p)``."""
-        if not 0.0 <= p <= 1.0 or math.isnan(p):
-            raise DomainError(f"quantile requires p in [0, 1], got {p}")
+        if 0.0 < p < 1.0:
+            return self._quantile(p)
         if p == 0.0:
             return self.lower
         if p == 1.0:
             return self.upper
-        return self._quantile(p)
+        raise DomainError(f"quantile requires p in [0, 1], got {p}")
+
+    def _cdf(self, x: float) -> float:
+        raise NotImplementedError
+
+    def _survival(self, x: float) -> float:
+        return 1.0 - self.cdf(x)
+
+    def _pdf(self, x: float) -> float:
+        raise NotImplementedError
 
     def _quantile(self, p: float) -> float:
         """Inverse CDF for 0 < p < 1 by bracketed bisection to a relative
@@ -153,22 +187,14 @@ class Uniform(Distribution):
         self.params = {"scale": self.scale}
         self.lower, self.upper = 0.0, self.scale
 
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        if x >= self.scale:
-            return 1.0
+    def _cdf(self, x):
         return x / self.scale
 
-    def survival(self, x):
-        if x <= 0.0:
-            return 1.0
-        if x >= self.scale:
-            return 0.0
+    def _survival(self, x):
         return (self.scale - x) / self.scale
 
-    def pdf(self, x):
-        return 1.0 / self.scale if 0.0 <= x <= self.scale else 0.0
+    def _pdf(self, x):
+        return 1.0 / self.scale
 
     def _quantile(self, p):
         return p * self.scale
@@ -193,14 +219,14 @@ class Exponential(Distribution):
         self.rate = float(rate)
         self.params = {"rate": self.rate}
 
-    def cdf(self, x):
-        return -math.expm1(-self.rate * x) if x > 0.0 else 0.0
+    def _cdf(self, x):
+        return -math.expm1(-self.rate * x)
 
-    def survival(self, x):
-        return math.exp(-self.rate * x) if x > 0.0 else 1.0
+    def _survival(self, x):
+        return math.exp(-self.rate * x)
 
-    def pdf(self, x):
-        return self.rate * math.exp(-self.rate * x) if x >= 0.0 else 0.0
+    def _pdf(self, x):
+        return self.rate * math.exp(-self.rate * x)
 
     def _quantile(self, p):
         return -math.log1p(-p) / self.rate
@@ -229,27 +255,21 @@ class Frechet(Distribution):
         self.shape, self.scale = float(shape), float(scale)
         self.params = {"shape": self.shape, "scale": self.scale}
 
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
+    def _cdf(self, x):
         try:
             return math.exp(-self.scale * x ** (-self.shape))
         except OverflowError:  # x**(-shape) beyond the float range: F underflows
             return 0.0
 
-    def survival(self, x):
-        if x <= 0.0:
-            return 1.0
+    def _survival(self, x):
         try:
             return -math.expm1(-self.scale * x ** (-self.shape))
         except OverflowError:  # x**(-shape) beyond the float range: S rounds to 1
             return 1.0
 
-    def pdf(self, x):
-        if x <= 0.0:
-            return 0.0
+    def _pdf(self, x):
         F = self.cdf(x)
-        if F == 0.0:  # the power below may overflow, but the limit is 0
+        if F == 0.0:  # at x = 0, or the power below may overflow: the limit is 0
             return 0.0
         try:
             return self.scale * self.shape * x ** (-self.shape - 1.0) * F
@@ -287,14 +307,14 @@ class ParetoType(Distribution):
         self.k = float(k)
         self.params = {"k": self.k}
 
-    def cdf(self, x):
-        return 1.0 - (1.0 + x) ** (-self.k) if x > 0.0 else 0.0
+    def _cdf(self, x):
+        return 1.0 - (1.0 + x) ** (-self.k)
 
-    def survival(self, x):
-        return (1.0 + x) ** (-self.k) if x > 0.0 else 1.0
+    def _survival(self, x):
+        return (1.0 + x) ** (-self.k)
 
-    def pdf(self, x):
-        return self.k * (1.0 + x) ** (-self.k - 1.0) if x >= 0.0 else 0.0
+    def _pdf(self, x):
+        return self.k * (1.0 + x) ** (-self.k - 1.0)
 
     def _quantile(self, p):
         return (1.0 - p) ** (-1.0 / self.k) - 1.0
@@ -320,30 +340,24 @@ class Weibull(Distribution):
         self.scale, self.shape = float(scale), float(shape)
         self.params = {"scale": self.scale, "shape": self.shape}
 
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
+    def _cdf(self, x):
         try:
             return -math.expm1(-((x / self.scale) ** self.shape))
         except OverflowError:  # (x/scale)**shape beyond the float range: F rounds to 1
             return 1.0
 
-    def survival(self, x):
-        if x <= 0.0:
-            return 1.0
+    def _survival(self, x):
         try:
             return math.exp(-((x / self.scale) ** self.shape))
         except OverflowError:  # (x/scale)**shape beyond the float range: S underflows
             return 0.0
 
-    def pdf(self, x):
-        if x <= 0.0:
-            return 0.0
+    def _pdf(self, x):
         try:
             z = (x / self.scale) ** self.shape
         except OverflowError:  # z beyond the float range, so exp(-z) is 0
             return 0.0
-        if z == 0.0 or z > 746.0:  # z or exp(-z) is exactly 0; shape / x * z may be inf
+        if z == 0.0 or z > 746.0:  # at x = 0, or exp(-z) is exactly 0; shape / x * z may be inf
             return 0.0
         density = self.shape / x * z
         if density == math.inf:  # shape / x overflows at subnormal x: divide by x last
@@ -382,26 +396,16 @@ class LogUniform(Distribution):
         self.lower, self.upper = self.a, self.b
         self._log_ratio = math.log(self.b / self.a)
 
-    def cdf(self, x):
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
+    def _cdf(self, x):
         return math.log(x / self.a) / self._log_ratio
 
-    def survival(self, x):
+    def _survival(self, x):
         """log(b/x) / log(b/a), with log(b/x) as log1p((b - x)/x): b/x rounds
         near 1, b - x does not."""
-        if x <= self.a:
-            return 1.0
-        if x >= self.b:
-            return 0.0
         return math.log1p((self.b - x) / x) / self._log_ratio
 
-    def pdf(self, x):
-        if self.a <= x <= self.b:
-            return 1.0 / (x * self._log_ratio)
-        return 0.0
+    def _pdf(self, x):
+        return 1.0 / (x * self._log_ratio)
 
     def _quantile(self, p):
         return self.a * (self.b / self.a) ** p
@@ -434,23 +438,15 @@ class Beta(Distribution):
 
         self._betainc, self._betaincinv = betainc, betaincinv
 
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
+    def _cdf(self, x):
         return float(self._betainc(self.p, self.q, x))
 
-    def survival(self, x):
+    def _survival(self, x):
         """The CDF of the reflected law Beta(q, p) at 1 - x."""
-        if x <= 0.0:
-            return 1.0
-        if x >= 1.0:
-            return 0.0
         return float(self._betainc(self.q, self.p, 1.0 - x))
 
-    def pdf(self, x):
-        if not 0.0 < x < 1.0:
+    def _pdf(self, x):
+        if not 0.0 < x < 1.0:  # log(x) or log1p(-x) fails at an end
             return 0.0
         return math.exp(
             (self.p - 1.0) * math.log(x)
@@ -500,10 +496,7 @@ class Degenerate(Distribution):
         self.params = {"c": self.c}
         self.lower = self.upper = self.c
 
-    def cdf(self, x):
-        return 1.0 if x >= self.c else 0.0
-
-    def pdf(self, x):
+    def _pdf(self, x):
         return 0.0
 
     def _quantile(self, p):
@@ -636,34 +629,24 @@ class UniformSum(Distribution):
     def _half_square(self, y):
         return 0.5 * (y / self.a) * (y / self.b)
 
-    def cdf(self, x):
+    def _cdf(self, x):
         a, b = self.a, self.b
-        if x <= 0.0:
-            return 0.0
-        if x >= a + b:
-            return 1.0
         if x <= a:
             return self._half_square(x)
         if x <= b:
             return (x - 0.5 * a) / b
         return 1.0 - self._half_square(a + b - x)
 
-    def survival(self, x):
+    def _survival(self, x):
         a, b = self.a, self.b
-        if x <= 0.0:
-            return 1.0
-        if x >= a + b:
-            return 0.0
         if x <= a:
             return 1.0 - self._half_square(x)
         if x <= b:
             return (b + 0.5 * a - x) / b
         return self._half_square(a + b - x)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         a, b = self.a, self.b
-        if x < 0.0 or x > a + b:
-            return 0.0
         if x <= a:
             return x / a / b
         if x <= b:
@@ -722,27 +705,17 @@ class _ConvolutionSum(Distribution):
         self.lower = d1.lower + d2.lower
         self.upper = d1.upper + d2.upper
 
-    def cdf(self, x):
-        if x <= self.lower:
-            return 0.0
-        if x >= self.upper:
-            return 1.0
+    def _cdf(self, x):
         lo, value = self._row(x, self.d1.cdf, 1.0)
         # Below lo, F1(x - y) = 1: that part is F2(lo), in closed form.
         return min(1.0, max(0.0, self.d2.cdf(lo) + value))
 
-    def survival(self, x):
-        if x <= self.lower:
-            return 1.0
-        if x >= self.upper:
-            return 0.0
+    def _survival(self, x):
         value = self._row(x, self.d1.survival, 1.0)[1]
         # Above hi, S1(x - y) = 1: that part is S2(hi), in closed form.
         return min(1.0, max(0.0, self.d2.survival(min(self.d2.upper, x - self.d1.lower)) + value))
 
-    def pdf(self, x):
-        if x <= self.lower or x >= self.upper:
-            return 0.0
+    def _pdf(self, x):
         return max(0.0, self._row(x, self.d1.pdf, self.upper - self.lower)[1])
 
     def _row(self, x: float, side: Callable[[float], float], unit: float) -> Tuple[float, float]:

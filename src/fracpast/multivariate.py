@@ -113,22 +113,14 @@ class _WedgeSecond(Distribution):
         super().__init__()
         self.lower, self.upper = 0.0, 1.0
 
-    def cdf(self, y):
-        if y <= 0.0:
-            return 0.0
-        if y >= 1.0:
-            return 1.0
+    def _cdf(self, y):
         return y * (2.0 - y)
 
-    def survival(self, y):
-        if y <= 0.0:
-            return 1.0
-        if y >= 1.0:
-            return 0.0
+    def _survival(self, y):
         return (1.0 - y) ** 2
 
-    def pdf(self, y):
-        return 2.0 * (1.0 - y) if 0.0 <= y <= 1.0 else 0.0
+    def _pdf(self, y):
+        return 2.0 * (1.0 - y)
 
     def _quantile(self, p):
         return 1.0 - math.sqrt(1.0 - p)

@@ -116,16 +116,67 @@ EXTREME_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("family", sorted(_FACTORIES))
-@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e300, 1.7e308])
+def _built_in_laws():
+    """One law per catalog family, both wrappers, the sum laws and the
+    triangle law's marginals. LogUniform(0.3, 0.7) is a law where
+    a * (b / a) is not b."""
+    tri = triangle_law()
+    return [make(family, **EXTREME_PARAMS[family]) for family in sorted(_FACTORIES)] + [
+        LogUniform(0.3, 0.7),
+        affine(Exponential(1.0), 2.0, 3.0),
+        prhr(Weibull(1.0, 2.0), 0.5),
+        UniformSum(1.0, 2.0),
+        independent_sum(Uniform(1.0), Beta(2.0, 2.0)),
+        tri.marginal_x,
+        tri.marginal_y,
+    ]
+
+
+# The catalog laws, and the two laws outside it that give their own interior
+# closed forms: the wedge marginal and the numeric convolution.
+EXTREME_LAWS = {family: make(family, **kw) for family, kw in EXTREME_PARAMS.items()}
+EXTREME_LAWS["wedge_second"] = triangle_law().marginal_y
+EXTREME_LAWS["sum"] = independent_sum(Beta(2.0, 3.0), Uniform(0.6))
+
+
+def _argument(dist, x):
+    """x, or the support end or the float just beyond it that x names."""
+    return {
+        "lower": dist.lower,
+        "upper": dist.upper,
+        "below_lower": math.nextafter(dist.lower, -math.inf),
+        "above_upper": math.nextafter(dist.upper, math.inf),
+    }.get(x, x)
+
+
+@pytest.mark.parametrize("family", sorted(EXTREME_LAWS))
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e300, 1.7e308, -math.inf, math.inf,
+                               "lower", "upper", "below_lower", "above_upper"])
 def test_cdf_and_survival_at_extreme_arguments(family, x):
-    dist = make(family, **EXTREME_PARAMS[family])
-    for value in (dist.cdf(x), dist.survival(x)):
+    dist = EXTREME_LAWS[family]
+    x = _argument(dist, x)
+    F, S, density = dist.cdf(x), dist.survival(x), dist.pdf(x)
+    for value in (F, S):
         assert math.isfinite(value)
         assert 0.0 <= value <= 1.0
-    density = dist.pdf(x)
     assert math.isfinite(density)
     assert density >= 0.0
+    # The support rule: exact ends at and beyond the support, no density outside it.
+    if x >= dist.upper:
+        assert (F, S) == (1.0, 0.0)
+    elif x <= dist.lower:
+        assert (F, S) == (0.0, 1.0)
+    if not dist.lower <= x <= dist.upper:
+        assert density == 0.0
+
+
+def test_nan_argument_refused():
+    # One rule for every law and wrapper: a NaN argument is refused, where
+    # families used to read nan, 0.0 or 1.0, and the sum law failed to converge.
+    for dist in _built_in_laws():
+        for method in (dist.cdf, dist.survival, dist.pdf):
+            with pytest.raises(DomainError):
+                method(math.nan)
 
 
 class TestSpecificValues:
@@ -134,6 +185,14 @@ class TestSpecificValues:
 
     def test_uniform_sum_midpoint(self):
         assert UniformSum(1.0, 1.0).cdf(1.0) == pytest.approx(0.5, abs=1e-13)
+
+    def test_sum_density_at_a_rounded_lower_end(self):
+        # 0.1 + 0.2 rounds 2.8e-17 above the true lower end, so the density
+        # there is that distance times f1(0.1) f2(0.2), not 0.
+        X = independent_sum(LogUniform(0.1, 1.0), LogUniform(0.2, 1.0))
+        gap = 2.77555756156289135e-17  # 0.30000000000000004 - (0.1 + 0.2), exactly
+        want = gap / (0.1 * math.log(10.0)) / (0.2 * math.log(5.0))
+        assert X.pdf(X.lower) == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_triangular_sum_matches_convolution(self):
         tri = TriangularSum()
@@ -486,18 +545,7 @@ class TestQuantileFallback:
     def test_quantile_rejects_bad_probability(self):
         # The contract on every family and wrapper: p = 0 and p = 1 give the
         # support ends, and p outside [0, 1] or NaN raises DomainError.
-        # LogUniform(0.3, 0.7) is a law where a * (b / a) is not b.
-        tri = triangle_law()
-        laws = [make(family, **EXTREME_PARAMS[family]) for family in sorted(_FACTORIES)] + [
-            LogUniform(0.3, 0.7),
-            affine(Exponential(1.0), 2.0, 3.0),
-            prhr(Weibull(1.0, 2.0), 0.5),
-            UniformSum(1.0, 2.0),
-            independent_sum(Uniform(1.0), Beta(2.0, 2.0)),
-            tri.marginal_x,
-            tri.marginal_y,
-        ]
-        for dist in laws:
+        for dist in _built_in_laws():
             assert dist.quantile(0.0) == dist.lower, dist
             assert dist.quantile(1.0) == dist.upper, dist
             for p in (-0.5, 1.5, math.nan):

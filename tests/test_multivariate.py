@@ -41,15 +41,11 @@ class _WedgeFirst(Distribution):
         self.params = {}
         self.lower, self.upper = 0.0, 1.0
 
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        if x >= 1.0:
-            return 1.0
+    def _cdf(self, x):
         return x * (2.0 - x)
 
-    def pdf(self, x):
-        return 2.0 * (1.0 - x) if 0.0 <= x <= 1.0 else 0.0
+    def _pdf(self, x):
+        return 2.0 * (1.0 - x)
 
 
 class _SquaredSecond(Distribution):
@@ -62,13 +58,11 @@ class _SquaredSecond(Distribution):
         self.params = {}
         self.lower, self.upper = 0.0, 1.0
 
-    def cdf(self, y):
-        if y <= 0.0:
-            return 0.0
-        return min(1.0, y * y)
+    def _cdf(self, y):
+        return y * y
 
-    def pdf(self, y):
-        return 2.0 * y if 0.0 <= y <= 1.0 else 0.0
+    def _pdf(self, y):
+        return 2.0 * y
 
 
 def mirrored_triangle_law() -> BivariateLaw:
