@@ -522,13 +522,13 @@ class AffineTransformed(Distribution):
         self.lower = self.scale * base.lower + self.shift
         self.upper = self.scale * base.upper + self.shift
 
-    def cdf(self, x):
+    def _cdf(self, x):
         return self.base.cdf((x - self.shift) / self.scale)
 
-    def survival(self, x):
+    def _survival(self, x):
         return self.base.survival((x - self.shift) / self.scale)
 
-    def pdf(self, x):
+    def _pdf(self, x):
         return self.base.pdf((x - self.shift) / self.scale) / self.scale
 
     def _quantile(self, p):

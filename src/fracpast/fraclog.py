@@ -35,11 +35,15 @@ Each branch gives the t-derivative of E_a(-t) from the same pass, which the
 EXACT inversion's Newton steps use: about 3 evaluations a root, at most 6
 near order 1.
 
-The series coefficients 1/Gamma(a k + 1), the contour nodes and weights, the
-powers s^a, Gamma(1 + a), the expansion's coefficients and the measure
-kernel's closure per mode depend on the order only, so each ``FracOrder``
-computes them once, on first use, and every point of a public call shares
-them.
+The contour nodes s_k and the order-free part of their weights,
+(h/pi) mu z_k e^(s_k), are module constants built at import. Everything
+else that depends on the order only is a per-order constant that each
+``FracOrder`` builds on its first read and keeps: Gamma(1 + a), 1/Gamma(1 - a),
+the series coefficients 1/Gamma(a k + 1), the powers s_k^a and the weights
+that use them, the expansion's coefficients, and the measure kernel of each
+mode. A call builds only what its branch reads, so a root on the series or
+contour branch never builds the expansion's table, and every point of a
+public call, or of every call given the same ``FracOrder``, shares them.
 """
 
 from __future__ import annotations
@@ -89,6 +93,42 @@ _NEWTON_RTOL = 1e-8
 # Beyond this t every asymptotic term after the first is below 1e-154 of it,
 # so E_a(-t) is 1 / (t Gamma(1 - a)) to rounding.
 _FIRST_TERM_EXACT = 1e154
+
+
+def _contour_nodes() -> tuple:
+    """Pairs (c, s) of the nodes u = k h, k = 0..N: s = mu z^2 with
+    z = 1 + iu, and c = h/pi * mu z e^s, the part of the node's weight that
+    is free of the order, doubled for k > 0 to count the conjugate node -k.
+    """
+    mu, h = _CONTOUR_MU, _CONTOUR_STEP
+    nodes = []
+    for k in range(_CONTOUR_N + 1):
+        z = complex(1.0, k * h)
+        s = mu * z * z
+        c = (h / math.pi) * mu * z * cmath.exp(s)
+        nodes.append((2.0 * c if k else c, s))
+    return tuple(nodes)
+
+
+_CONTOUR_NODES = _contour_nodes()
+
+
+def _expansion_coefficients(a: float, ks: range) -> list:
+    """(-1)^(k+1) / Gamma(1 - a*k) for k in ks, the expansion's coefficients.
+
+    By reflection 1/Gamma(1 - a*k) = Gamma(a*k) sin(pi*a*k) / pi, and
+    sin(pi*a*k) = (-1)^n sin(pi*f) with n the integer nearest a*k and
+    f = k*(a - 1) + (k - n). As the order nears 1 every coefficient is
+    O(1 - a), and this f keeps 1 - a to the last bit, where 1 - a*k
+    rounded to a float loses it. At a pole (a*k an integer) f is 0. The two
+    signs combine to (-1)^(n+k+1), taken from the parity of n + k.
+    """
+    coefficients = []
+    for k in ks:
+        n = round(a * k)
+        value = math.gamma(a * k) * math.sin(math.pi * (k * (a - 1.0) + (k - n))) / math.pi
+        coefficients.append(value if (n + k) % 2 else -value)
+    return coefficients
 
 
 class _per_order:
@@ -160,22 +200,17 @@ class FracOrder(_FracOrderFields):
         return tuple(coefficients)
 
     @_per_order
-    def _asymptotic_coefficients(self) -> tuple:
-        """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1..20.
+    def _inv_gamma_minus(self) -> float:
+        """1/Gamma(1 - alpha), the expansion's first coefficient, which the
+        EXACT root's start reads without building the whole table."""
+        return _expansion_coefficients(self.alpha, range(1, 2))[0]
 
-        By reflection 1/Gamma(1 - a*k) = Gamma(a*k) sin(pi*a*k) / pi, and
-        sin(pi*a*k) = (-1)^n sin(pi*f) with n the integer nearest a*k and
-        f = k*(a - 1) + (k - n). As the order nears 1 every coefficient is
-        O(1 - a), and this f keeps 1 - a to the last bit, where 1 - a*k
-        rounded to a float loses it. At a pole (a*k an integer) f is 0.
-        """
-        a = self.alpha
-        coefficients = []
-        for k in range(1, _ASYMPTOTIC_TERMS + 1):
-            n = round(a * k)
-            sine = (-1.0) ** n * math.sin(math.pi * (k * (a - 1.0) + (k - n)))
-            coefficients.append((-1.0) ** (k + 1) * math.gamma(a * k) * sine / math.pi)
-        return tuple(coefficients)
+    @_per_order
+    def _asymptotic_coefficients(self) -> tuple:
+        """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1..20, led by
+        ``_inv_gamma_minus``."""
+        rest = _expansion_coefficients(self.alpha, range(2, _ASYMPTOTIC_TERMS + 1))
+        return (self._inv_gamma_minus, *rest)
 
     @_per_order
     def _contour(self) -> tuple:
@@ -183,22 +218,20 @@ class FracOrder(_FracOrderFields):
 
         The weight is h/pi * e^s s^(alpha-1) * s'(u)/(2i), doubled for k > 0
         to count the conjugate node -k, so E_alpha(-t) is the real part of
-        sum(weight / (s^alpha + t)).
+        sum(weight / (s^alpha + t)). Only s^alpha depends on the order; the
+        rest of the weight is the node's constant c.
         """
-        a, mu, h = self.alpha, _CONTOUR_MU, _CONTOUR_STEP
+        a = self.alpha
         nodes = []
-        for k in range(_CONTOUR_N + 1):
-            z = complex(1.0, k * h)
-            s = mu * z * z
+        for c, s in _CONTOUR_NODES:
             s_a = s**a
-            weight = (h / math.pi) * mu * z * cmath.exp(s) * s_a / s
-            nodes.append((2.0 * weight if k else weight, s_a))
+            nodes.append((c * s_a / s, s_a))
         return tuple(nodes)
 
     @_per_order
     def _kernels(self) -> dict:
         """The kernel (p, q) -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1 and
-        q = 1 - p, per LogMode.
+        q = 1 - p, per LogMode, each built on its first read.
 
         Both modes read q above p = 1/2, so a caller that knows q exactly
         (the upper half of a probability-space integral, where p rounds to 1)
@@ -209,25 +242,50 @@ class FracOrder(_FracOrderFields):
         closure directly. Where the power overflows the closure returns inf,
         which the quadrature reads as a divergent or non-finite integrand.
         """
-        a, gamma_plus = self.alpha, self._gamma_plus
-        exp, log, log1p = math.exp, math.log, math.log1p
+        return _Kernels(self)
 
-        # The power is written out in both closures: a shared helper would
-        # cost a call at every integrand point.
-        def approx(p: float, q: float) -> float:
-            try:
-                return exp(log(gamma_plus * (-log(p) if p < 0.5 else -log1p(-q))) / a)
-            except OverflowError:
-                return math.inf
 
-        def exact(p: float, q: float) -> float:
-            neg_ln = _neg_ln(self, p, q)
-            try:
-                return exp(log(neg_ln) / a)
-            except OverflowError:
-                return math.inf
+class _Kernels(dict):
+    """LogMode -> kernel closure of one order, built on the mode's first read."""
 
-        return {LogMode.APPROX: approx, LogMode.EXACT: exact}
+    __slots__ = ("order",)
+
+    def __init__(self, order: FracOrder):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, mode):
+        kernel = self[mode] = _KERNEL_BUILDERS[mode](self.order)
+        return kernel
+
+
+# The power is written out in both closures: a shared helper would cost a
+# call at every integrand point.
+def _approx_kernel(order: FracOrder):
+    a, gamma_plus = order.alpha, order._gamma_plus
+    exp, log, log1p = math.exp, math.log, math.log1p
+
+    def approx(p: float, q: float) -> float:
+        try:
+            return exp(log(gamma_plus * (-log(p) if p < 0.5 else -log1p(-q))) / a)
+        except OverflowError:
+            return math.inf
+
+    return approx
+
+
+def _exact_kernel(order: FracOrder):
+    a = order.alpha
+    exp, log = math.exp, math.log
+
+    def exact(p: float, q: float) -> float:
+        neg_ln = _neg_ln(order, p, q)
+        try:
+            return exp(log(neg_ln) / a)
+        except OverflowError:
+            return math.inf
+
+    return exact
 
 
 def as_order(alpha) -> FracOrder:
@@ -246,6 +304,9 @@ class LogMode(enum.Enum):
 
     APPROX = "approx"
     EXACT = "exact"
+
+
+_KERNEL_BUILDERS = {LogMode.APPROX: _approx_kernel, LogMode.EXACT: _exact_kernel}
 
 
 def gamma_fn(x: float) -> float:
@@ -411,7 +472,7 @@ def _neg_ln(order: FracOrder, p: float, q: float) -> float:
     a = order.alpha
     if a == 1.0:
         return neg_log
-    first = order._asymptotic_coefficients[0]  # 1/Gamma(1-a)
+    first = order._inv_gamma_minus
     simon = q * first / p
     if simon > _FIRST_TERM_EXACT:
         return first / p
@@ -434,8 +495,11 @@ def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     Jensen's lower bounds on the root, stopped at a relative step of 1e-8,
     which leaves a relative error of about 1e-16 (about 3 evaluations of
     E_alpha and its derivative a root, at most 6 near order 1). Where the
-    root passes the float range the result is -inf. The order's constants
-    are built once per public call, not once per iteration.
+    root passes the float range the result is -inf. A float order builds
+    the per-order constants its root reads (Gamma(1+alpha), 1/Gamma(1-alpha)
+    and the table of each branch its iterates visit) once per call, not
+    once per iteration; the contour's order-free constants are built at
+    import, and a FracOrder passed in keeps its constants across calls.
     """
     order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
     if not math.isfinite(p) or p <= 0.0 or p > 1.0:

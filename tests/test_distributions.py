@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -318,6 +319,16 @@ class TestTransforms:
     def test_affine_pdf_jacobian(self):
         y = affine(Uniform(1.0), 4.0)
         assert y.pdf(2.0) == pytest.approx(0.25, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a, scale, shift", list(itertools.product(
+        (0.1, 0.37, 1.0, 2.9), (0.3, 3.0, 7.1), (0.0, 0.1, 1.7))))
+    def test_affine_support_rule_at_its_own_ends(self, a, scale, shift):
+        # (lower - shift)/scale can round just inside the base law's support;
+        # the wrapper's own ends still read 0 and 1 exactly.
+        X = affine(LogUniform(a, 2.3 * a), scale, shift)
+        assert X.cdf(X.lower) == 0.0
+        assert X.survival(X.upper) == 0.0
+        assert X.cdf(X.upper) == 1.0
 
     def test_affine_validation(self):
         with pytest.raises(DomainError):

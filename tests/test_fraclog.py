@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -439,6 +440,58 @@ class TestLogKernel:
             for p in (0.1, 0.5, 0.9):
                 want = (math.gamma(1.0 + alpha) * (-math.log(p))) ** (1.0 / alpha)
                 assert log_kernel(alpha, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# Orders at which the per-order tables are checked bit for bit: poles of the
+# expansion (1/2, 2/3, 3/4) and orders near 1, where its coefficients are
+# O(1 - a).
+_TABLE_ORDERS = [0.1, 0.5, 2.0 / 3.0, 0.75, 0.97, 1.0 - 1e-9]
+
+
+class TestPerOrderConstants:
+    @pytest.mark.parametrize("alpha", _TABLE_ORDERS)
+    def test_contour_weights_match_the_direct_formula(self, alpha):
+        mu, h = fraclog._CONTOUR_MU, fraclog._CONTOUR_STEP
+        for k, (weight, s_a) in enumerate(FracOrder(alpha)._contour):
+            z = complex(1.0, k * h)
+            s = mu * z * z
+            direct = (h / math.pi) * mu * z * cmath.exp(s) * s**alpha / s
+            assert s_a == s**alpha
+            assert weight == (2.0 * direct if k else direct)
+
+    @pytest.mark.parametrize("alpha", _TABLE_ORDERS)
+    def test_inverse_gamma_scalar_is_the_tables_first_entry(self, alpha):
+        scalar_first, table_first = FracOrder(alpha), FracOrder(alpha)
+        scalar = scalar_first._inv_gamma_minus
+        table = table_first._asymptotic_coefficients
+        assert scalar == table[0] == table_first._inv_gamma_minus
+        assert scalar_first._asymptotic_coefficients == table
+        assert scalar == pytest.approx(1.0 / math.gamma(1.0 - alpha), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", _TABLE_ORDERS)
+    def test_expansion_signs_match_the_powers_of_minus_one(self, alpha):
+        want = []
+        for k in range(1, 21):
+            n = round(alpha * k)
+            sine = (-1.0) ** n * math.sin(math.pi * (k * (alpha - 1.0) + (k - n)))
+            want.append((-1.0) ** (k + 1) * math.gamma(alpha * k) * sine / math.pi)
+        got = FracOrder(alpha)._asymptotic_coefficients
+        assert [repr(c) for c in got] == [repr(c) for c in want]
+
+    def test_roots_off_the_expansion_leave_its_table_unbuilt(self):
+        order = FracOrder(0.35)
+        mlf(order, -3.0)
+        frac_log(order, 0.3, LogMode.EXACT)
+        assert "_asymptotic_coefficients" not in order.__dict__
+        mlf(order, -200.0)
+        assert "_asymptotic_coefficients" in order.__dict__
+
+    def test_approx_kernel_builds_no_exact_kernel(self):
+        order = FracOrder(0.35)
+        log_kernel(order, 0.3)
+        assert list(order.__dict__["_kernels"]) == [LogMode.APPROX]
+        log_kernel(order, 0.3, LogMode.EXACT)
+        assert list(order.__dict__["_kernels"]) == [LogMode.APPROX, LogMode.EXACT]
 
 
 class TestDiscreteEntropy:
