@@ -123,10 +123,13 @@ def _expansion_coefficients(a: float, ks: range) -> list:
     rounded to a float loses it. At a pole (a*k an integer) f is 0. The two
     signs combine to (-1)^(n+k+1), taken from the parity of n + k.
     """
+    gamma, sin, pi = math.gamma, math.sin, math.pi
+    a_less_1 = a - 1.0
     coefficients = []
     for k in ks:
-        n = round(a * k)
-        value = math.gamma(a * k) * math.sin(math.pi * (k * (a - 1.0) + (k - n))) / math.pi
+        ak = a * k
+        n = round(ak)
+        value = gamma(ak) * sin(pi * (k * a_less_1 + (k - n))) / pi
         coefficients.append(value if (n + k) % 2 else -value)
     return coefficients
 
