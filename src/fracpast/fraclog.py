@@ -21,8 +21,9 @@ power series for -1 <= x < 0; for -50 < x < -1, the Bromwich integral
 E_a(-t) = 1/(2 pi i) int_C e^s s^(a-1) / (s^a + t) ds by the trapezoidal rule
 on the parabolic contour s(u) = mu (1 + iu)^2 (Weideman & Trefethen, Math.
 Comp. 2007; Garrappa, SIAM J. Numer. Anal. 2015), with N = 16, mu = pi N / 12
-and step h = 3 / N, so 17 nodes after conjugate symmetry; and the 20-term
-large-argument expansion for x <= -50. Against 40-digit references the
+and step h = 3 / N, so 17 nodes after conjugate symmetry; and the
+large-argument expansion for x <= -50, whose sums stop before its twentieth
+term where no later one can move them. Against 40-digit references the
 contour branch is within 4e-13 relative for orders 0.1 to 0.99, and within
 5e-10 up to order 0.99999; larger N is less accurate, because the factor
 e^mu at the nodes cancels. That cancellation leaves an absolute error of
@@ -40,10 +41,16 @@ The contour nodes s_k and the order-free part of their weights,
 else that depends on the order only is a per-order constant that each
 ``FracOrder`` builds on its first read and keeps: Gamma(1 + a), 1/Gamma(1 - a),
 the series coefficients 1/Gamma(a k + 1), the powers s_k^a and the weights
-that use them, the expansion's coefficients, and the measure kernel of each
-mode. A call builds only what its branch reads, so a root on the series or
-contour branch never builds the expansion's table, and every point of a
-public call, or of every call given the same ``FracOrder``, shares them.
+that use them, the expansion's coefficients and the two scalars of its
+envelope rule, and the measure kernel of each mode. A call builds only what
+its branch reads, so a root on the series or contour branch never builds
+the expansion's table, and every point of a public call, or of every call
+given the same ``FracOrder``, shares them.
+The two coefficient tables are built only as far as a sum reads them: the
+series' first 32 entries, doubled when a sum runs off the end, and the
+expansion's terms up to the last one summed. A table grows by storing a
+longer tuple in place of the old, so threads that share a ``FracOrder``
+may read a shorter table but never a torn one.
 """
 
 from __future__ import annotations
@@ -79,12 +86,20 @@ _CONTOUR_MU = math.pi * _CONTOUR_N / 12.0
 _CONTOUR_STEP = 3.0 / _CONTOUR_N
 _CONTOUR_FLOOR = 1e-10
 _ASYMPTOTIC_TERMS = 20
+# The expansion's envelope rule (see _asymptotic_pair): from t = 300 on, a
+# guess at the terms after which every later one is below 2^-55 of each
+# sum, then a test that it is.
+_ENVELOPE_MIN_T = 300.0
+_ENVELOPE_BITS = 63.0
+_ENVELOPE_SHARE = 2.0**-55
 
 # Term budget of the power series: 700 terms, or 25/alpha at small orders,
 # where 1/Gamma(alpha*k + 1) stays near 1 for hundreds of terms, capped so
 # that orders below about 0.0016 are refused at x = -1 in bounded time.
 _SERIES_TERMS = 700
 _SERIES_MAX_TERMS = 12_500
+# Length of the series table's first build.
+_SERIES_FIRST = 32
 
 _ROOT_MAXITER = 200
 # Relative step at which the Newton iteration for E_a(-t) = p stops; the
@@ -132,6 +147,11 @@ def _expansion_coefficients(a: float, ks: range) -> list:
         value = gamma(ak) * sin(pi * (k * a_less_1 + (k - n))) / pi
         coefficients.append(value if (n + k) % 2 else -value)
     return coefficients
+
+
+def _series_budget(a: float) -> int:
+    """Term budget of the power series at order a; see _SERIES_TERMS."""
+    return min(_SERIES_MAX_TERMS, max(_SERIES_TERMS, math.ceil(25.0 / a)))
 
 
 class _per_order:
@@ -185,35 +205,43 @@ class FracOrder(_FracOrderFields):
         return math.gamma(1.0 + self.alpha)
 
     @_per_order
-    def _series_coefficients(self) -> tuple:
-        """1/Gamma(alpha*k + 1) for k = 1, 2, ..., up to the first k > 4 where
-        it falls below 1e-18, or to the series' term budget.
+    def _series(self) -> tuple:
+        """1/Gamma(alpha*k + 1) for k = 1, 2, ..., as far as ``_longer_series``
+        has grown it, to the first k > 4 below 1e-18 or the term budget.
 
         On 0 < t <= 1 each term of E_alpha(-t) is at most its coefficient, so
         a table that ends below 1e-18 holds every term the series needs; one
         that ends at the budget (orders below about 0.0016) may not.
         """
-        a = self.alpha
-        budget = min(_SERIES_MAX_TERMS, max(_SERIES_TERMS, math.ceil(25.0 / a)))
-        coefficients = []
-        for k in range(1, budget):
-            coefficients.append(1.0 / math.gamma(a * k + 1.0))
-            if coefficients[-1] < 1e-18 and k > 4:
-                break
-        return tuple(coefficients)
+        return _longer_series(self, ())
 
     @_per_order
     def _inv_gamma_minus(self) -> float:
         """1/Gamma(1 - alpha), the expansion's first coefficient, which the
-        EXACT root's start reads without building the whole table."""
+        EXACT root's start reads without building the expansion's table."""
         return _expansion_coefficients(self.alpha, range(1, 2))[0]
 
     @_per_order
-    def _asymptotic_coefficients(self) -> tuple:
-        """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1..20, led by
-        ``_inv_gamma_minus``."""
-        rest = _expansion_coefficients(self.alpha, range(2, _ASYMPTOTIC_TERMS + 1))
-        return (self._inv_gamma_minus, *rest)
+    def _expansion(self) -> tuple:
+        """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1, 2, ..., led by
+        ``_inv_gamma_minus``, as far as ``_longer_expansion`` has grown it."""
+        return (self._inv_gamma_minus,)
+
+    @_per_order
+    def _envelope(self) -> tuple:
+        """(h, w / pi) of the expansion's envelope rule, h = log2(2^63 w
+        Gamma(1 - alpha)) and w = min(1, 20 pi (1 - alpha)); see
+        ``_asymptotic_pair``.
+
+        Up to order 2^-54, where alpha - 1 rounds to -1, the table is all
+        zeros and no test can pass, so h is large enough that every t sums
+        all twenty terms.
+        """
+        sine = min(1.0, 20.0 * math.pi * (1.0 - self.alpha))
+        first = self._inv_gamma_minus
+        if first == 0.0:
+            return 1024.0 * _ASYMPTOTIC_TERMS, sine / math.pi
+        return _ENVELOPE_BITS + math.log2(sine / first), sine / math.pi
 
     @_per_order
     def _contour(self) -> tuple:
@@ -327,8 +355,7 @@ def _mlf_positive(alpha: float, x: float) -> float:
     """
     terms = [1.0]
     log_x = math.log(x)
-    budget = min(_SERIES_MAX_TERMS, max(_SERIES_TERMS, math.ceil(25.0 / alpha)))
-    for k in range(1, budget):
+    for k in range(1, _series_budget(alpha)):
         log_mag = k * log_x - math.lgamma(alpha * k + 1.0)
         if log_mag > 695.0:
             raise NonConvergentError(
@@ -348,38 +375,116 @@ def _series_pair(order: FracOrder, t: float, offset: float) -> tuple:
     The terms (-t)^k / Gamma(a k + 1), k >= 1, are read off the order's
     table and summed to the first k > 4 below 1e-18 of the first, with
     ``offset`` in the same compensated sum: 1 gives E_a(-t) itself, and q
-    gives q - (1 - E_a(-t)) without cancelling against the leading 1.
+    gives q - (1 - E_a(-t)) without cancelling against the leading 1. A sum
+    that runs off the end of the table built so far doubles it and goes on.
     """
-    coefficients = order._series_coefficients
+    coefficients = order._series
     floor = 1e-18 * coefficients[0] * t
     terms = []
-    for k, coefficient in enumerate(coefficients, 1):
-        term = coefficient * t**k
-        terms.append(-term if k % 2 else term)
-        if term <= floor and k > 4:
+    while True:
+        for k, coefficient in enumerate(coefficients[len(terms):], len(terms) + 1):
+            term = coefficient * t**k
+            terms.append(-term if k % 2 else term)
+            if term <= floor and k > 4:
+                return math.fsum([offset, *terms]), math.fsum([k * v for k, v in enumerate(terms, 1)])
+        coefficients = _longer_series(order, coefficients)
+        if coefficients is None:
+            raise NonConvergentError(f"mlf series did not settle for alpha={order.alpha}, t={t}")
+
+
+def _longer_series(order: FracOrder, table: tuple) -> tuple | None:
+    """``order._series`` doubled in length, or first built, and stored in
+    its place; None where ``table`` already ends below 1e-18 or at the term
+    budget."""
+    a, n = order.alpha, len(table)
+    last = _series_budget(a) - 1
+    if n >= last or (n > 4 and table[-1] < 1e-18):
+        return None
+    entries = list(table)
+    for k in range(n + 1, min(max(2 * n, _SERIES_FIRST), last) + 1):
+        entries.append(1.0 / math.gamma(a * k + 1.0))
+        if entries[-1] < 1e-18 and k > 4:
             break
-    else:
-        raise NonConvergentError(f"mlf series did not settle for alpha={order.alpha}, t={t}")
-    return math.fsum([offset, *terms]), math.fsum([k * v for k, v in enumerate(terms, 1)])
+    table = order.__dict__["_series"] = tuple(entries)
+    return table
+
+
+def _longer_expansion(order: FracOrder, n: int) -> tuple:
+    """``order._expansion`` extended to n entries and stored in its place."""
+    table = order._expansion
+    ks = range(len(table) + 1, n + 1)
+    table = order.__dict__["_expansion"] = (*table, *_expansion_coefficients(order.alpha, ks))
+    return table
 
 
 def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
     """Large-argument expansion E_a(-t) ~ sum_k (-1)^(k+1) t^(-k) / Gamma(1-a*k),
-    and t dE_a(-t)/dt ~ -sum_k k (-1)^(k+1) t^(-k) / Gamma(1-a*k).
+    and t dE_a(-t)/dt ~ -sum_k k (-1)^(k+1) t^(-k) / Gamma(1-a*k), k <= 20.
 
-    All twenty terms are summed. By reflection the k-th term has size
-    Gamma(a*k) |sin(pi*a*k)| / (pi * t^k). Its envelope Gamma(a*k) / t^k
+    By reflection the k-th term has size Gamma(a*k) |sin(pi*a*k)| / (pi t^k),
+    at most its envelope G_k / t^k with G_k = Gamma(a*k) / pi. The envelope
     falls over k <= 20 for every t >= 20, so on this branch (t >= 50) the
-    expansion has not begun to diverge, and at t = 50 the first term left
-    out is below 3e-15 of the sum for orders up to 0.99, where twelve terms
-    left up to 2e-11. A term can still be tiny where
-    a*k is near an integer and the sine nearly vanishes; that says nothing
-    about the terms after it, so no small term ends the sum early. Only
-    t^k leaving the float range does: from there on every term is below
-    1e-154 of the first, so the partial sum is already exact.
+    expansion has not begun to diverge, and at t = 50 the twentieth term
+    is below 3e-15 of the sum for orders up to 0.99, where twelve terms
+    left up to 2e-11. A term can be tiny where a*k is near an integer and
+    the sine nearly vanishes; that says nothing about the terms after it,
+    so no small term ends the sum.
+
+    Below t = 300 all twenty terms are summed. From there on the sum stops
+    at the first n where an envelope test passes. As |sin(pi*a*k)| =
+    |sin(pi*k*(1-a))| <= 20 pi (1-a) for k <= 20, the envelope can be
+    G_k = w Gamma(a*k) / pi with w = min(1, 20 pi (1-a)), which is small
+    near order 1. Gamma(a(k+1)) / Gamma(a*k) < 21 for a < 1 and k < 20, so
+    every term after the n-th is at most B_n = G_n / t^n * 21/t, and its
+    slope term at most 20 B_n. Where both are below 2^-55 of their sums,
+    half what rounding needs at a power of two, no later term can move
+    either sum, and the partial sums equal those of all twenty terms bit for
+    bit. The test is first made at the least n with
+    t^n >= 2^63 w Gamma(1-a) Gamma(a(n0+1)), n0 the same without the last
+    factor: there 20 B_n is just below 2^-55 of the first term
+    1/(Gamma(1-a) t). After a failed test the next term is added and the
+    test repeated with B_n t/21 in place of B_n. Below t = 300 orders near
+    1 need twelve to fourteen terms, too many for the test to pay. From
+    where t^k leaves the float range every term is below 1e-154 of the
+    first, so the partial sum is already exact.
     """
+    coefficients = order._expansion
+    if t >= _ENVELOPE_MIN_T:
+        head, scale = order._envelope
+        log2_t = math.log2(t)
+        n = math.ceil((head + math.log2(math.gamma(order.alpha * (head / log2_t + 1.0)))) / log2_t)
+        if n < _ASYMPTOTIC_TERMS:
+            if len(coefficients) < n:
+                coefficients = _longer_expansion(order, n)
+            # n > 1 only where t < 2^123, so t^n < 2^246: no power overflows here.
+            value = slope = 0.0
+            for k, coefficient in enumerate(coefficients[:n], 1):
+                t_k = t**k
+                term = coefficient / t_k
+                value += term
+                slope -= k * term
+            ratio = 21.0 / t
+            bound = scale * math.gamma(order.alpha * n) / t_k * ratio
+            while (bound > _ENVELOPE_SHARE * abs(value)
+                   or 20.0 * bound > _ENVELOPE_SHARE * abs(slope)):
+                if k == _ASYMPTOTIC_TERMS:
+                    break
+                k += 1
+                if len(coefficients) < k:
+                    coefficients = _longer_expansion(order, k)
+                try:
+                    t_k = t**k
+                except OverflowError:
+                    break
+                term = coefficients[k - 1] / t_k
+                value += term
+                slope -= k * term
+                bound *= ratio
+            return value, slope
+    if len(coefficients) < _ASYMPTOTIC_TERMS:
+        coefficients = _longer_expansion(order, _ASYMPTOTIC_TERMS)
     value = slope = 0.0
-    for k, coefficient in enumerate(order._asymptotic_coefficients, 1):
+    for k, coefficient in enumerate(coefficients, 1):
         try:
             t_k = t**k
         except OverflowError:
@@ -430,7 +535,8 @@ def mlf(alpha, x: float) -> float:
     For x <= 0 the result lies in (0, 1] and is strictly increasing in x.
     The negative axis is split into three branches: the power series on
     [-1, 0), the 17-node parabolic-contour rule on (-50, -1), and the
-    20-term asymptotic expansion on (-inf, -50]. The contour rule is within
+    asymptotic expansion on (-inf, -50], up to 20 terms, and from x = -300
+    on only those that can move the result. The contour rule is within
     4e-13 relative of 40-digit references for orders 0.1 to 0.99 and within
     2e-6 for any order up to 1; see the module docstring. Raises
     NonConvergentError when the power series overflows or does not settle.
@@ -500,9 +606,10 @@ def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     E_alpha and its derivative a root, at most 6 near order 1). Where the
     root passes the float range the result is -inf. A float order builds
     the per-order constants its root reads (Gamma(1+alpha), 1/Gamma(1-alpha)
-    and the table of each branch its iterates visit) once per call, not
-    once per iteration; the contour's order-free constants are built at
-    import, and a FracOrder passed in keeps its constants across calls.
+    and the table of each branch its iterates visit, as far as their sums
+    read it) once per call, not once per iteration; the contour's
+    order-free constants are built at import, and a FracOrder passed in
+    keeps its constants across calls.
     """
     order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
     if not math.isfinite(p) or p <= 0.0 or p > 1.0:

@@ -463,9 +463,9 @@ class TestPerOrderConstants:
     def test_inverse_gamma_scalar_is_the_tables_first_entry(self, alpha):
         scalar_first, table_first = FracOrder(alpha), FracOrder(alpha)
         scalar = scalar_first._inv_gamma_minus
-        table = table_first._asymptotic_coefficients
+        table = fraclog._longer_expansion(table_first, 20)
         assert scalar == table[0] == table_first._inv_gamma_minus
-        assert scalar_first._asymptotic_coefficients == table
+        assert fraclog._longer_expansion(scalar_first, 20) == table
         assert scalar == pytest.approx(1.0 / math.gamma(1.0 - alpha), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha", _TABLE_ORDERS)
@@ -475,16 +475,100 @@ class TestPerOrderConstants:
             n = round(alpha * k)
             sine = (-1.0) ** n * math.sin(math.pi * (k * (alpha - 1.0) + (k - n)))
             want.append((-1.0) ** (k + 1) * math.gamma(alpha * k) * sine / math.pi)
-        got = FracOrder(alpha)._asymptotic_coefficients
-        assert [repr(c) for c in got] == [repr(c) for c in want]
+        whole = fraclog._longer_expansion(FracOrder(alpha), 20)
+        assert [repr(c) for c in whole] == [repr(c) for c in want]
+        # A table grown a few entries at a time ends as the one built whole.
+        order = FracOrder(alpha)
+        for n in (3, 7, 20):
+            assert fraclog._longer_expansion(order, n) == whole[:n] == order._expansion
 
     def test_roots_off_the_expansion_leave_its_table_unbuilt(self):
         order = FracOrder(0.35)
         mlf(order, -3.0)
         frac_log(order, 0.3, LogMode.EXACT)
-        assert "_asymptotic_coefficients" not in order.__dict__
+        assert "_expansion" not in order.__dict__
         mlf(order, -200.0)
-        assert "_asymptotic_coefficients" in order.__dict__
+        assert "_expansion" in order.__dict__
+
+    # Orders 0.01 to 1 - 1e-6 and 1e-20, whose table is all zeros; t = 300
+    # starts the envelope rule, and at 350 and 400 orders near 1 fail its
+    # first test.
+    @pytest.mark.parametrize("alpha", _TABLE_ORDERS + [1.0 / 3.0, 0.01, 0.2, 0.95, 0.99,
+                                                       1.0 - 1e-6, 1e-20])
+    @pytest.mark.parametrize("t", [21.0, 50.0, 169.9, 170.0, 171.0, 299.9, 300.0, 301.0, 350.0,
+                                   400.0, 1e3, 3.6e4, 1e8, 1e100, 1e154, 1e300])
+    def test_partial_expansion_sums_equal_the_full_sum(self, alpha, t):
+        # The twenty-term sums as written before the envelope rule, over a
+        # table built whole; the rule may stop early only where no later
+        # term can move either sum.
+        coefficients = fraclog._longer_expansion(FracOrder(alpha), 20)
+        value = slope = 0.0
+        for k, coefficient in enumerate(coefficients, 1):
+            try:
+                t_k = t**k
+            except OverflowError:
+                break
+            term = coefficient / t_k
+            value += term
+            slope -= k * term
+        want = (repr(value), repr(slope))
+        cold, warm = FracOrder(alpha), FracOrder(alpha)
+        fraclog._longer_expansion(warm, 20)
+        for order in (cold, warm):
+            assert tuple(map(repr, fraclog._asymptotic_pair(order, t))) == want
+
+    def test_envelope_ratio_stays_below_its_bound(self):
+        # The envelope rule bounds each later term by the last one summed
+        # times 21/t, from Gamma(a(k+1)) / Gamma(a k) < 21; it peaks near 19
+        # at a -> 1, k = 19.
+        ratios = [math.gamma(a * (k + 1)) / math.gamma(a * k)
+                  for a in [i / 4000 for i in range(1, 4000)] + [1.0 - 1e-9]
+                  for k in range(1, 20)]
+        assert max(ratios) < 21.0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.97, 0.99, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12,
+                                       1.0 - 2.0**-52])
+    def test_envelope_covers_every_coefficient(self, alpha):
+        # |sin(pi a k)| <= 20 pi (1 - a) for k <= 20 shrinks the envelope
+        # near order 1; each coefficient stays within it, to rounding.
+        order = FracOrder(alpha)
+        scale = order._envelope[1]
+        coefficients = fraclog._longer_expansion(order, 20)
+        for k, coefficient in enumerate(coefficients, 1):
+            assert abs(coefficient) <= scale * math.gamma(alpha * k) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("alpha, terms", [(0.01, 8), (0.1, 8), (0.2, 8), (0.6584, 9),
+                                              (0.99, 10), (1.0 - 1e-6, 11), (1.0 - 1e-9, 11)])
+    def test_failed_envelope_test_adds_one_term_at_a_time(self, alpha, terms):
+        # At t = 400 orders 1 - 1e-6 and 1 - 1e-9 fail the first test, at ten
+        # terms, and read an eleventh; the others pass it at eight to ten.
+        order = FracOrder(alpha)
+        mlf(order, -400.0)
+        assert len(order.__dict__["_expansion"]) == terms
+
+    def test_cold_root_builds_only_the_expansion_terms_it_reads(self):
+        # The root lies near t = 3.6e4, where five terms settle both sums.
+        order = FracOrder(0.6584)
+        frac_log(order, 1.063e-5, LogMode.EXACT)
+        assert len(order.__dict__["_expansion"]) < 20
+        mlf(order, -60.0)
+        assert order.__dict__["_expansion"] == fraclog._longer_expansion(FracOrder(0.6584), 20)
+
+    def test_series_table_grows_only_as_far_as_a_sum_reads(self):
+        # The whole table, as built before it grew on demand: to the first
+        # k > 4 below 1e-18, within the term budget.
+        a = 0.01
+        whole = []
+        for k in range(1, min(12_500, max(700, math.ceil(25.0 / a)))):
+            whole.append(1.0 / math.gamma(a * k + 1.0))
+            if whole[-1] < 1e-18 and k > 4:
+                break
+        assert len(whole) == 1971
+        order = FracOrder(a)
+        mlf(order, -0.5)
+        assert len(order.__dict__["_series"]) <= 128
+        mlf(order, -1.0)
+        assert order.__dict__["_series"] == tuple(whole)
 
     def test_approx_kernel_builds_no_exact_kernel(self):
         order = FracOrder(0.35)
