@@ -274,7 +274,7 @@ def _cmd_orders(args) -> int:
 
     X = parse_spec(args.dist_x)
     Y = parse_spec(args.dist_y)
-    report = dispersive_check(X, Y, args.grid)
+    report = dispersive_check(X, Y)
     rows = []
     if args.alphas is not None and report.holds == "Yes":
         rows = _ordering_rows(X, Y, _parse_alphas(args))
@@ -284,7 +284,6 @@ def _cmd_orders(args) -> int:
         "dist_y": args.dist_y,
         "dispersive": report.holds,
         "witness": report.witness,
-        "grid_size": report.grid_size,
         "rows": rows,
     }
     _emit(payload, args)
@@ -551,7 +550,6 @@ def _build_parser() -> _Parser:
     p = verbs.add_parser("orders", help="dispersive order check")
     p.add_argument("--dist-x", required=True)
     p.add_argument("--dist-y", required=True)
-    p.add_argument("--grid", type=int, default=4096)
     _add_common(p, mode=False)
     p.set_defaults(fn=_cmd_orders)
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from .distributions import Distribution, Uniform, _build
+from .distributions import Distribution, Uniform, _build, _quantile_density
 from .entropy import EntropyResult, MeasureTag, _measure, _phi, efcpe
 from .errors import DomainError
 from .fraclog import FracOrder, LogMode, as_order
+from .quadrature import _level_scan
 
 __all__ = [
     "ComponentReport",
@@ -173,71 +174,36 @@ def parallel_uniform_closed_form(n: int, alpha) -> float:
     )
 
 
-def _golden_refine(fn, lo: float, hi: float, maximize: bool, iters: int = 80) -> float:
-    """Golden-section search for an interior extremum of fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if (fc > fd) == maximize:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return fn(0.5 * (a + b))
-
-
-def _ratio_bounds(num: DistortionFunction, den: DistortionFunction, a: FracOrder,
-                  what: str = "ratio") -> Tuple[float, float]:
-    """Infimum and supremum of phi_a(num(u)) / phi_a(den(u)) on (0, 1).
-
-    The ratio is scanned on a 512-point uniform grid plus geometric tails
-    2^-k, k = 10..73, at both ends; a golden-section pass then refines
-    between the neighbours of the best grid points. The end limits,
-    q_num / q_den at u -> 0 and ((1 - q_num) / (1 - q_den))**(1/a) at
-    u -> 1, are approached only logarithmically, so no grid reaches them:
-    each is read from the pairs at distance 2^-200 from its end, and counts
-    only where it reads finite and positive there.
-    """
+def _ratio_bounds(num: DistortionFunction, den: DistortionFunction,
+                  a: FracOrder) -> Tuple[float, float]:
+    """Infimum and supremum of phi_a(num(u)) / phi_a(den(u)) on (0, 1) by
+    ``_level_scan``, with the end limits q_num / q_den at u -> 0 and
+    ((1 - q_num) / (1 - q_den))**(1/a) at u -> 1 where they read finite and
+    positive at 2^-200 from their end."""
     phi = _phi(a)
 
-    def ratio(u: float) -> float:
-        r = 1.0 - u
-        d = phi(*den.pair(u, r))
+    def ratio(p: float, q: float) -> float:
+        d = phi(*den.pair(p, q))
         if d <= 0.0:
             return math.nan
-        return phi(*num.pair(u, r)) / d
+        return phi(*num.pair(p, q)) / d
 
-    tail = [2.0 ** (-k) for k in range(10, 74)]
-    grid = [(i + 0.5) / 512 for i in range(512)] + tail + [1.0 - t for t in tail]
-    pts = sorted(u for u in grid if u < 1.0)
-    vals = [(r, u) for r, u in ((ratio(u), u) for u in pts) if math.isfinite(r)]
-    if not vals:
-        raise DomainError(f"{what} undefined on the whole grid")
+    def limit(p: float, q: float) -> float:
+        side = int(p > q)  # 0 at the lower end, 1 at the upper
+        d = den.pair(p, q)[side]
+        value = num.pair(p, q)[side] / d if d > 0.0 else math.nan
+        if not 0.0 < value < math.inf:
+            return math.nan
+        try:
+            return value ** (1.0 / a.alpha if side else 1.0)
+        except OverflowError:  # the ratio grows past the float range
+            return math.inf
 
-    def refined(r0: float, u0: float, maximize: bool) -> float:
-        i = pts.index(u0)
-        left = pts[i - 1] if i > 0 else pts[0] / 2.0
-        right = pts[i + 1] if i + 1 < len(pts) else (1.0 + pts[-1]) / 2.0
-        r1 = _golden_refine(ratio, left, right, maximize)
-        return (max if maximize else min)(r0, r1 if math.isfinite(r1) else r0)
-
-    limits = []
-    for side, end, power in ((0, (2.0**-200, 1.0), 1.0), (1, (1.0, 2.0**-200), 1.0 / a.alpha)):
-        d = den.pair(*end)[side]
-        limit = num.pair(*end)[side] / d if d > 0.0 else math.nan
-        if 0.0 < limit < math.inf:
-            try:
-                limits.append(limit**power)
-            except OverflowError:  # the ratio grows past the float range
-                limits.append(math.inf)
-    return (min([refined(*min(vals), False)] + limits),
-            max([refined(*max(vals), True)] + limits))
+    scan = _level_scan(ratio, limit)
+    if math.isnan(scan.lo):
+        raise DomainError("the kernel ratio is undefined at every level")
+    limits = [r for _, r in scan.ends if not math.isnan(r)]
+    return min([scan.lo] + limits), max([scan.hi] + limits)
 
 
 def _slack(*values: float) -> float:
@@ -284,19 +250,28 @@ def density_bounds(
 
     with I = int_0^1 phi_a(q(u)) du, the system measure on Uniform(0, 1),
     M an upper and L a positive lower bound on the component density.
-    Either side may be omitted.
+    Either side may be omitted. Each is checked, within 1e-9, against the
+    supremum or infimum of the density 1/qd over ``_level_scan``'s levels
+    and end reads. A density not finite at all of them certifies neither
+    side; one still rising between the reads 2^-199 and 2^-200 from an end
+    certifies no M, and one still falling there no L.
     """
     a = as_order(alpha)
     if M is None and L is None:
         raise DomainError("supply at least one of M (upper) or L (lower density bound)")
     if L is not None and L <= 0.0:
         raise DomainError(f"lower density bound must be positive, got {L}")
-    for probe in (0.25, 0.5, 0.75):
-        fv = X.pdf(X.quantile(probe))
-        if M is not None and fv > M * (1.0 + 1e-9):
-            raise DomainError(f"M={M} is below the density value {fv} at level {probe}")
-        if L is not None and 0.0 < fv < L * (1.0 - 1e-9):
-            raise DomainError(f"L={L} exceeds the density value {fv} at level {probe}")
+    qd = _quantile_density(X)
+    scan = _level_scan(lambda p, q: 1.0 / qd(p, q))
+    if not scan.finite:
+        raise DomainError("the density does not read finite at every level")
+    reads = [scan.lo, scan.hi] + [f for pair in scan.ends for f in pair]
+    if M is not None and (max(reads) > M * (1.0 + 1e-9)
+                          or any(f200 > f199 * (1.0 + 1e-9) for f199, f200 in scan.ends)):
+        raise DomainError(f"M={M} is below the density's supremum {max(reads)} or its end limit")
+    if L is not None and (min(reads) < L * (1.0 - 1e-9)
+                          or any(f200 < f199 * (1.0 - 1e-9) for f199, f200 in scan.ends)):
+        raise DomainError(f"L={L} exceeds the density's infimum {min(reads)} or its end limit")
     I = system_efcpe(q, Uniform(1.0), a).value
     lower = I / M if M is not None else None
     upper = I / L if L is not None else None
@@ -320,7 +295,7 @@ def compare_systems(
     phi_a(q2(u)) / phi_a(q1(u)): inf * E*(T1) <= E*(T2) <= sup * E*(T1).
     """
     a = as_order(alpha)
-    inf_r, sup_r = _ratio_bounds(q2, q1, a, "cross-ratio")
+    inf_r, sup_r = _ratio_bounds(q2, q1, a)
     v1 = system_efcpe(q1, X, a).value
     v2 = system_efcpe(q2, X, a).value
     slack = _slack(v2)

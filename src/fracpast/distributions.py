@@ -175,6 +175,19 @@ class Distribution:
         return f"{self.family}({inner})"
 
 
+def _quantile_density(X: Distribution) -> Callable[[float, float], float]:
+    """X's ``qd``, or 1/pdf(quantile(p)) for a law that has none, inf where
+    that density is 0 (as at a bounded support's end)."""
+    if X.qd is not None:
+        return X.qd
+
+    def qd(p: float, q: float) -> float:
+        f = X.pdf(X.quantile(p))
+        return 1.0 / f if f != 0.0 else math.inf
+
+    return qd
+
+
 class Uniform(Distribution):
     """Uniform law on [0, scale]."""
 

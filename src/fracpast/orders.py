@@ -1,9 +1,11 @@
 """Dispersive-order checking and its entropy-ordering consequence.
 
-X is below Y in the dispersive order when f(F^{-1}(v)) >= g(G^{-1}(v)) for
-every level v, i.e. Y spreads probability at least as thinly everywhere.
-The check evaluates the defining inequality on a dense level grid and
-returns a verdict with a witness on failure. ordering_validation then
+X is below Y in the dispersive order when qd_X(v) <= qd_Y(v) at every level
+v in (0, 1), qd = 1/f(Q) the quantile density (Shaked & Shanthikumar,
+*Stochastic Orders*, 2007, section 3.B): Y spreads probability at least as
+thinly everywhere. The check scans the ratio qd_Y / qd_X over levels that
+reach 2^-73 into each tail and 2^-200 at each end, and returns "Yes", "No"
+with a witness level, or "Inconclusive". ordering_validation then
 confirms that the past measure respects the order at every fractional
 order where both integrals converge, reporting divergent orders as skipped
 rather than comparing truncation artifacts.
@@ -11,24 +13,22 @@ rather than comparing truncation artifacts.
 
 from __future__ import annotations
 
-import math
 from typing import List, NamedTuple, Optional, Sequence
 
-from .distributions import Distribution
+from .distributions import Distribution, _quantile_density
 from .entropy import efcpe
 from .errors import DomainError
 from .fraclog import as_order
+from .quadrature import _level_scan
 
 __all__ = ["OrderReport", "dispersive_check", "ordering_validation"]
 
-_LEVEL_EPS = 1e-4
 _MARGIN = 1e-10
 
 
 class _OrderReportFields(NamedTuple):
     holds: str
     witness: Optional[float]
-    grid_size: int
 
 
 class OrderReport(_OrderReportFields):
@@ -52,29 +52,28 @@ class OrderReport(_OrderReportFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-def dispersive_check(X: Distribution, Y: Distribution, grid: int = 4096) -> OrderReport:
-    """Grid test of f(F^{-1}(v)) >= g(G^{-1}(v)) on v in (eps, 1 - eps).
+def dispersive_check(X: Distribution, Y: Distribution) -> OrderReport:
+    """Test qd_X(v) <= qd_Y(v) on 0 < v < 1 by ``_level_scan`` of qd_Y / qd_X.
 
-    Equality within 1e-10 of the larger density counts toward Yes, at any
-    scale; undefined density values anywhere on the grid yield Inconclusive.
+    A law without a ``qd`` reads 1/pdf(quantile(v)). "No" carries a witness
+    w whose complement 1 - w is exact, with qd_X(w) > qd_Y(w) (1 + 1e-10).
+    "Yes" needs the ratio at least 1 - 1e-10 at every level and end read,
+    and not falling by more than that margin between the reads at 2^-199
+    and 2^-200 from either end. Anything else, a ratio that is not finite
+    somewhere or still falls at an end, is "Inconclusive". The margins are
+    relative, so the verdict is the same at any scale.
     """
-    if grid < 2:
-        raise DomainError(f"grid must have at least 2 points, got {grid}")
-    worst_v = None
-    worst_gap = 0.0
-    for i in range(grid):
-        v = _LEVEL_EPS + (1.0 - 2.0 * _LEVEL_EPS) * i / (grid - 1)
-        fx = X.pdf(X.quantile(v))
-        gy = Y.pdf(Y.quantile(v))
-        if not (math.isfinite(fx) and math.isfinite(gy)):
-            return OrderReport("Inconclusive", None, grid)
-        gap = fx - gy
-        if gap < worst_gap and gap < -_MARGIN * max(fx, gy):
-            worst_gap = gap
-            worst_v = v
-    if worst_v is not None:
-        return OrderReport("No", worst_v, grid)
-    return OrderReport("Yes", None, grid)
+    qx, qy = _quantile_density(X), _quantile_density(Y)
+    scan = _level_scan(lambda p, q: qy(p, q) / qx(p, q))
+    # The least ratio's level, moved to the nearest level whose complement
+    # is exact: the lower tail stops at 2^-53.
+    w = 1.0 - (1.0 - max(scan.lo_at, 2.0 ** -53))
+    if scan.lo < 1.0 and qx(w, 1.0 - w) > qy(w, 1.0 - w) * (1.0 + _MARGIN):
+        return OrderReport("No", w)
+    ends = [r for pair in scan.ends for r in pair]
+    falling = any(r200 < r199 * (1.0 - _MARGIN) for r199, r200 in scan.ends)
+    holds = scan.finite and not falling and min([scan.lo] + ends) >= 1.0 - _MARGIN
+    return OrderReport("Yes" if holds else "Inconclusive", None)
 
 
 def ordering_validation(

@@ -27,6 +27,9 @@ MaxSubdivisionsError with the partial result attached. That error also comes
 early, before the budget is spent, once panels at the width limit hold more
 error than the tolerance allows and the budget cannot clamp the rest: the
 tolerance is then unreachable, and refining further would only burn time.
+
+``_level_scan`` finds the extremes of a function of the level pair (p, 1 - p)
+for the dispersive-order check and the coherent-system bounds.
 """
 
 from __future__ import annotations
@@ -535,3 +538,73 @@ def integrate_quantile(
         err += e + rest
         splits += n
     return _checked(total, err, splits, _U_CFG, tail_exponent=fits[True].x_exponent())
+
+
+# _level_scan's levels: 512 interior ones and the tails 2^-10 ... 2^-73 at
+# both ends, less the 1 - 2^-k that round to 1; 2^-10 and 1 - 2^-10 repeat.
+_SCAN_TAIL = [2.0 ** -k for k in range(10, 74)]
+_SCAN_LEVELS = sorted(u for u in [(i + 0.5) / 512 for i in range(512)] + _SCAN_TAIL
+                      + [1.0 - t for t in _SCAN_TAIL] if u < 1.0)
+
+
+class _LevelScan(NamedTuple):
+    lo: float  # the least finite level read, refined, and its level
+    lo_at: float
+    hi: float  # the greatest, and its level
+    hi_at: float
+    ends: tuple  # the reads at 2^-199 and 2^-200 from the lower end, then the upper
+    finite: bool  # whether every level read and end read was finite
+
+
+def _golden_refine(fn, a: float, b: float, maximize: bool):
+    """Golden-section search for an interior extremum of fn on [a, b]:
+    the value and the level where the search ends."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(80):
+        if (fc > fd) == maximize:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return fn(0.5 * (a + b)), 0.5 * (a + b)
+
+
+def _level_scan(fn: Callable[[float, float], float],
+                end: Optional[Callable[[float, float], float]] = None) -> _LevelScan:
+    """Least and greatest values of fn(p, q), q = 1 - p, on 0 < p < 1.
+
+    fn is read at ``_SCAN_LEVELS``; a golden-section pass then refines each
+    extreme between the neighbours of its level. A limit at an end is
+    approached only logarithmically, so no level reaches it: ``end`` (fn by
+    default) is read at the pairs (s, 1) and (1, s), s = 2^-199 and 2^-200,
+    and the reads are returned as they are. A read that raises OverflowError
+    or ZeroDivisionError, or has q = 0, reads NaN.
+    """
+    def read(f, p: float, q: float) -> float:
+        try:
+            return f(p, q) if q > 0.0 else math.nan
+        except (OverflowError, ZeroDivisionError):
+            return math.nan
+
+    at = lambda u: read(fn, u, 1.0 - u)
+    reads = [(at(u), u) for u in _SCAN_LEVELS]
+    ends = (tuple(read(end or fn, s, 1.0) for s in (2.0 ** -199, 2.0 ** -200)),
+            tuple(read(end or fn, 1.0, s) for s in (2.0 ** -199, 2.0 ** -200)))
+    vals = [(r, u) for r, u in reads if math.isfinite(r)]
+    finite = len(vals) == len(reads) and all(math.isfinite(r) for pair in ends for r in pair)
+    if not vals:
+        return _LevelScan(math.nan, math.nan, math.nan, math.nan, ends, False)
+
+    def refined(r0: float, u0: float, maximize: bool):
+        i = _SCAN_LEVELS.index(u0)
+        left = _SCAN_LEVELS[i - 1] if i > 0 else u0 / 2.0
+        right = _SCAN_LEVELS[i + 1] if i + 1 < len(_SCAN_LEVELS) else (1.0 + u0) / 2.0
+        r1, u1 = _golden_refine(at, left, right, maximize)
+        return (r1, u1) if math.isfinite(r1) and (r1 > r0 if maximize else r1 < r0) else (r0, u0)
+
+    return _LevelScan(*refined(*min(vals), False), *refined(*max(vals), True), ends, finite)

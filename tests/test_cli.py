@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fracpast.cli import main
-from fracpast.orders import dispersive_check
+from fracpast.orders import OrderReport
 
 DATA_FILE = str(Path(__file__).resolve().parent.parent / "data" / "odisha_covid_weekly.csv")
 
@@ -286,7 +286,7 @@ class TestOrders:
         assert code == 0
         assert payload["dispersive"] == "Yes"
         assert payload["witness"] is None
-        assert payload["grid_size"] == 4096
+        assert "grid_size" not in payload
         assert len(payload["rows"]) == 2
         assert all(row["holds"] is True for row in payload["rows"])
 
@@ -305,38 +305,34 @@ class TestOrders:
         )
         assert code == 0
         assert payload["dispersive"] == "No"
-        assert payload["witness"] == pytest.approx(1e-4, rel=1e-9, abs=0.0)
+        assert 0.0 < payload["witness"] < 1.0
         assert payload["rows"] == []
 
-    def test_custom_grid_recorded(self, capsys):
-        code, payload, _ = run_json(
-            capsys,
-            ["orders", "--dist-x", "uniform:a=1", "--dist-y", "uniform:a=1", "--grid", "64"],
-        )
-        assert code == 0
-        assert payload["grid_size"] == 64
-
-    def test_rows_follow_the_verdict_at_the_requested_grid(self, capsys, monkeypatch):
-        # Two levels certify this pair; 4096 do not. The rows follow the
-        # verdict the payload reports, from one check at --grid.
+    def test_rows_follow_the_verdict_of_one_check(self, capsys, monkeypatch):
+        # The pair is not ordered, but the rows follow the verdict the
+        # payload reports, from the one check made per call.
         import fracpast.orders
 
         calls = []
 
-        def counted(X, Y, grid=4096):
-            calls.append(grid)
-            return dispersive_check(X, Y, grid)
+        def fixed(X, Y):
+            calls.append((X, Y))
+            return OrderReport("Yes", None)
 
-        monkeypatch.setattr(fracpast.orders, "dispersive_check", counted)
+        monkeypatch.setattr(fracpast.orders, "dispersive_check", fixed)
         code, payload, _ = run_json(
             capsys,
-            ["orders", "--dist-x", "uniform:a=2", "--dist-y", "beta:p=2,q=2",
-             "--grid", "2", "--alphas", "0.5"],
+            ["orders", "--dist-x", "uniform:a=2", "--dist-y", "beta:p=2,q=2", "--alphas", "0.5"],
         )
         assert code == 0
         assert payload["dispersive"] == "Yes"
         assert [row["alpha"] for row in payload["rows"]] == [0.5]
-        assert calls == [2]
+        assert len(calls) == 1
+
+    def test_grid_flag_is_gone(self, capsys):
+        code = main(["orders", "--dist-x", "uniform:a=1", "--dist-y", "uniform:a=1", "--grid", "64"])
+        assert code == 1
+        assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
 class TestChaos:

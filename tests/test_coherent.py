@@ -334,6 +334,35 @@ class TestDensityBounds:
         with pytest.raises(DomainError):
             density_bounds(parallel(2), Uniform(1.0), 0.5, L=2.0)
 
+    def test_envelope_checked_over_every_level(self):
+        # Beta(5, 2)'s density is 0 at both ends, so no L > 0 bounds it from
+        # below: a bound just under its least value at the levels 0.25, 0.5
+        # and 0.75 would give an "upper bound" of 0.0764 under a system
+        # measure of 0.393.
+        X = Beta(5.0, 2.0)
+        L = 0.999 * min(X.pdf(X.quantile(v)) for v in (0.25, 0.5, 0.75))
+        with pytest.raises(DomainError, match="infimum"):
+            density_bounds(series_system(3), X, 0.3, L=L)
+        # Beta(2, 5) peaks at 30 * 0.2 * 0.8**4 = 2.4576, between those levels.
+        with pytest.raises(DomainError, match="supremum"):
+            density_bounds(parallel(2), Beta(2.0, 5.0), 0.5, M=2.42)
+        lower, _ = density_bounds(parallel(2), Beta(2.0, 5.0), 0.5, M=2.4576)
+        assert lower <= system_efcpe(parallel(2), Beta(2.0, 5.0), 0.5).value
+
+    def test_zero_density_of_a_law_without_quantile_density(self):
+        # 1/pdf(quantile(v)) stands in for qd; the density's 0 on [0.4, 0.6]
+        # reads 0, where the level 0.5 once skipped it.
+        lower, _ = density_bounds(parallel(2), _FlatSpot(), 0.5, M=1.0)
+        assert lower == pytest.approx(parallel_uniform_closed_form(2, 0.5), rel=1e-7, abs=0.0)
+        with pytest.raises(DomainError, match="infimum 0.0"):
+            density_bounds(parallel(2), _FlatSpot(), 0.5, L=0.5)
+
+    def test_unbounded_density_certifies_no_upper_envelope(self):
+        # Beta(1/2, 1/2)'s density is infinite at both ends; it reads 3.3e59
+        # at 2^-200 from an end, and is still rising there.
+        with pytest.raises(DomainError, match="end limit"):
+            density_bounds(parallel(2), Beta(0.5, 0.5), 0.5, M=1e300)
+
 
 class TestComparisons:
     def test_cross_system_bounds_hold(self):

@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from fracpast.distributions import Beta, Distribution, ParetoType, Uniform, affine
+from fracpast.distributions import (
+    Beta,
+    Distribution,
+    Exponential,
+    Frechet,
+    ParetoType,
+    Uniform,
+    Weibull,
+    affine,
+)
 from fracpast.errors import DomainError
 from fracpast.orders import OrderReport, _ordering_rows, dispersive_check, ordering_validation
 
@@ -12,8 +21,8 @@ from fracpast.orders import OrderReport, _ordering_rows, dispersive_check, order
 class _UndefinedDensity(Distribution):
     """Uniform CDF whose density is reported as NaN everywhere.
 
-    Exercises the Inconclusive path of the grid check without touching any
-    real family.
+    Exercises the Inconclusive path of the check without touching any real
+    family.
     """
 
     family = "undefined_density"
@@ -30,27 +39,33 @@ class _UndefinedDensity(Distribution):
         return math.nan
 
 
+class _NoQd(Uniform):
+    """Uniform law that gives no quantile density of its own."""
+
+    qd = None
+
+
 class TestOrderReport:
     def test_fields(self):
-        report = OrderReport("Yes", None, 4096)
+        report = OrderReport("Yes", None)
         assert report.holds == "Yes"
         assert report.witness is None
-        assert report.grid_size == 4096
+        assert report._fields == ("holds", "witness")
 
     def test_no_carries_witness(self):
-        report = OrderReport("No", 0.25, 128)
+        report = OrderReport("No", 0.25)
         assert report.witness == 0.25
 
     def test_invalid_verdict_rejected(self):
         with pytest.raises(DomainError):
-            OrderReport("Maybe", None, 10)
+            OrderReport("Maybe", None)
 
     def test_no_without_witness_rejected(self):
         with pytest.raises(DomainError):
-            OrderReport("No", None, 10)
+            OrderReport("No", None)
 
     def test_frozen(self):
-        report = OrderReport("Yes", None, 16)
+        report = OrderReport("Yes", None)
         with pytest.raises(Exception):
             report.holds = "No"
 
@@ -60,7 +75,6 @@ class TestDispersiveCheck:
         report = dispersive_check(Uniform(1.0), Uniform(1.0))
         assert report.holds == "Yes"
         assert report.witness is None
-        assert report.grid_size == 4096
 
     def test_narrow_uniform_below_wide_uniform(self):
         report = dispersive_check(Uniform(1.0), Uniform(2.0))
@@ -79,13 +93,14 @@ class TestDispersiveCheck:
         assert report.witness is not None
         fx = X.pdf(X.quantile(report.witness))
         gy = Y.pdf(Y.quantile(report.witness))
-        assert fx < gy - 1e-10
+        assert fx < gy * (1.0 - 1e-10)
 
-    def test_reversed_pareto_witness_at_low_levels(self):
-        # The gap 0.5(1-v)^3 - 0.7(1-v)^{17/7} is most negative as v -> 0,
-        # so the reported witness is the first grid level.
-        report = dispersive_check(ParetoType(0.5), ParetoType(0.7))
-        assert report.witness == pytest.approx(1e-4, rel=1e-12, abs=0.0)
+    def test_reversed_pareto_witness_in_the_upper_tail(self):
+        # The ratio qd_Y / qd_X = (5/7)(1-v)^{4/7} falls as v -> 1, so the
+        # witness is the scan's last level, whose complement 2^-53 is exact.
+        w = dispersive_check(ParetoType(0.5), ParetoType(0.7)).witness
+        assert 1.0 - w <= 2.0**-50
+        assert 1.0 - (1.0 - w) == w
 
     def test_crossing_densities_fail_both_ways(self):
         flat, humped = Uniform(1.0), Beta(2.0, 2.0)
@@ -95,7 +110,7 @@ class TestDispersiveCheck:
         assert backward.holds == "No"
         # The flat density loses at the centre, the humped one at the edges.
         assert 0.4 < forward.witness < 0.6
-        assert backward.witness > 0.99
+        assert min(backward.witness, 1.0 - backward.witness) < 0.01
 
     @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
     def test_verdicts_do_not_change_with_scale(self, c):
@@ -114,13 +129,41 @@ class TestDispersiveCheck:
         report = dispersive_check(Uniform(1.0), _UndefinedDensity())
         assert report.holds == "Inconclusive"
 
-    def test_custom_grid_size_recorded(self):
-        report = dispersive_check(Uniform(1.0), Uniform(2.0), grid=64)
-        assert report.grid_size == 64
+    def test_law_without_quantile_density_reads_its_pdf(self):
+        # 1 / pdf(quantile(v)) stands in for qd, up to the support's ends.
+        assert dispersive_check(_NoQd(1.0), Uniform(2.0)).holds == "Yes"
+        assert dispersive_check(_NoQd(2.0), Uniform(1.0)).holds == "No"
 
-    def test_grid_too_small(self):
-        with pytest.raises(DomainError):
-            dispersive_check(Uniform(1.0), Uniform(2.0), grid=1)
+    def test_ratio_still_falling_at_an_end_is_inconclusive(self):
+        # qd_Y / qd_X = 3 L^(-1/6), L = -log v, is above 1 at every level
+        # the scan reads, yet falls toward 0 as v -> 0: never "Yes".
+        assert dispersive_check(Frechet(3.0, 1.0), Frechet(2.0, 4.0)).holds == "Inconclusive"
+
+
+# The cross-family pairs cross 1 only below v ~ 2e-5 (Exponential(1) against
+# Weibull(3, 0.9), ratio (10/3) L^(1/9) at v -> 0 with L = -log(1 - v)) and
+# v ~ 1.1e-5 (Frechet(3, 1) against Frechet(2, 1), ratio 1.5 L^(-1/6) with
+# L = -log v), so neither is ordered.
+SCALED_PAIRS = {
+    "exp-weibull": (Exponential(1.0), Weibull(3.0, 0.9), "No"),
+    "frechet": (Frechet(3.0, 1.0), Frechet(2.0, 1.0), "No"),
+    "pareto": (ParetoType(0.7), ParetoType(0.5), "Yes"),
+    "pareto-reversed": (ParetoType(0.5), ParetoType(0.7), "No"),
+    "beta-shifted": (Beta(2.0, 3.0), affine(Beta(2.0, 3.0), 1.0, 1.0), "Yes"),
+}
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("name", sorted(SCALED_PAIRS))
+def test_scaled_pair_verdicts_and_witnesses(name, c):
+    base_x, base_y, verdict = SCALED_PAIRS[name]
+    X, Y = affine(base_x, c), affine(base_y, c, c)
+    report = dispersive_check(X, Y)
+    assert report.holds == verdict
+    if verdict == "No":
+        w = report.witness
+        assert 0.0 < w < 1.0 and 1.0 - (1.0 - w) == w
+        assert X.qd(w, 1.0 - w) > Y.qd(w, 1.0 - w) * (1.0 + 1e-10)
 
 
 class TestOrderingValidation:

@@ -70,8 +70,8 @@ RECORDS = {
         {"direction": "le"},
     ),
     "OrderReport": (
-        lambda: OrderReport("No", 0.25, 16),
-        "OrderReport(holds='No', witness=0.25, grid_size=16)",
+        lambda: OrderReport("No", 0.25),
+        "OrderReport(holds='No', witness=0.25)",
         {"witness": 0.5},
     ),
     "LogisticConfig": (
@@ -123,7 +123,7 @@ def test_keyword_construction_with_defaults():
     assert LogisticConfig(s=3.5) == LogisticConfig(3.5, 0.1, 1000, 5000)
     assert Sample(values=[2, 1]).data == (1.0, 2.0) and Sample([2, 1]).n == 2
     assert MomentPair(mean=1.0, variance=0.5) == MomentPair(1.0, 0.5)
-    assert OrderReport(holds="Yes", witness=None, grid_size=4).witness is None
+    assert OrderReport(holds="Yes", witness=None).witness is None
     assert ComponentReport(direction="ge", system=0.2, component=0.1, consistent=True).consistent
 
 
@@ -140,8 +140,8 @@ def test_records_are_tuples_of_their_fields():
         (lambda: FracOrder(0), r"must lie in \(0, 1\], got 0"),
         (lambda: FracOrder(1.5), r"must lie in \(0, 1\], got 1.5"),
         (lambda: FracOrder(True), "must be a real number"),
-        (lambda: OrderReport("Maybe", None, 4), "invalid verdict 'Maybe'"),
-        (lambda: OrderReport("No", None, 4), "a No verdict requires a witness level"),
+        (lambda: OrderReport("Maybe", None), "invalid verdict 'Maybe'"),
+        (lambda: OrderReport("No", None), "a No verdict requires a witness level"),
         (lambda: LogisticConfig(s=5), r"control parameter must lie in \[0, 4\], got 5"),
         (lambda: MomentPair(1, -0.1), "variance must be nonnegative, got -0.1"),
         (lambda: Sample([1.0]), "sample needs at least 2 observations, got 1"),
@@ -158,7 +158,7 @@ def test_refusals(build, message):
     "derive, message",
     [
         (lambda: FracOrder(0.5)._replace(alpha=0), "must lie in"),
-        (lambda: OrderReport("Yes", None, 4)._replace(holds="No"), "requires a witness"),
+        (lambda: OrderReport("Yes", None)._replace(holds="No"), "requires a witness"),
         (lambda: LogisticConfig(s=4.0)._replace(s=5.0), "control parameter"),
         (lambda: MomentPair(1.0, 0.0)._replace(variance=-1.0), "variance"),
         (lambda: Sample([1, 2])._replace(data=(3.0,)), "at least 2 observations"),
