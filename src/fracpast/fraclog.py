@@ -7,9 +7,10 @@ logarithm Ln_a. Three evaluation strategies are exposed:
 
 * ``LogMode.APPROX``: Ln_a(p) ~= Gamma(1+a) * log(p), the linearization that
   every closed-form measure in this library is built on.
-* ``LogMode.EXACT``: the root t = -Ln_a p of E_a(-t) = p by one Newton
-  iteration on one residual, E_a(-t) - p, started from the larger of two
-  closed-form lower bounds on the root (Simon's and Jensen's).
+* ``LogMode.EXACT``: the root t = -Ln_a p of E_a(-t) = p by Halley's
+  method on one residual, E_a(-t) - p, started from the larger of two
+  closed-form lower bounds on the root (Simon's and Jensen's), with a Newton
+  step wherever Halley's denominator is not safely positive.
 * ``frac_log_power``: the power-scaled form -Gamma(1+a) * (-log p)**a, the
   unique variant for which the product rule
   ``[-Ln_a(uv)]**(1/a) = [-Ln_a(u)]**(1/a) + [-Ln_a(v)]**(1/a)``
@@ -32,9 +33,10 @@ most near order 0.97, 7e-16 from 0.99999 on), so where E_a(-t) falls below
 1e-10 (orders within about 5e-9 of 1) the branch returns e^(-t) plus the
 asymptotic expansion instead, within 4e-7 relative; at any order up to 1
 the branch is within 2e-6.
-Each branch gives the t-derivative of E_a(-t) from the same pass, which the
-EXACT inversion's Newton steps use: about 3 evaluations a root, at most 6
-near order 1.
+Each branch gives the first and second t-derivatives of E_a(-t) from the
+same pass, which the EXACT inversion's Halley steps use. Halley's method
+converges cubically, so stopping at a relative step of 1e-6 leaves an error
+near 1e-16, and a root takes about 2 evaluations, at most 4.
 
 The contour nodes s_k and the order-free part of their weights,
 (h/pi) mu z_k e^(s_k), are module constants built at import. Everything
@@ -58,6 +60,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from operator import mul
 from typing import NamedTuple
 
 from .errors import DomainError, NonConvergentError
@@ -86,10 +89,12 @@ _CONTOUR_MU = math.pi * _CONTOUR_N / 12.0
 _CONTOUR_STEP = 3.0 / _CONTOUR_N
 _CONTOUR_FLOOR = 1e-10
 _ASYMPTOTIC_TERMS = 20
-# The expansion's envelope rule (see _asymptotic_pair): from t = 300 on, a
-# guess at the terms after which every later one is below 2^-55 of each
-# sum, then a test that it is.
-_ENVELOPE_MIN_T = 300.0
+# Below this order the expansion's sine argument is formed from a*k, above it
+# from a - 1; see _expansion_coefficients.
+_TINY_ORDER = 2.0**-10
+# The expansion's envelope rule (see _asymptotic_pair): over the whole
+# branch, t >= 50, a guess at the terms after which every later one is below
+# 2^-55 of each sum, then a test that it is.
 _ENVELOPE_BITS = 63.0
 _ENVELOPE_SHARE = 2.0**-55
 
@@ -102,9 +107,9 @@ _SERIES_MAX_TERMS = 12_500
 _SERIES_FIRST = 32
 
 _ROOT_MAXITER = 200
-# Relative step at which the Newton iteration for E_a(-t) = p stops; the
-# error left after that step is of the order of its square (see _neg_ln).
-_NEWTON_RTOL = 1e-8
+# Relative step at which the Halley iteration for E_a(-t) = p stops; the
+# error left after that step is of the order of its cube (see _neg_ln).
+_HALLEY_RTOL = 1e-6
 # Beyond this t every asymptotic term after the first is below 1e-154 of it,
 # so E_a(-t) is 1 / (t Gamma(1 - a)) to rounding.
 _FIRST_TERM_EXACT = 1e154
@@ -133,18 +138,20 @@ def _expansion_coefficients(a: float, ks: range) -> list:
 
     By reflection 1/Gamma(1 - a*k) = Gamma(a*k) sin(pi*a*k) / pi, and
     sin(pi*a*k) = (-1)^n sin(pi*f) with n the integer nearest a*k and
-    f = k*(a - 1) + (k - n). As the order nears 1 every coefficient is
-    O(1 - a), and this f keeps 1 - a to the last bit, where 1 - a*k
-    rounded to a float loses it. At a pole (a*k an integer) f is 0. The two
-    signs combine to (-1)^(n+k+1), taken from the parity of n + k.
+    f = a*k - n. As the order nears 1 every coefficient is O(1 - a), and
+    f = k*(a - 1) + (k - n) keeps 1 - a to the last bit, where a*k rounded
+    to a float loses it. Below order 2^-10 it is the other way round: a - 1
+    keeps fewer bits of the order the smaller it is, none below 2^-54, and
+    there f = a*k - n, which keeps them all. At a pole (a*k an integer) f is
+    0. The two signs combine to (-1)^(n+k+1), taken from the parity of n + k.
     """
     gamma, sin, pi = math.gamma, math.sin, math.pi
-    a_less_1 = a - 1.0
+    tiny, a_less_1 = a < _TINY_ORDER, a - 1.0
     coefficients = []
     for k in ks:
         ak = a * k
         n = round(ak)
-        value = gamma(ak) * sin(pi * (k * a_less_1 + (k - n))) / pi
+        value = gamma(ak) * sin(pi * (ak - n if tiny else k * a_less_1 + (k - n))) / pi
         coefficients.append(value if (n + k) % 2 else -value)
     return coefficients
 
@@ -232,16 +239,9 @@ class FracOrder(_FracOrderFields):
         """(h, w / pi) of the expansion's envelope rule, h = log2(2^63 w
         Gamma(1 - alpha)) and w = min(1, 20 pi (1 - alpha)); see
         ``_asymptotic_pair``.
-
-        Up to order 2^-54, where alpha - 1 rounds to -1, the table is all
-        zeros and no test can pass, so h is large enough that every t sums
-        all twenty terms.
         """
         sine = min(1.0, 20.0 * math.pi * (1.0 - self.alpha))
-        first = self._inv_gamma_minus
-        if first == 0.0:
-            return 1024.0 * _ASYMPTOTIC_TERMS, sine / math.pi
-        return _ENVELOPE_BITS + math.log2(sine / first), sine / math.pi
+        return _ENVELOPE_BITS + math.log2(sine / self._inv_gamma_minus), sine / math.pi
 
     @_per_order
     def _contour(self) -> tuple:
@@ -370,13 +370,15 @@ def _mlf_positive(alpha: float, x: float) -> float:
 
 
 def _series_pair(order: FracOrder, t: float, offset: float) -> tuple:
-    """offset + E_a(-t) - 1 and t dE_a(-t)/dt from the power series, 0 < t <= 1.
+    """offset + E_a(-t) - 1, t dE_a(-t)/dt and t^2 d^2E_a(-t)/dt^2 from the
+    power series, 0 < t <= 1.
 
     The terms (-t)^k / Gamma(a k + 1), k >= 1, are read off the order's
     table and summed to the first k > 4 below 1e-18 of the first, with
     ``offset`` in the same compensated sum: 1 gives E_a(-t) itself, and q
-    gives q - (1 - E_a(-t)) without cancelling against the leading 1. A sum
-    that runs off the end of the table built so far doubles it and goes on.
+    gives q - (1 - E_a(-t)) without cancelling against the leading 1. The
+    derivatives sum the same terms times k and k (k - 1). A sum that runs
+    off the end of the table built so far doubles it and goes on.
     """
     coefficients = order._series
     floor = 1e-18 * coefficients[0] * t
@@ -386,7 +388,9 @@ def _series_pair(order: FracOrder, t: float, offset: float) -> tuple:
             term = coefficient * t**k
             terms.append(-term if k % 2 else term)
             if term <= floor and k > 4:
-                return math.fsum([offset, *terms]), math.fsum([k * v for k, v in enumerate(terms, 1)])
+                slopes = list(map(mul, range(1, k + 1), terms))
+                return (math.fsum([offset, *terms]), math.fsum(slopes),
+                        math.fsum(map(mul, range(k), slopes)))
         coefficients = _longer_series(order, coefficients)
         if coefficients is None:
             raise NonConvergentError(f"mlf series did not settle for alpha={order.alpha}, t={t}")
@@ -419,7 +423,8 @@ def _longer_expansion(order: FracOrder, n: int) -> tuple:
 
 def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
     """Large-argument expansion E_a(-t) ~ sum_k (-1)^(k+1) t^(-k) / Gamma(1-a*k),
-    and t dE_a(-t)/dt ~ -sum_k k (-1)^(k+1) t^(-k) / Gamma(1-a*k), k <= 20.
+    with t dE_a(-t)/dt and t^2 d^2E_a(-t)/dt^2 from the same terms times -k
+    and k (k + 1), k <= 20.
 
     By reflection the k-th term has size Gamma(a*k) |sin(pi*a*k)| / (pi t^k),
     at most its envelope G_k / t^k with G_k = Gamma(a*k) / pi. The envelope
@@ -430,26 +435,28 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
     the sine nearly vanishes; that says nothing about the terms after it,
     so no small term ends the sum.
 
-    Below t = 300 all twenty terms are summed. From there on the sum stops
-    at the first n where an envelope test passes. As |sin(pi*a*k)| =
-    |sin(pi*k*(1-a))| <= 20 pi (1-a) for k <= 20, the envelope can be
-    G_k = w Gamma(a*k) / pi with w = min(1, 20 pi (1-a)), which is small
-    near order 1. Gamma(a(k+1)) / Gamma(a*k) < 21 for a < 1 and k < 20, so
-    every term after the n-th is at most B_n = G_n / t^n * 21/t, and its
-    slope term at most 20 B_n. Where both are below 2^-55 of their sums,
-    half what rounding needs at a power of two, no later term can move
+    On the branch the sum stops at the first n where an envelope test
+    passes; below t = 50, where the contour rule hands over near order 1,
+    all twenty terms are summed. As |sin(pi*a*k)| = |sin(pi*k*(1-a))|
+    <= 20 pi (1-a) for k <= 20, the envelope can be G_k = w Gamma(a*k) / pi
+    with w = min(1, 20 pi (1-a)), which is small near order 1.
+    Gamma(a(k+1)) / Gamma(a*k) < 21 for a < 1 and k < 20, so wherever
+    21/t < 1 every term after the n-th is at most B_n = G_n / t^n * 21/t,
+    and its slope term at most 20 B_n. Where both are below 2^-55 of their
+    sums, half what rounding needs at a power of two, no later term can move
     either sum, and the partial sums equal those of all twenty terms bit for
     bit. The test is first made at the least n with
     t^n >= 2^63 w Gamma(1-a) Gamma(a(n0+1)), n0 the same without the last
     factor: there 20 B_n is just below 2^-55 of the first term
     1/(Gamma(1-a) t). After a failed test the next term is added and the
-    test repeated with B_n t/21 in place of B_n. Below t = 300 orders near
-    1 need twelve to fourteen terms, too many for the test to pay. From
-    where t^k leaves the float range every term is below 1e-154 of the
-    first, so the partial sum is already exact.
+    test repeated with B_n t/21 in place of B_n. Each later curvature term
+    is at most 21 times the slope's bound, so the curvature's partial sum
+    is within about 2^-50 of the twenty-term one, far closer than a Halley
+    step needs. From where t^k leaves the float range every term is below
+    1e-154 of the first, so the partial sum is already exact.
     """
     coefficients = order._expansion
-    if t >= _ENVELOPE_MIN_T:
+    if t >= _ASYMPTOTIC_MIN_T:
         head, scale = order._envelope
         log2_t = math.log2(t)
         n = math.ceil((head + math.log2(math.gamma(order.alpha * (head / log2_t + 1.0)))) / log2_t)
@@ -457,12 +464,14 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
             if len(coefficients) < n:
                 coefficients = _longer_expansion(order, n)
             # n > 1 only where t < 2^123, so t^n < 2^246: no power overflows here.
-            value = slope = 0.0
+            value = slope = curve = 0.0
             for k, coefficient in enumerate(coefficients[:n], 1):
                 t_k = t**k
                 term = coefficient / t_k
                 value += term
-                slope -= k * term
+                term *= k
+                slope -= term
+                curve += (k + 1) * term
             ratio = 21.0 / t
             bound = scale * math.gamma(order.alpha * n) / t_k * ratio
             while (bound > _ENVELOPE_SHARE * abs(value)
@@ -478,12 +487,14 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
                     break
                 term = coefficients[k - 1] / t_k
                 value += term
-                slope -= k * term
+                term *= k
+                slope -= term
+                curve += (k + 1) * term
                 bound *= ratio
-            return value, slope
+            return value, slope, curve
     if len(coefficients) < _ASYMPTOTIC_TERMS:
         coefficients = _longer_expansion(order, _ASYMPTOTIC_TERMS)
-    value = slope = 0.0
+    value = slope = curve = 0.0
     for k, coefficient in enumerate(coefficients, 1):
         try:
             t_k = t**k
@@ -491,42 +502,48 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
             break
         term = coefficient / t_k
         value += term
-        slope -= k * term
-    return value, slope
+        term *= k
+        slope -= term
+        curve += (k + 1) * term
+    return value, slope, curve
 
 
 def _mlf_pair(order: FracOrder, t: float, p: float = 0.0, q: float = 1.0) -> tuple:
-    """E_a(-t) - p and t dE_a(-t)/dt for t > 0 and 0 < a < 1, from one pass.
+    """E_a(-t) - p, t dE_a(-t)/dt and t^2 d^2E_a(-t)/dt^2 for t > 0 and
+    0 < a < 1, from one pass.
 
     The branch is the power series for t <= 1, the contour rule for
     1 < t < 50 and the asymptotic expansion from t = 50 on; see the module
     docstring. The series gives q - (1 - E_a(-t)), q = 1 - p, without the
     leading 1, so no digit of q is lost as p nears 1. The contour rule's
-    derivative is -Re sum(weight / (s^a + t)^2) on the same 17 nodes. The
+    derivatives are -Re sum(weight / (s^a + t)^2) and
+    2 Re sum(weight / (s^a + t)^3) on the same 17 nodes. The
     rule's error is absolute, about 7e-16 near order 1, so below
     _CONTOUR_FLOOR its relative error would pass 7e-6. E_a(-t) falls that low on (1, 50) only for orders within about 5e-9 of 1 and t > 20,
     and there it is e^(-t) plus the asymptotic expansion's algebraic tail,
     to within 4e-7 relative against 140-digit series sums.
 
-    The derivative comes scaled by t, so it neither underflows nor
-    overflows wherever E_a(-t) itself is a normal float.
+    The derivatives come scaled by t and t^2, so they neither underflow nor
+    overflow wherever E_a(-t) itself is a normal float.
     """
     if t <= _SERIES_MAX_T:
         return _series_pair(order, t, q)
     if t >= _ASYMPTOTIC_MIN_T:
-        value, slope = _asymptotic_pair(order, t)
-        return value - p, slope
-    value = slope = 0.0
+        value, slope, curve = _asymptotic_pair(order, t)
+        return value - p, slope, curve
+    value = slope = curve = 0.0
     for weight, s_a in order._contour:
         denominator = s_a + t
         share = weight / denominator
         value += share.real
-        slope += (share / denominator).real
+        share /= denominator
+        slope += share.real
+        curve += (share / denominator).real
     if value >= _CONTOUR_FLOOR:
-        return value - p, -t * slope
-    value, slope = _asymptotic_pair(order, t)
+        return value - p, -t * slope, 2.0 * t * t * curve
+    value, slope, curve = _asymptotic_pair(order, t)
     decay = math.exp(-t)
-    return decay + value - p, slope - t * decay
+    return decay + value - p, slope - t * decay, curve + t * t * decay
 
 
 def mlf(alpha, x: float) -> float:
@@ -535,8 +552,8 @@ def mlf(alpha, x: float) -> float:
     For x <= 0 the result lies in (0, 1] and is strictly increasing in x.
     The negative axis is split into three branches: the power series on
     [-1, 0), the 17-node parabolic-contour rule on (-50, -1), and the
-    asymptotic expansion on (-inf, -50], up to 20 terms, and from x = -300
-    on only those that can move the result. The contour rule is within
+    asymptotic expansion on (-inf, -50], up to 20 terms, only those that
+    can move the result. The contour rule is within
     4e-13 relative of 40-digit references for orders 0.1 to 0.99 and within
     2e-6 for any order up to 1; see the module docstring. Raises
     NonConvergentError when the power series overflows or does not settle.
@@ -560,18 +577,32 @@ def _neg_ln(order: FracOrder, p: float, q: float) -> float:
     E_a(-t) is completely monotone, so it is decreasing and convex in t, and
     Simon's 1/(1 + Gamma(1-a) t) <= E_a(-t) <= 1/(1 + t/Gamma(1+a)) (Integral
     Transforms Spec. Funct. 2015) and Jensen's exp(-t/Gamma(1+a)) <= E_a(-t),
-    from its mean rate 1/Gamma(1+a), bound it. Newton's method on
-    E_a(-t) - p (``_mlf_pair``) runs from the larger root of the two lower
-    bounds, (q/p)/Gamma(1-a) or Gamma(1+a) (-log p); Jensen's tends to
-    Gamma(1+a) q as p -> 1 and to the root itself as a -> 1. Every tangent
-    of a decreasing convex function lies below it, so the iterates rise to
-    the root, and the upper bound's root Gamma(1+a) q/p only caps them
-    against rounding. The error left after a step of size d is about
-    E''/(2|E'|) d^2. That factor is 1/t on the algebraic tail
-    1/(t Gamma(1-a)), O(1) on the series branch and 1/2 on the e^(-t) that
-    E_a(-t) nears as a -> 1, so stopping once d <= 1e-8 t leaves a relative
-    error of 1e-16, or 1e-16 t/2 near order 1, where t <= -log p < 40 once
-    the e^(-t) part dominates: below the evaluator's own error.
+    from its mean rate 1/Gamma(1+a), bound it. Halley's method on
+    f(t) = E_a(-t) - p runs from the larger root of the two lower bounds,
+    (q/p)/Gamma(1-a) or Gamma(1+a) (-log p); Jensen's tends to Gamma(1+a) q
+    as p -> 1 and to the root itself as a -> 1. ``_mlf_pair`` gives
+    r = f, s = t f' and c = t^2 f'' from one pass, and Halley's step
+    -2 f f' / (2 f'^2 - f f'') is Newton's, -r t / s, times
+    2 s^2 / (2 s^2 - r c). Left of the root r and c are positive, so the
+    factor is above 1: the step is longer than Newton's, which stops short
+    of the root on a decreasing convex function, and it can pass the root.
+    Where r c >= s^2, so that the denominator 2 s^2 - r c is below s^2 and
+    the factor would pass 2, Newton's step is taken instead. Every step from
+    the left is then at most twice Newton's, so one that passes the root
+    lands no farther past it than the iterate it left was short of it, and
+    the upper bound's root Gamma(1+a) q/p caps it as well. From the right r
+    is negative and the factor below 1, a shorter step than Newton's.
+
+    The error left after a step of size d is about K d^3 / t^2, with
+    K = t^2 (c2^2 - c3) and ck = f^(k) / (k! f') (Gander, Amer. Math.
+    Monthly 1985). K is 0 on the algebraic tail 1/(t Gamma(1-a)), where
+    Halley's step is exact, and t^2/12 on the e^(-t) that E_a(-t) nears as
+    a -> 1; against mpmath it stays below max(1, t^2/12) at orders 0.1 to
+    0.999 and t from 0.3 to 1000. So stopping once d <= 1e-6 t leaves a
+    relative error of 1e-18, or 1e-18 t^2/12 near order 1, where
+    t <= -log p < 40 once the e^(-t) part dominates: at most about 1e-16,
+    below the evaluator's own error. A root takes 2.0 evaluations on
+    average over orders 0.45 to 0.97 and p from 1e-9 to 1/2, and at most 4.
 
     Beyond t = 1e154 the expansion is its first term to rounding, and so is
     its inverse 1/(p Gamma(1-a)); that is returned without iterating, and is
@@ -588,10 +619,13 @@ def _neg_ln(order: FracOrder, p: float, q: float) -> float:
     t = max(simon, order._gamma_plus * neg_log)
     cap = order._gamma_plus * q / p
     for _ in range(_ROOT_MAXITER):
-        residual, slope = _mlf_pair(order, t, p, q)
+        residual, slope, curve = _mlf_pair(order, t, p, q)
         step = -residual * t / slope
+        rc, s2 = residual * curve, slope * slope
+        if rc < s2:
+            step *= 2.0 * s2 / (2.0 * s2 - rc)
         t = min(t + step, cap)
-        if abs(step) <= _NEWTON_RTOL * t:
+        if abs(step) <= _HALLEY_RTOL * t:
             return t
     raise NonConvergentError(f"frac_log root did not settle for alpha={a}, p={p}")
 
@@ -600,11 +634,12 @@ def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     """Fractional-order logarithm Ln_alpha(p) on (0, 1], always <= 0.
 
     APPROX evaluates Gamma(1+alpha) * log(p). EXACT is ``-_neg_ln(p, 1 - p)``:
-    Newton's method on E_alpha(-t) = p from the larger of Simon's and
-    Jensen's lower bounds on the root, stopped at a relative step of 1e-8,
-    which leaves a relative error of about 1e-16 (about 3 evaluations of
-    E_alpha and its derivative a root, at most 6 near order 1). Where the
-    root passes the float range the result is -inf. A float order builds
+    Halley's method on E_alpha(-t) = p from the larger of Simon's and
+    Jensen's lower bounds on the root, with a Newton step wherever Halley's
+    denominator is not safely positive, stopped at a relative step of 1e-6,
+    which leaves a relative error of about 1e-16 (about 2 evaluations of
+    E_alpha and its two derivatives a root, at most 4). Where the root
+    passes the float range the result is -inf. A float order builds
     the per-order constants its root reads (Gamma(1+alpha), 1/Gamma(1-alpha)
     and the table of each branch its iterates visit, as far as their sums
     read it) once per call, not once per iteration; the contour's

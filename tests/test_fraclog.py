@@ -179,6 +179,15 @@ class TestMittagLeffler:
         assert mlf(alpha, x) == pytest.approx(1.0 / (-x * math.gamma(1.0 - alpha)),
                                               rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-16, 1e-12])
+    @pytest.mark.parametrize("x", [-60.0, -300.0, -1e6])
+    def test_asymptotic_branch_at_tiny_orders(self, alpha, x):
+        # The expansion's sine argument must keep the order's bits: a - 1
+        # rounds to -1 below order 2^-54 and keeps too few of them up to
+        # about 1e-6. E_a(-t) is close to 1/(1 + t) here.
+        want = float(_mlf_mp(alpha, -x))
+        assert mlf(alpha, x) == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_positive_overflow_raises(self):
         with pytest.raises(NonConvergentError):
             mlf(0.5, 900.0)
@@ -330,8 +339,8 @@ def _mlf_mp(alpha, t):
     below 1e-35 of the sum, which it does long before the terms turn.
     """
     mp = pytest.importorskip("mpmath")
-    big_t = t ** (1.0 / alpha)
-    if big_t <= 200.0:
+    if math.log(t) <= alpha * math.log(200.0):
+        big_t = t ** (1.0 / alpha)
         with mp.workdps(30 + int(big_t / 2)):
             a, z = mp.mpf(alpha), -mp.mpf(t)
             total, k = mp.mpf(0), 0
@@ -352,13 +361,14 @@ def _mlf_mp(alpha, t):
 
 
 class TestExactRoot:
-    """-Ln_a p: Newton's method on E_a(-t) = p from the larger of Simon's
-    and Jensen's lower bounds, stopped at a relative step of 1e-8."""
+    """-Ln_a p: Halley's method on E_a(-t) = p from the larger of Simon's
+    and Jensen's lower bounds, with a Newton step wherever Halley's
+    denominator is not safely positive, stopped at a relative step of 1e-6."""
 
     @pytest.mark.parametrize("alpha", ROOT_ORDERS)
     def test_root_against_mpmath(self, alpha):
-        # The error left after the last step is of the order of its square,
-        # 1e-16 relative, so E_a at the root is p to within the evaluator's
+        # The error left after the last step is of the order of its cube,
+        # 1e-18 relative, so E_a at the root is p to within the evaluator's
         # own error. The 17-node contour rule is off by up to 2.5e-15
         # absolute at orders near 0.97 (2.4e-13 relative at a = 0.97,
         # p = 1e-3, and 1.2e-13 with its weights summed exactly in mpmath),
@@ -368,8 +378,9 @@ class TestExactRoot:
             assert abs(float(_mlf_mp(alpha, -y)) - p) <= 1e-13 * p + 2.5e-15, p
 
     def test_few_evaluations_per_root(self, monkeypatch):
-        # Each Newton step is one evaluation of E_a(-t) and its derivative;
-        # from Simon's bound the root takes about 3 on average.
+        # Each Halley step is one evaluation of E_a(-t) and its two
+        # derivatives; over this grid a root takes 2.01 on average, where
+        # Newton's steps took 3.0.
         evaluations = []
         pair = fraclog._mlf_pair
 
@@ -383,14 +394,14 @@ class TestExactRoot:
             for p in ROOT_LEVELS:
                 frac_log(alpha, p, LogMode.EXACT)
                 roots += 1
-        assert len(evaluations) <= 4 * roots
+        assert len(evaluations) <= 2.1 * roots
 
     @pytest.mark.parametrize("alpha", [1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12])
     def test_few_evaluations_near_order_one(self, monkeypatch, alpha):
         # Near order 1, E_a(-t) nears e^(-t) and Jensen's start
         # Gamma(1+a) (-log p) nears the root, where Simon's sits near 0.
         # Above p = 1/2 each evaluation is a series sum, counted through the
-        # same _mlf_pair.
+        # same _mlf_pair. Halley's steps take at most 4, where Newton's took 6.
         counts = []
         pair = fraclog._mlf_pair
 
@@ -403,7 +414,35 @@ class TestExactRoot:
         for p in ROOT_LEVELS + [1.0 - 10.0 ** -k for k in (1, 2, 3, 6, 9, 12, 15)]:
             counts.append(0)
             frac_log(order, p, LogMode.EXACT)
-        assert max(counts) <= 6
+        assert max(counts) <= 4
+
+    @pytest.mark.parametrize("alpha", [0.45, 0.75, 0.97])
+    def test_newton_step_where_halley_denominator_is_not_safe(self, monkeypatch, alpha):
+        # A curvature with f f'' = 2 f'^2 at the start puts Halley's
+        # denominator at 0; the step there must be Newton's, and the steps
+        # after it settle on the same root, to within the evaluator's error
+        # at these orders.
+        want = {p: frac_log(alpha, p, LogMode.EXACT) for p in ROOT_LEVELS}
+        pair, reads = fraclog._mlf_pair, []
+
+        def skewed(order, t, *rest):
+            residual, slope, curve = pair(order, t, *rest)
+            if not reads:
+                curve = 2.0 * slope * slope / residual
+            reads.append((t, residual, slope))
+            return residual, slope, curve
+
+        monkeypatch.setattr(fraclog, "_mlf_pair", skewed)
+        second_reads = 0
+        for p, root in want.items():
+            reads.clear()
+            got = frac_log(alpha, p, LogMode.EXACT)
+            assert got == pytest.approx(root, rel=1e-12, abs=0.0)
+            if len(reads) > 1:
+                (t, residual, slope), newton = reads[0], reads[1][0]
+                assert newton == min(t + -residual * t / slope, math.gamma(1.0 + alpha) * (1.0 - p) / p)
+                second_reads += 1
+        assert second_reads >= len(ROOT_LEVELS) // 2
 
     @pytest.mark.parametrize("alpha", [0.5, 0.8987, 0.9, 0.97])
     @pytest.mark.parametrize("p", [1e-160, 1e-300, 5e-309])
@@ -415,6 +454,16 @@ class TestExactRoot:
         y = frac_log(alpha, p, LogMode.EXACT)
         assert y == pytest.approx(-1.0 / (p * math.gamma(1.0 - alpha)), rel=1e-14, abs=0.0)
         assert mlf(alpha, y) == pytest.approx(p, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-8, 0.3])
+    def test_root_at_a_tiny_order(self, p):
+        # At order 1e-20, E_a(-t) is 1/(1 + t) to rounding, so the root is
+        # 1/p - 1, on the contour and expansion branches; an all-zero
+        # expansion table would give the root a zero slope.
+        alpha = 1e-20
+        y = frac_log(alpha, p, LogMode.EXACT)
+        assert y == pytest.approx(1.0 - 1.0 / p, rel=1e-13, abs=0.0)
+        assert mlf(alpha, y) == pytest.approx(p, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("p", [1e-320, 5e-324])
     def test_root_past_the_float_range(self, p):
@@ -490,9 +539,9 @@ class TestPerOrderConstants:
         mlf(order, -200.0)
         assert "_expansion" in order.__dict__
 
-    # Orders 0.01 to 1 - 1e-6 and 1e-20, whose table is all zeros; t = 300
-    # starts the envelope rule, and at 350 and 400 orders near 1 fail its
-    # first test.
+    # Orders 0.01 to 1 - 1e-6 and 1e-20, whose sine arguments are formed
+    # from a*k; t = 50 starts the envelope rule, and at 350 and 400 orders
+    # near 1 fail its first test.
     @pytest.mark.parametrize("alpha", _TABLE_ORDERS + [1.0 / 3.0, 0.01, 0.2, 0.95, 0.99,
                                                        1.0 - 1e-6, 1e-20])
     @pytest.mark.parametrize("t", [21.0, 50.0, 169.9, 170.0, 171.0, 299.9, 300.0, 301.0, 350.0,
@@ -500,9 +549,10 @@ class TestPerOrderConstants:
     def test_partial_expansion_sums_equal_the_full_sum(self, alpha, t):
         # The twenty-term sums as written before the envelope rule, over a
         # table built whole; the rule may stop early only where no later
-        # term can move either sum.
+        # term can move the value or the slope. The curvature's later terms
+        # are at most 21 times the slope's bound, about 2^-50 of the curvature.
         coefficients = fraclog._longer_expansion(FracOrder(alpha), 20)
-        value = slope = 0.0
+        value = slope = curve = 0.0
         for k, coefficient in enumerate(coefficients, 1):
             try:
                 t_k = t**k
@@ -511,11 +561,13 @@ class TestPerOrderConstants:
             term = coefficient / t_k
             value += term
             slope -= k * term
-        want = (repr(value), repr(slope))
+            curve += k * (k + 1) * term
         cold, warm = FracOrder(alpha), FracOrder(alpha)
         fraclog._longer_expansion(warm, 20)
         for order in (cold, warm):
-            assert tuple(map(repr, fraclog._asymptotic_pair(order, t))) == want
+            got = fraclog._asymptotic_pair(order, t)
+            assert (repr(got[0]), repr(got[1])) == (repr(value), repr(slope))
+            assert got[2] == pytest.approx(curve, rel=2.0**-50, abs=0.0)
 
     def test_envelope_ratio_stays_below_its_bound(self):
         # The envelope rule bounds each later term by the last one summed
@@ -548,11 +600,14 @@ class TestPerOrderConstants:
 
     def test_cold_root_builds_only_the_expansion_terms_it_reads(self):
         # The root lies near t = 3.6e4, where five terms settle both sums.
+        # The envelope rule covers the whole branch, so at t = 60, near its
+        # start, fourteen terms settle them.
         order = FracOrder(0.6584)
         frac_log(order, 1.063e-5, LogMode.EXACT)
-        assert len(order.__dict__["_expansion"]) < 20
+        assert len(order.__dict__["_expansion"]) == 5
         mlf(order, -60.0)
-        assert order.__dict__["_expansion"] == fraclog._longer_expansion(FracOrder(0.6584), 20)
+        whole = fraclog._longer_expansion(FracOrder(0.6584), 20)
+        assert order.__dict__["_expansion"] == whole[:14]
 
     def test_series_table_grows_only_as_far_as_a_sum_reads(self):
         # The whole table, as built before it grew on demand: to the first
