@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .empirical import Sample, empirical_efcpe
+from .empirical import Sample, _check_count, empirical_efcpe
 from .errors import DomainError
 from .fraclog import as_order
 
@@ -49,10 +49,8 @@ class LogisticConfig(_LogisticConfigFields):
             raise DomainError(f"seed point must be finite, got {self.x0!r}")
         if not 0.0 <= self.x0 <= 1.0:
             raise DomainError(f"seed point must lie in [0, 1], got {self.x0}")
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in must be nonnegative, got {self.burn_in}")
-        if self.length < 2:
-            raise DomainError(f"length must be at least 2, got {self.length}")
+        _check_count("burn_in", self.burn_in, 0)
+        _check_count("length", self.length, 2)
         return self
 
     # _replace builds through _make, so it checks its fields too.
@@ -108,10 +106,8 @@ def bifurcation_sweep(
     Returns (s, value) pairs with ``retain`` attractor samples per control
     value, the raw material of the standard bifurcation portrait.
     """
-    if steps < 2:
-        raise DomainError(f"sweep needs at least 2 steps, got {steps}")
-    if retain < 1:
-        raise DomainError(f"retain must be positive, got {retain}")
+    steps = _check_count("steps", steps, 2)
+    retain = _check_count("retain", retain, 1)
     points = []
     for i in range(steps):
         s = s_min + (s_max - s_min) * i / (steps - 1)

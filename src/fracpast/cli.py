@@ -170,6 +170,9 @@ def _cmd_measure(args) -> int:
     from .entropy import classic_fractional, efcpe, efcre, gini, modified_efcpe, paired_phi_entropy
     from .fraclog import LogMode
 
+    if args.mode == "exact" and args.kind not in ("efcpe", "efcre", "paired"):
+        raise _UsageError(f"--mode exact applies to --kind efcpe, efcre and paired, "
+                          f"not {args.kind}")
     X = parse_spec(args.dist)
     mode = LogMode(args.mode)
     measures = {

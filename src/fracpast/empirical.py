@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from operator import index
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -134,6 +135,18 @@ def empirical_efcpe(S: Sample, alpha) -> float:
     return pref * math.fsum(terms)
 
 
+def _check_count(what: str, value, least: int) -> int:
+    """``value`` as an int, refused with DomainError unless it is an integer
+    (a numpy integer counts) of at least ``least``."""
+    try:
+        count = index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return count
+
+
 def _spacing_cores(n: int, a: float) -> Tuple[float, List[float]]:
     """(a!)**(1/a) and the cores (i/n) (-log(i/n))**(1/a), i = 1..n-1."""
     if not isinstance(n, int) or n < 2:
@@ -195,8 +208,7 @@ def stability_probe(S: Sample, alpha, delta: float, trials: int, seed: int = 0) 
     a = as_order(alpha)
     if delta < 0.0:
         raise DomainError(f"perturbation budget must be >= 0, got {delta}")
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
+    trials = _check_count("trials", trials, 1)
     if delta == 0.0:
         return 0.0
     import numpy as np  # only the two seeded studies use numpy; the package loads without it
@@ -229,6 +241,8 @@ def convergence_study(
     """
     from .entropy import efcpe  # the estimator itself runs without the laws and quadrature
 
+    sizes = [_check_count("sample sizes", n, 2) for n in n_grid]
+    replications = _check_count("replications", replications, 1)
     a = as_order(alpha)
     truth = efcpe(X, a).value
     if not math.isfinite(truth):
@@ -237,19 +251,17 @@ def convergence_study(
 
     rng = np.random.default_rng(seed)
     rows = []
-    for n in n_grid:
-        if n < 2:
-            raise DomainError(f"sample sizes must be >= 2, got {n}")
+    for n in sizes:
         errors = []
         estimates = []
         for _ in range(replications):
-            sample = Sample(X.sample(int(n), rng).tolist())
+            sample = Sample(X.sample(n, rng).tolist())
             est = empirical_efcpe(sample, a)
             estimates.append(est)
             errors.append(abs(est - truth))
         rows.append(
             {
-                "n": int(n),
+                "n": n,
                 "mean_abs_error": math.fsum(errors) / len(errors),
                 "mean_estimate": math.fsum(estimates) / len(estimates),
                 "analytic": truth,

@@ -41,13 +41,14 @@ near 1e-16, and a root takes about 2 evaluations, at most 4.
 The contour nodes s_k and the order-free part of their weights,
 (h/pi) mu z_k e^(s_k), are module constants built at import. Everything
 else that depends on the order only is a per-order constant that each
-``FracOrder`` builds on its first read and keeps: Gamma(1 + a), 1/Gamma(1 - a),
-the series coefficients 1/Gamma(a k + 1), the powers s_k^a and the weights
-that use them, the expansion's coefficients and the two scalars of its
-envelope rule, and the measure kernel of each mode. A call builds only what
-its branch reads, so a root on the series or contour branch never builds
-the expansion's table, and every point of a public call, or of every call
-given the same ``FracOrder``, shares them.
+``FracOrder`` builds on its first read and keeps: Gamma(1 + a), the series
+coefficients 1/Gamma(a k + 1), the powers s_k^a and the weights that use
+them, the expansion's coefficients, whose first is 1/Gamma(1 - a), the two
+scalars of its envelope rule, and the measure kernels, whose two closures,
+one per mode, are built together. A call builds only what its branch reads,
+so a root on the series or contour branch reads the expansion's first
+coefficient and builds no other, and every point of a public call, or of
+every call given the same ``FracOrder``, shares them.
 The two coefficient tables are built only as far as a sum reads them: the
 series' first 32 entries, doubled when a sum runs off the end, and the
 expansion's terms up to the last one summed. A table grows by storing a
@@ -223,16 +224,12 @@ class FracOrder(_FracOrderFields):
         return _longer_series(self, ())
 
     @_per_order
-    def _inv_gamma_minus(self) -> float:
-        """1/Gamma(1 - alpha), the expansion's first coefficient, which the
-        EXACT root's start reads without building the expansion's table."""
-        return _expansion_coefficients(self.alpha, range(1, 2))[0]
-
-    @_per_order
     def _expansion(self) -> tuple:
-        """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1, 2, ..., led by
-        ``_inv_gamma_minus``, as far as ``_longer_expansion`` has grown it."""
-        return (self._inv_gamma_minus,)
+        """(-1)^(k+1) / Gamma(1 - alpha*k) for k = 1, 2, ..., as far as
+        ``_longer_expansion`` has grown it. It starts as its first entry,
+        1/Gamma(1 - alpha), which the EXACT root's start and the envelope
+        rule read, so a root off the expansion's branch builds no other."""
+        return tuple(_expansion_coefficients(self.alpha, range(1, 2)))
 
     @_per_order
     def _envelope(self) -> tuple:
@@ -241,7 +238,7 @@ class FracOrder(_FracOrderFields):
         ``_asymptotic_pair``.
         """
         sine = min(1.0, 20.0 * math.pi * (1.0 - self.alpha))
-        return _ENVELOPE_BITS + math.log2(sine / self._inv_gamma_minus), sine / math.pi
+        return _ENVELOPE_BITS + math.log2(sine / self._expansion[0]), sine / math.pi
 
     @_per_order
     def _contour(self) -> tuple:
@@ -262,7 +259,8 @@ class FracOrder(_FracOrderFields):
     @_per_order
     def _kernels(self) -> dict:
         """The kernel (p, q) -> (-Ln_alpha p)**(1/alpha) for 0 < p < 1 and
-        q = 1 - p, per LogMode, each built on its first read.
+        q = 1 - p, per LogMode. Both modes' closures are built together, and
+        that reads only Gamma(1 + alpha), which every EXACT root reads too.
 
         Both modes read q above p = 1/2, so a caller that knows q exactly
         (the upper half of a probability-space integral, where p rounds to 1)
@@ -273,50 +271,25 @@ class FracOrder(_FracOrderFields):
         closure directly. Where the power overflows the closure returns inf,
         which the quadrature reads as a divergent or non-finite integrand.
         """
-        return _Kernels(self)
+        # The power is written out in both closures: a shared helper would
+        # cost a call at every integrand point.
+        a, gamma_plus = self.alpha, self._gamma_plus
+        exp, log, log1p = math.exp, math.log, math.log1p
 
+        def approx(p: float, q: float) -> float:
+            try:
+                return exp(log(gamma_plus * (-log(p) if p < 0.5 else -log1p(-q))) / a)
+            except OverflowError:
+                return math.inf
 
-class _Kernels(dict):
-    """LogMode -> kernel closure of one order, built on the mode's first read."""
+        def exact(p: float, q: float) -> float:
+            neg_ln = _neg_ln(self, p, q)
+            try:
+                return exp(log(neg_ln) / a)
+            except OverflowError:
+                return math.inf
 
-    __slots__ = ("order",)
-
-    def __init__(self, order: FracOrder):
-        super().__init__()
-        self.order = order
-
-    def __missing__(self, mode):
-        kernel = self[mode] = _KERNEL_BUILDERS[mode](self.order)
-        return kernel
-
-
-# The power is written out in both closures: a shared helper would cost a
-# call at every integrand point.
-def _approx_kernel(order: FracOrder):
-    a, gamma_plus = order.alpha, order._gamma_plus
-    exp, log, log1p = math.exp, math.log, math.log1p
-
-    def approx(p: float, q: float) -> float:
-        try:
-            return exp(log(gamma_plus * (-log(p) if p < 0.5 else -log1p(-q))) / a)
-        except OverflowError:
-            return math.inf
-
-    return approx
-
-
-def _exact_kernel(order: FracOrder):
-    a = order.alpha
-    exp, log = math.exp, math.log
-
-    def exact(p: float, q: float) -> float:
-        neg_ln = _neg_ln(order, p, q)
-        try:
-            return exp(log(neg_ln) / a)
-        except OverflowError:
-            return math.inf
-
-    return exact
+        return {LogMode.APPROX: approx, LogMode.EXACT: exact}
 
 
 def as_order(alpha) -> FracOrder:
@@ -335,9 +308,6 @@ class LogMode(enum.Enum):
 
     APPROX = "approx"
     EXACT = "exact"
-
-
-_KERNEL_BUILDERS = {LogMode.APPROX: _approx_kernel, LogMode.EXACT: _exact_kernel}
 
 
 def gamma_fn(x: float) -> float:
@@ -435,9 +405,11 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
     the sine nearly vanishes; that says nothing about the terms after it,
     so no small term ends the sum.
 
-    On the branch the sum stops at the first n where an envelope test
-    passes; below t = 50, where the contour rule hands over near order 1,
-    all twenty terms are summed. As |sin(pi*a*k)| = |sin(pi*k*(1-a))|
+    One loop sums the first n terms, n = 20 wherever no envelope test
+    applies: below t = 50, where the contour rule hands over near order 1,
+    and where the first guess below is 20 or more. Elsewhere on the branch
+    n is that guess, and terms are added one at a time until an envelope
+    test passes. As |sin(pi*a*k)| = |sin(pi*k*(1-a))|
     <= 20 pi (1-a) for k <= 20, the envelope can be G_k = w Gamma(a*k) / pi
     with w = min(1, 20 pi (1-a)), which is small near order 1.
     Gamma(a(k+1)) / Gamma(a*k) < 21 for a < 1 and k < 20, so wherever
@@ -445,7 +417,7 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
     and its slope term at most 20 B_n. Where both are below 2^-55 of their
     sums, half what rounding needs at a power of two, no later term can move
     either sum, and the partial sums equal those of all twenty terms bit for
-    bit. The test is first made at the least n with
+    bit. The first guess is the least n with
     t^n >= 2^63 w Gamma(1-a) Gamma(a(n0+1)), n0 the same without the last
     factor: there 20 B_n is just below 2^-55 of the first term
     1/(Gamma(1-a) t). After a failed test the next term is added and the
@@ -455,47 +427,18 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
     step needs. From where t^k leaves the float range every term is below
     1e-154 of the first, so the partial sum is already exact.
     """
-    coefficients = order._expansion
+    n = _ASYMPTOTIC_TERMS
     if t >= _ASYMPTOTIC_MIN_T:
         head, scale = order._envelope
         log2_t = math.log2(t)
-        n = math.ceil((head + math.log2(math.gamma(order.alpha * (head / log2_t + 1.0)))) / log2_t)
-        if n < _ASYMPTOTIC_TERMS:
-            if len(coefficients) < n:
-                coefficients = _longer_expansion(order, n)
-            # n > 1 only where t < 2^123, so t^n < 2^246: no power overflows here.
-            value = slope = curve = 0.0
-            for k, coefficient in enumerate(coefficients[:n], 1):
-                t_k = t**k
-                term = coefficient / t_k
-                value += term
-                term *= k
-                slope -= term
-                curve += (k + 1) * term
-            ratio = 21.0 / t
-            bound = scale * math.gamma(order.alpha * n) / t_k * ratio
-            while (bound > _ENVELOPE_SHARE * abs(value)
-                   or 20.0 * bound > _ENVELOPE_SHARE * abs(slope)):
-                if k == _ASYMPTOTIC_TERMS:
-                    break
-                k += 1
-                if len(coefficients) < k:
-                    coefficients = _longer_expansion(order, k)
-                try:
-                    t_k = t**k
-                except OverflowError:
-                    break
-                term = coefficients[k - 1] / t_k
-                value += term
-                term *= k
-                slope -= term
-                curve += (k + 1) * term
-                bound *= ratio
-            return value, slope, curve
-    if len(coefficients) < _ASYMPTOTIC_TERMS:
-        coefficients = _longer_expansion(order, _ASYMPTOTIC_TERMS)
+        guess = math.ceil((head + math.log2(math.gamma(order.alpha * (head / log2_t + 1.0)))) / log2_t)
+        if guess < n:
+            n = guess
+    coefficients = order._expansion
+    if len(coefficients) < n:
+        coefficients = _longer_expansion(order, n)
     value = slope = curve = 0.0
-    for k, coefficient in enumerate(coefficients, 1):
+    for k, coefficient in enumerate(coefficients[:n], 1):
         try:
             t_k = t**k
         except OverflowError:
@@ -505,6 +448,28 @@ def _asymptotic_pair(order: FracOrder, t: float) -> tuple:
         term *= k
         slope -= term
         curve += (k + 1) * term
+    if n == _ASYMPTOTIC_TERMS:
+        return value, slope, curve
+    # n > 1 only where t < 2^123, so t^n < 2^246: no power above overflowed.
+    ratio = 21.0 / t
+    bound = scale * math.gamma(order.alpha * n) / t_k * ratio
+    while (bound > _ENVELOPE_SHARE * abs(value)
+           or 20.0 * bound > _ENVELOPE_SHARE * abs(slope)):
+        if k == _ASYMPTOTIC_TERMS:
+            break
+        k += 1
+        if len(coefficients) < k:
+            coefficients = _longer_expansion(order, k)
+        try:
+            t_k = t**k
+        except OverflowError:
+            break
+        term = coefficients[k - 1] / t_k
+        value += term
+        term *= k
+        slope -= term
+        curve += (k + 1) * term
+        bound *= ratio
     return value, slope, curve
 
 
@@ -612,7 +577,7 @@ def _neg_ln(order: FracOrder, p: float, q: float) -> float:
     a = order.alpha
     if a == 1.0:
         return neg_log
-    first = order._inv_gamma_minus
+    first = order._expansion[0]
     simon = q * first / p
     if simon > _FIRST_TERM_EXACT:
         return first / p
@@ -640,11 +605,12 @@ def frac_log(alpha, p: float, mode: LogMode = LogMode.APPROX) -> float:
     which leaves a relative error of about 1e-16 (about 2 evaluations of
     E_alpha and its two derivatives a root, at most 4). Where the root
     passes the float range the result is -inf. A float order builds
-    the per-order constants its root reads (Gamma(1+alpha), 1/Gamma(1-alpha)
-    and the table of each branch its iterates visit, as far as their sums
-    read it) once per call, not once per iteration; the contour's
-    order-free constants are built at import, and a FracOrder passed in
-    keeps its constants across calls.
+    the per-order constants its root reads (Gamma(1+alpha), the expansion
+    table's first entry 1/Gamma(1-alpha), and the table of each branch its
+    iterates visit, as far as their sums read it) once per call, not once
+    per iteration; it builds no kernel closure, where ``log_kernel`` builds
+    both modes' together. The contour's order-free constants are built at
+    import, and a FracOrder passed in keeps its constants across calls.
     """
     order = alpha if isinstance(alpha, FracOrder) else as_order(alpha)
     if not math.isfinite(p) or p <= 0.0 or p > 1.0:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
@@ -64,6 +65,18 @@ class TestLogisticConfig:
     def test_too_short_rejected(self):
         with pytest.raises(DomainError):
             LogisticConfig(s=3.5, length=1)
+
+    @pytest.mark.parametrize("field, value", [("length", 2.5), ("length", math.nan),
+                                              ("length", 5.0), ("burn_in", math.nan),
+                                              ("burn_in", 2.5), ("burn_in", "5")])
+    def test_count_that_is_not_an_integer_rejected(self, field, value):
+        with pytest.raises(DomainError):
+            LogisticConfig(4.0, **{field: value})
+
+    def test_numpy_integer_counts(self):
+        cfg = LogisticConfig(4.0, burn_in=np.int64(10), length=np.int64(25))
+        want = logistic_series(LogisticConfig(4.0, burn_in=10, length=25))
+        assert logistic_series(cfg).data == want.data
 
 
 class TestLogisticSeries:
@@ -167,3 +180,12 @@ class TestBifurcationSweep:
     def test_bad_retain(self):
         with pytest.raises(DomainError):
             bifurcation_sweep(3.0, 4.0, 5, retain=0)
+
+    @pytest.mark.parametrize("steps, retain", [(2.5, 5), (3, 2.5), (math.nan, 5), (3, "5")])
+    def test_count_that_is_not_an_integer_rejected(self, steps, retain):
+        with pytest.raises(DomainError):
+            bifurcation_sweep(3.0, 4.0, steps, retain=retain)
+
+    def test_numpy_integer_counts(self):
+        assert (bifurcation_sweep(2.4, 2.6, np.int64(3), retain=np.int32(5))
+                == bifurcation_sweep(2.4, 2.6, 3, retain=5))

@@ -95,6 +95,16 @@ class TestMeasure:
         # The exact kernel dominates the factorial-approximation kernel.
         assert row["value"] > 0.3
 
+    @pytest.mark.parametrize("kind", ["modified", "classic", "gini"])
+    def test_exact_mode_refused_where_the_kind_takes_none(self, capsys, kind):
+        argv = ["measure", "--kind", kind, "--dist", "uniform:a=1", "--alpha", "0.5", "--mode"]
+        code, out, err = run_cli(capsys, argv + ["exact"])
+        assert code == 1
+        assert out == ""
+        assert "efcpe, efcre and paired" in err
+        # APPROX is what these kinds compute, so asking for it is no error.
+        assert run_cli(capsys, argv + ["approx"])[0] == 0
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -236,6 +237,10 @@ class TestStabilityProbe:
             stability_probe(s, 0.5, -1.0, 5)
         with pytest.raises(DomainError):
             stability_probe(s, 0.5, 1.0, 0)
+        for trials in (2.5, math.nan, "5"):
+            with pytest.raises(DomainError):
+                stability_probe(s, 0.5, 1.0, trials)
+        assert stability_probe(s, 0.5, 1.0, np.int64(3)) == stability_probe(s, 0.5, 1.0, 3)
 
 
 class TestConvergenceStudy:
@@ -256,6 +261,17 @@ class TestConvergenceStudy:
     def test_sample_size_validation(self):
         with pytest.raises(DomainError):
             convergence_study(Uniform(1.0), 0.5, [1], 5, seed=0)
+
+    @pytest.mark.parametrize("n_grid, replications", [([2.5], 5), ([10, 2.5], 5), (["10"], 5),
+                                                      ([10], 0), ([10], 2.5), ([10], math.nan)])
+    def test_count_that_is_not_an_integer_rejected(self, n_grid, replications):
+        with pytest.raises(DomainError):
+            convergence_study(Uniform(1.0), 0.5, n_grid, replications, seed=0)
+
+    def test_numpy_integer_counts(self):
+        rows = convergence_study(Uniform(1.0), 0.5, np.array([10]), np.int64(3), seed=7)
+        assert rows == convergence_study(Uniform(1.0), 0.5, [10], 3, seed=7)
+        assert type(rows[0]["n"]) is int
 
     def test_divergent_population_rejected(self):
         with pytest.raises(DomainError):

@@ -509,15 +509,6 @@ class TestPerOrderConstants:
             assert weight == (2.0 * direct if k else direct)
 
     @pytest.mark.parametrize("alpha", _TABLE_ORDERS)
-    def test_inverse_gamma_scalar_is_the_tables_first_entry(self, alpha):
-        scalar_first, table_first = FracOrder(alpha), FracOrder(alpha)
-        scalar = scalar_first._inv_gamma_minus
-        table = fraclog._longer_expansion(table_first, 20)
-        assert scalar == table[0] == table_first._inv_gamma_minus
-        assert fraclog._longer_expansion(scalar_first, 20) == table
-        assert scalar == pytest.approx(1.0 / math.gamma(1.0 - alpha), rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("alpha", _TABLE_ORDERS)
     def test_expansion_signs_match_the_powers_of_minus_one(self, alpha):
         want = []
         for k in range(1, 21):
@@ -526,18 +517,23 @@ class TestPerOrderConstants:
             want.append((-1.0) ** (k + 1) * math.gamma(alpha * k) * sine / math.pi)
         whole = fraclog._longer_expansion(FracOrder(alpha), 20)
         assert [repr(c) for c in whole] == [repr(c) for c in want]
+        assert whole[0] == pytest.approx(1.0 / math.gamma(1.0 - alpha), rel=1e-14, abs=0.0)
         # A table grown a few entries at a time ends as the one built whole.
         order = FracOrder(alpha)
         for n in (3, 7, 20):
             assert fraclog._longer_expansion(order, n) == whole[:n] == order._expansion
 
     def test_roots_off_the_expansion_leave_its_table_unbuilt(self):
+        # The root's start reads the table's first entry, 1/Gamma(1 - a);
+        # roots on the series and contour branches build no other.
         order = FracOrder(0.35)
         mlf(order, -3.0)
+        frac_log(order, 0.7, LogMode.EXACT)
         frac_log(order, 0.3, LogMode.EXACT)
-        assert "_expansion" not in order.__dict__
+        whole = fraclog._longer_expansion(FracOrder(0.35), 20)
+        assert order.__dict__["_expansion"] == whole[:1]
         mlf(order, -200.0)
-        assert "_expansion" in order.__dict__
+        assert len(order.__dict__["_expansion"]) > 1
 
     # Orders 0.01 to 1 - 1e-6 and 1e-20, whose sine arguments are formed
     # from a*k; t = 50 starts the envelope rule, and at 350 and 400 orders
@@ -624,13 +620,6 @@ class TestPerOrderConstants:
         assert len(order.__dict__["_series"]) <= 128
         mlf(order, -1.0)
         assert order.__dict__["_series"] == tuple(whole)
-
-    def test_approx_kernel_builds_no_exact_kernel(self):
-        order = FracOrder(0.35)
-        log_kernel(order, 0.3)
-        assert list(order.__dict__["_kernels"]) == [LogMode.APPROX]
-        log_kernel(order, 0.3, LogMode.EXACT)
-        assert list(order.__dict__["_kernels"]) == [LogMode.APPROX, LogMode.EXACT]
 
 
 class TestDiscreteEntropy:
